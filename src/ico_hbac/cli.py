@@ -17,7 +17,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -38,19 +37,17 @@ from .schemes import (
     HBAC,
     HBAC_ICO,
     HBAC_KICO,
-    ICO_TREE_SORT,
     PAIR_CHOICES,
     SCHEMES,
+    AttemptChain,
     MaxAttemptsError,
     SchemeConfig,
-    Trajectory,
-    plus_weight_vector,
     run_round,
     run_scheme,
     sample_batch,
     success_probability,
 )
-from .switch import branch_transfer, standard_pair, switch_branches, tree_pair
+from .switch import branch_transfer, standard_pair
 
 CSV_COLUMNS = ("scheme", "n", "k", "epsilon", "round", "outcome", "probability", "trials", "value")
 
@@ -196,31 +193,11 @@ def load_runspec(path: str) -> dict:
     return validate_runspec(raw)
 
 
-_FLAG_KEYS = (
-    "scheme",
-    "n",
-    "k",
-    "epsilon",
-    "initial",
-    "trials",
-    "seed",
-    "output",
-    "format",
-    "pair",
-    "level",
-    "nondemolition",
-    "repump_rounds",
-    "max_attempts",
-    "desired_success",
-    "workers",
-)
-
-
 def _merge_runspec(args) -> dict:
     spec = dict(_RUNSPEC_DEFAULTS)
     if getattr(args, "config", None):
         spec.update(load_runspec(args.config))
-    for key in _FLAG_KEYS:
+    for key in _RUNSPEC_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             spec[key] = value
@@ -279,7 +256,7 @@ def _config_from_runspec(spec: dict) -> SchemeConfig:
 
 def _echo_runspec(spec: dict) -> dict:
     echo = {}
-    for key in _FLAG_KEYS:
+    for key in _RUNSPEC_TYPES:
         if key in spec:
             value = spec[key]
             if isinstance(value, np.ndarray):
@@ -431,92 +408,63 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sample_chunk(payload):
-    config, start, count = payload
-    return sample_batch(config, count, start_index=start)
-
-
-def _collect_trajectories(config: SchemeConfig, trials: int, workers: int) -> list[Trajectory]:
-    if workers <= 1 or trials < 2:
-        return sample_batch(config, trials)
-    chunk = -(-trials // workers)
-    payloads = [
-        (config, start, min(chunk, trials - start)) for start in range(0, trials, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_sample_chunk, payloads))
-    return [trajectory for part in parts for trajectory in part]
-
-
-def _attempt_probability(config: SchemeConfig, state, round_index: int) -> float:
-    if config.scheme == ICO_TREE_SORT:
-        spec = tree_pair(config.n, round_index - 1)
-        plus, _minus = switch_branches(state, spec)
-        return plus.probability / state.norm
-    if config.scheme == HBAC:
-        return 1.0
-    weights = plus_weight_vector(config)
-    return float(weights @ state.populations) / state.norm
-
-
 def cmd_sample(args) -> int:
     spec = _merge_runspec(args)
     config = _config_from_runspec(spec)
     trials = spec["trials"]
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    # still accepted so existing run specs load; every worker count draws the
+    # same trajectories, so one process draws them all
     workers = spec["workers"]
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    trajectories = _collect_trajectories(config, trials, workers)
+    chain = AttemptChain(config)
+    trajectories = sample_batch(chain, trials)
     base = {"scheme": config.scheme, "n": config.n, "k": config.k, "epsilon": config.epsilon}
     want_json = spec["format"] == "json"
-    # retry-chain states are shared across trajectories, so per-state work
-    # (probability, serialized form) is cached by identity
-    probability_cache: dict[tuple[int, int], float] = {}
-    joined_cache: dict[int, str] = {}
+    # trajectories share chain positions, so each state is rendered once
+    rendered: dict = {}
 
-    def probability_for(state, round_index: int) -> float:
-        key = (id(state), round_index)
-        cached = probability_cache.get(key)
-        if cached is None:
-            cached = _attempt_probability(config, state, round_index)
-            probability_cache[key] = cached
-        return cached
-
-    def joined_for(state) -> str:
-        cached = joined_cache.get(id(state))
-        if cached is None:
-            cached = _join_state(state.populations)
-            joined_cache[id(state)] = cached
-        return cached
+    def render(position):
+        cell = rendered.get(position)
+        if cell is None:
+            state, probability = chain.at(position)
+            vector = state.populations
+            cell = (probability, [float(x) for x in vector] if want_json else _join_state(vector))
+            rendered[position] = cell
+        return cell
 
     rows = []
     json_trajectories = []
     total_trials = 0
     for index, trajectory in enumerate(trajectories, start=1):
         total_trials += trajectory.trials_used
-        attempts_json = [] if want_json else None
-        for round_index, (state, outcome) in enumerate(trajectory.attempts, start=1):
-            probability = probability_for(state, round_index)
-            rows.append(
-                dict(
-                    base,
-                    round=round_index,
-                    outcome=outcome,
-                    probability=probability,
-                    trials=index,
-                    value=joined_for(state),
-                )
-            )
+        outcomes = trajectory.outcomes
+        attempts_json = []
+        for round_index, (outcome, position) in enumerate(
+            zip(outcomes, chain.positions(outcomes)), start=1
+        ):
+            probability, state = render(position)
             if want_json:
                 attempts_json.append(
                     {
                         "round": round_index,
                         "outcome": outcome,
                         "probability": probability,
-                        "state": [float(x) for x in state.populations],
+                        "state": state,
                     }
+                )
+            else:
+                rows.append(
+                    dict(
+                        base,
+                        round=round_index,
+                        outcome=outcome,
+                        probability=probability,
+                        trials=index,
+                        value=state,
+                    )
                 )
         if want_json:
             json_trajectories.append(

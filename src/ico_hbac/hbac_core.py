@@ -176,9 +176,3 @@ def iterate(
         ReducedState(state0.n, p, state0.norm),
         max_steps,
     )
-
-
-def spectral_gap(n: int, params: ThermalParams) -> float:
-    """Diagnostic only: 1 minus the second-largest eigenvalue modulus of T."""
-    moduli = np.sort(np.abs(np.linalg.eigvals(build_transfer(n, params).entries)))[::-1]
-    return float(1.0 - moduli[1])

@@ -188,37 +188,6 @@ class ReducedState:
         return ReducedState(self.n, self.populations / self.norm, 1.0)
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    """Bit pattern of one basis index; the last bit is the reset slot.
-
-    ``g`` is 0 and ``e`` is 1; the most significant bit belongs to the qubit
-    farthest from the reset slot.
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) < 1 or any(bit not in (0, 1) for bit in self.bits):
-            raise ValueError(f"bits must be a nonempty 0/1 tuple, got {self.bits!r}")
-
-    @classmethod
-    def from_index(cls, index: int, n: int) -> "BasisLabel":
-        width = n + 1
-        if not 0 <= index < 2**width:
-            raise ValueError(f"index {index} outside [0, {2 ** width})")
-        return cls(tuple((index >> shift) & 1 for shift in range(width - 1, -1, -1)))
-
-    def to_index(self) -> int:
-        value = 0
-        for bit in self.bits:
-            value = (value << 1) | bit
-        return value
-
-    def __str__(self) -> str:
-        return "".join("ge"[bit] for bit in self.bits)
-
-
 def ground_state(n: int) -> DiagonalState:
     """All ``n + 1`` qubits in |g>: unit population on entry 0."""
     vec = np.zeros(2 ** (n + 1))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hbac_core import fixed_point, hbac_round, iterate, two_sort
+from .hbac_core import fixed_point, hbac_round, two_sort
 from .register import (
     DiagonalState,
     ReducedState,
@@ -61,7 +61,6 @@ HBAC_KICO = "hbac-kico"
 SCHEMES = (HBAC, HBAC_ICO, ICO_ALONE, ICO_TREE_SORT, HBAC_KICO)
 
 BATH_SCHEMES = frozenset({HBAC, HBAC_ICO, HBAC_KICO})
-HERALDED_SCHEMES = frozenset({HBAC_ICO, HBAC_KICO, ICO_ALONE})
 
 STANDARD = "standard"
 IDEAL = "ideal"
@@ -160,17 +159,19 @@ class SchemeReport:
     trials_for_desired: int | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Trajectory:
-    """One repeat-until-success run: (pre-measurement state, outcome) pairs.
+    """One repeat-until-success run, recorded as its control outcomes.
 
-    ``trials_used`` is the index of the first plus outcome for heralded
-    schemes; the deterministic schemes (plain cooling, tree sort) always use
-    one trial, and for tree sort each recorded attempt is one level of the
-    cascade.
+    ``outcomes`` holds one ``+`` or ``-`` per switch application, in order;
+    the pre-measurement state of each is read from the :class:`AttemptChain`
+    the run was drawn against.  ``trials_used`` is the index of the first plus
+    outcome for heralded schemes; the deterministic schemes (plain cooling,
+    tree sort) always use one trial, and for tree sort each outcome is one
+    level of the cascade.
     """
 
-    attempts: tuple
+    outcomes: str
     terminal: bool
     trials_used: int
 
@@ -353,94 +354,133 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _AttemptChain:
-    """Deterministic retry chain shared by a batch of heralded trajectories.
+class AttemptChain:
+    """Pre-measurement states and plus probabilities shared by a batch of runs.
 
-    Attempt ``i`` of every trajectory sees the same pre-measurement state, so
-    states and plus probabilities are computed once and reused.
+    The state an attempt sees depends only on the outcomes before it, so every
+    state and its plus probability are computed once, on first use, and all
+    trajectories read them from here.  A position in the chain is
+
+    * for heralded schemes, the 1-based attempt number along the
+      deterministic failure chain (every earlier outcome was a minus);
+    * for tree sort, the string of earlier outcomes: each prefix is split
+      once, one level of the cascade per character;
+    * for plain cooling, attempt 1 only: the stationary profile, which
+      always heralds.
     """
 
     def __init__(self, config: SchemeConfig):
         self.config = config
-        self.spec = scheme_spec(config)
-        self.params = config.params
-        self.weights = plus_weight_vector(config)
+        # zero heralding weight stays exactly zero on these retries: the
+        # bath-free retry re-prepares the input, and without re-pump rounds
+        # both k-switch branch maps are diagonal on the reduced register
+        self.absorbing = config.scheme == ICO_ALONE or (
+            config.scheme == HBAC_KICO and config.repump_rounds == 0
+        )
+        if config.scheme == ICO_TREE_SORT:
+            self._level_specs = [tree_pair(config.n, level) for level in range(config.n)]
+            self._tree: dict[str, tuple[DiagonalState, BranchOutcome, BranchOutcome]] = {}
+            return
+        if config.scheme == HBAC:
+            # the stationary profile is unique and iterated rounds keep the norm
+            initial = initial_reduced(config)
+            profile = fixed_point(config.n, config.params).populations
+            self._states = [ReducedState(config.n, profile * initial.norm, initial.norm)]
+            self._probabilities = [1.0]
+            return
+        self._spec = scheme_spec(config)
+        self._weights = plus_weight_vector(config)
         if config.scheme in BATH_SCHEMES:
             first = initial_reduced(config).normalized()
         else:
             first = initial_full(config).normalized()
-        self.states = [first]
-        self.probabilities = [self._plus_probability(first)]
+        self._states = [first]
+        self._probabilities = [self._plus_probability(first)]
+
+    def __len__(self) -> int:
+        """Number of distinct states computed so far."""
+        return len(self._tree) if self.config.scheme == ICO_TREE_SORT else len(self._states)
+
+    def at(self, position) -> tuple[DiagonalState | ReducedState, float]:
+        """(pre-measurement state, plus probability) at a chain position."""
+        if self.config.scheme == ICO_TREE_SORT:
+            state, plus, _minus = self._tree_node(position)
+            return state, plus.probability
+        while len(self._states) < position:
+            nxt = self._next_state(self._states[-1])
+            self._states.append(nxt)
+            self._probabilities.append(self._plus_probability(nxt))
+        return self._states[position - 1], self._probabilities[position - 1]
+
+    def positions(self, outcomes: str):
+        """Chain position of every attempt recorded in ``outcomes``, in order."""
+        if self.config.scheme == ICO_TREE_SORT:
+            return [outcomes[:level] for level in range(len(outcomes))]
+        return range(1, len(outcomes) + 1)
 
     def _plus_probability(self, state) -> float:
-        return float(self.weights @ state.populations)
+        return float(self._weights @ state.populations)
 
     def _next_state(self, state):
         if self.config.scheme == ICO_ALONE:
-            return self.states[0]  # retry re-prepares the input
-        nxt = failure_update(state, self.params, self.spec)
+            return self._states[0]  # retry re-prepares the input
+        nxt = failure_update(state, self.config.params, self._spec)
         for _ in range(self.config.repump_rounds):
-            nxt = hbac_round(nxt, self.params)
+            nxt = hbac_round(nxt, self.config.params)
         return nxt
 
-    def at(self, attempt: int):
-        """(state, plus probability) for 1-based attempt number."""
-        while len(self.states) < attempt:
-            nxt = self._next_state(self.states[-1])
-            self.states.append(nxt)
-            self.probabilities.append(self._plus_probability(nxt))
-        return self.states[attempt - 1], self.probabilities[attempt - 1]
+    def _tree_node(self, prefix: str):
+        node = self._tree.get(prefix)
+        if node is None:
+            if prefix:
+                _parent, plus, minus = self._tree_node(prefix[:-1])
+                state = (plus if prefix[-1] == PLUS else minus).state.normalized()
+            else:
+                state = initial_full(self.config).normalized()
+            node = (state, *switch_branches(state, self._level_specs[len(prefix)]))
+            self._tree[prefix] = node
+        return node
 
 
-def _heralded_trajectory(config: SchemeConfig, chain: _AttemptChain, index: int) -> Trajectory:
+def _draw_trajectory(chain: AttemptChain, index: int) -> Trajectory:
+    config = chain.config
+    tree = config.scheme == ICO_TREE_SORT
     rng = trajectory_rng(config.seed, index)
-    attempts = []
-    for attempt in range(1, config.max_attempts + 1):
-        state, probability = chain.at(attempt)
-        outcome = PLUS if rng.random() < probability else MINUS
-        attempts.append((state, outcome))
-        if outcome == PLUS:
-            return Trajectory(tuple(attempts), True, attempt)
+    outcomes = ""
+    message = f"no plus outcome within {config.max_attempts} attempts"
+    for attempt in range(1, (config.n if tree else config.max_attempts) + 1):
+        _state, probability = chain.at(outcomes if tree else attempt)
+        if probability == 0.0 and chain.absorbing:
+            message += f": the plus probability is exactly 0 from attempt {attempt} on"
+            break
+        outcomes += PLUS if rng.random() < probability else MINUS
+        if outcomes[-1] == PLUS and not tree:
+            return Trajectory(outcomes, True, attempt)
+    if tree:
+        return Trajectory(outcomes, True, 1)
     raise MaxAttemptsError(
-        f"no plus outcome within {config.max_attempts} attempts",
-        Trajectory(tuple(attempts), False, config.max_attempts),
+        message, Trajectory(MINUS * config.max_attempts, False, config.max_attempts)
     )
 
 
-def _tree_trajectory(config: SchemeConfig, index: int) -> Trajectory:
-    rng = trajectory_rng(config.seed, index)
-    state = initial_full(config).normalized()
-    attempts = []
-    for level in range(config.n):
-        plus, minus = switch_branches(state, tree_pair(config.n, level))
-        chosen = plus if rng.random() < plus.probability else minus
-        attempts.append((state, chosen.sign))
-        state = chosen.state.normalized()
-    return Trajectory(tuple(attempts), True, 1)
+def sample_batch(chain: AttemptChain, count: int, start_index: int = 0) -> list[Trajectory]:
+    """Draw ``count`` trajectories against ``chain`` with independent per-index streams.
 
-
-def sample_batch(config: SchemeConfig, count: int, start_index: int = 0) -> list[Trajectory]:
-    """Simulate ``count`` trajectories with independent per-index streams.
-
-    Trajectory ``i`` draws from the stream keyed by ``(config.seed,
+    Trajectory ``i`` draws from the stream keyed by ``(chain.config.seed,
     start_index + i)``, so results are identical however a batch is split.
+    Heralded runs stop at their first plus outcome; tree sort applies every
+    level.  A heralded run that exhausts ``max_attempts``, or reaches a plus
+    probability of exactly zero on a retry that cannot raise it, raises
+    :class:`MaxAttemptsError`.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if config.scheme == HBAC:
-        converged, _steps = iterate(initial_reduced(config), config.params)
-        template = Trajectory(((converged, PLUS),), True, 1)
-        return [template] * count
-    if config.scheme == ICO_TREE_SORT:
-        return [_tree_trajectory(config, start_index + i) for i in range(count)]
-    assert config.scheme in HERALDED_SCHEMES
-    chain = _AttemptChain(config)
-    return [_heralded_trajectory(config, chain, start_index + i) for i in range(count)]
+    return [_draw_trajectory(chain, start_index + i) for i in range(count)]
 
 
 def sample_trajectory(config: SchemeConfig, index: int = 0) -> Trajectory:
     """Simulate one seeded run of the scheme's repeat-until-success loop."""
-    return sample_batch(config, 1, start_index=index)[0]
+    return sample_batch(AttemptChain(config), 1, start_index=index)[0]
 
 
 def run_scheme(config: SchemeConfig) -> SchemeReport:

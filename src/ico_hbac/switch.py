@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .hbac_core import DENSE_MATRIX_CAP, TransferMatrix
-from .register import DiagonalState, ThermalParams, make_thermal_params, max_register_exponent
+from .register import DiagonalState, ThermalParams, max_register_exponent
 
 ONE = "one"
 PAIR = "pair"
@@ -206,33 +206,3 @@ def branch_transfer(
             weights = np.where(src % 2 == 0, ground, excited)
             np.add.at(matrix, (rows, cols), weights)
     return TransferMatrix(n, matrix, "plus" if sign == PLUS else "minus")
-
-
-def branch_population_matrix(spec: BlockUnitarySpec, sign: str) -> np.ndarray:
-    """Full-register population action of one branch: a 0/1 matrix.
-
-    The plus matrix keeps scalar-block entries (for the standard pair it has
-    exactly two unit entries, at the all-ground and all-excited labels); the
-    minus matrix swaps the two entries of every PAIR block.
-    """
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    matrix = np.zeros((spec.dim, spec.dim))
-    if sign == PLUS:
-        idx = np.nonzero(spec.one_mask)[0]
-        matrix[idx, idx] = 1.0
-    else:
-        starts = spec.pair_starts
-        matrix[starts, starts + 1] = 1.0
-        matrix[starts + 1, starts] = 1.0
-    return matrix
-
-
-def unity_branch_transfer(n: int, spec: BlockUnitarySpec, sign: str) -> np.ndarray:
-    """Reduced branch maps for bath-free switch rounds.
-
-    These are the nonzero patterns of :func:`branch_transfer` with every
-    surviving weight set to one; the pattern does not depend on the bath gap.
-    """
-    reference = branch_transfer(n, make_thermal_params(1.0), spec, sign)
-    return (reference.entries != 0.0).astype(np.float64)

@@ -307,6 +307,18 @@ class TestSampleCommand:
         assert float(summary["mean-trials"]) >= 1.0
         assert "expected-trials" in summary
 
+    def test_plain_cooling_sample_is_the_stationary_profile(self, capsys):
+        # at this gap the iterated rounds would not converge within their budget
+        code, out, _ = run_cli(
+            capsys, "sample", "--scheme", "hbac", "--n", "10", "--eps", "0.01", "--trials", "1"
+        )
+        assert code == 0
+        attempt_rows = [r for r in parse_csv(out) if r["outcome"] == "+"]
+        assert len(attempt_rows) == 1
+        state = np.array(attempt_rows[0]["value"].split("|"), dtype=float)
+        expected = fixed_point(10, make_thermal_params(0.01)).populations
+        assert np.abs(state - expected).sum() < 1e-10
+
     def test_workers_do_not_change_bytes(self, capsys, tmp_path):
         outputs = []
         for workers, name in (("1", "a.csv"), ("2", "b.csv")):

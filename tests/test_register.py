@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ico_hbac.register import (
-    BasisLabel,
     DiagonalState,
     ReducedState,
     ThermalParams,
@@ -115,29 +114,6 @@ class TestStates:
         assert full.populations[1] == pytest.approx(a * a * b, abs=1e-15)
         reduced = thermal_reduced(2, params)
         assert reduced.populations[0] == pytest.approx(a * a, abs=1e-15)
-
-
-class TestBasisLabels:
-    def test_ground_and_reset_labels(self):
-        assert str(BasisLabel.from_index(0, 2)) == "ggg"
-        # index 1 flips only the reset slot (least significant bit)
-        assert str(BasisLabel.from_index(1, 2)) == "gge"
-        assert str(BasisLabel.from_index(7, 2)) == "eee"
-
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_codec_is_a_bijection(self, n):
-        seen = set()
-        for index in range(2 ** (n + 1)):
-            label = BasisLabel.from_index(index, n)
-            assert label.to_index() == index
-            seen.add(label.bits)
-        assert len(seen) == 2 ** (n + 1)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            BasisLabel.from_index(8, 1)
-        with pytest.raises(ValueError):
-            BasisLabel(bits=(0, 2))
 
 
 class TestReduceReset:

@@ -20,9 +20,9 @@ from ico_hbac.schemes import (
     HBAC_KICO,
     ICO_ALONE,
     ICO_TREE_SORT,
+    AttemptChain,
     MaxAttemptsError,
     SchemeConfig,
-    Trajectory,
     expected_trials,
     failure_update,
     initial_full,
@@ -276,9 +276,14 @@ class TestSampler:
         first = sample_trajectory(config, index=4)
         second = sample_trajectory(config, index=4)
         assert first.trials_used == second.trials_used
-        assert [sign for _s, sign in first.attempts] == [sign for _s, sign in second.attempts]
-        for (sa, _), (sb, _) in zip(first.attempts, second.attempts):
+        assert first.outcomes == second.outcomes
+        # two independently built chains hold the same states at every attempt
+        chain_a, chain_b = AttemptChain(config), AttemptChain(config)
+        for attempt in range(1, first.trials_used + 1):
+            sa, pa = chain_a.at(attempt)
+            sb, pb = chain_b.at(attempt)
             assert np.array_equal(sa.populations, sb.populations)
+            assert pa == pb
 
     def test_distinct_indices_are_independent(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.3, seed=11)
@@ -287,15 +292,21 @@ class TestSampler:
 
     def test_batch_matches_individual_sampling(self):
         config = SchemeConfig(scheme=HBAC_KICO, n=3, epsilon=0.4, k=2, seed=3, repump_rounds=2)
-        batch = sample_batch(config, 50)
+        batch = sample_batch(AttemptChain(config), 50)
         singles = [sample_trajectory(config, index=i) for i in range(50)]
         assert [t.trials_used for t in batch] == [t.trials_used for t in singles]
+        assert [t.outcomes for t in batch] == [t.outcomes for t in singles]
+        split = sample_batch(AttemptChain(config), 20) + sample_batch(
+            AttemptChain(config), 30, start_index=20
+        )
+        assert [t.outcomes for t in split] == [t.outcomes for t in batch]
 
     def test_empirical_round_success_matches_branch_norm(self):
         # at every round of the deterministic retry chain, the empirical
         # success fraction must sit within 5 sigma of the analytic branch norm
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, seed=101)
-        batch = sample_batch(config, 10_000)
+        chain = AttemptChain(config)
+        batch = sample_batch(chain, 10_000)
         params = make_thermal_params(0.5)
         spec = standard_pair(2)
         # independent chain: dense minus matrix, probabilities from the plus matrix
@@ -310,7 +321,7 @@ class TestSampler:
         reach = np.zeros(12, dtype=int)
         wins = np.zeros(12, dtype=int)
         for trajectory in batch:
-            for round_index, (_state, sign) in enumerate(trajectory.attempts):
+            for round_index, sign in enumerate(trajectory.outcomes):
                 if round_index >= 12:
                     break
                 reach[round_index] += 1
@@ -319,12 +330,13 @@ class TestSampler:
             if reach[i] < 100:
                 break
             p = analytic[i]
+            assert chain.at(i + 1)[1] == pytest.approx(p, abs=1e-12)
             sigma = math.sqrt(p * (1 - p) / reach[i])
             assert abs(wins[i] / reach[i] - p) < 5 * sigma
 
     def test_mean_trials_tracks_chain_expectation(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=1.0, seed=77)
-        batch = sample_batch(config, 20_000)
+        batch = sample_batch(AttemptChain(config), 20_000)
         mean = np.mean([t.trials_used for t in batch])
         # independent chain expectation from the dense branch matrices
         params = make_thermal_params(1.0)
@@ -363,19 +375,35 @@ class TestSampler:
         )
         with pytest.raises(MaxAttemptsError):
             # index 1 happens to fail its first attempt under this seed
-            sample_batch(config, 40)
+            sample_batch(AttemptChain(config), 40)
         rescued = SchemeConfig(
             scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=50, repump_rounds=3
         )
-        batch = sample_batch(rescued, 40)
+        batch = sample_batch(AttemptChain(rescued), 40)
         assert all(t.terminal for t in batch)
+
+    def test_zero_probability_chain_fails_at_once(self):
+        # the stuck k-switch chain is certain to exhaust its budget, so the
+        # sampler reports that without walking it
+        config = SchemeConfig(
+            scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=100_000
+        )
+        chain = AttemptChain(config)
+        with pytest.raises(MaxAttemptsError, match="exactly 0") as excinfo:
+            sample_batch(chain, 40)
+        assert excinfo.value.trajectory.trials_used == 100_000
+        assert not excinfo.value.trajectory.terminal
+        assert len(chain) <= 2
 
     def test_tree_sort_always_one_trial(self):
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=3, seed=5)
-        for trajectory in sample_batch(config, 50):
+        chain = AttemptChain(config)
+        for trajectory in sample_batch(chain, 50):
             assert trajectory.trials_used == 1
             assert trajectory.terminal
-            assert len(trajectory.attempts) == 3  # one level per storage qubit
+            assert len(trajectory.outcomes) == 3  # one level per storage qubit
+        # each outcome prefix is split once, however many runs share it
+        assert len(chain) <= 1 + 2 + 4
 
     def test_tree_cascade_purifies_every_storage_qubit(self):
         # replay each recorded cascade and check that afterwards all storage
@@ -385,11 +413,13 @@ class TestSampler:
 
         n = 3
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=n, epsilon=0.5, seed=21)
+        chain = AttemptChain(config)
         for index in range(20):
             trajectory = sample_trajectory(config, index=index)
             state = initial_full(config).normalized().populations
             outcomes = []
-            for level, (pre, sign) in enumerate(trajectory.attempts):
+            for level, sign in enumerate(trajectory.outcomes):
+                pre, _probability = chain.at(trajectory.outcomes[:level])
                 assert np.abs(pre.populations - state).max() < 1e-15
                 plus, minus = switch_branches(
                     DiagonalState.from_vector(state), tree_pair(n, level)
@@ -411,8 +441,9 @@ class TestSampler:
         config = SchemeConfig(scheme=HBAC, n=2, epsilon=0.5, seed=5)
         trajectory = sample_trajectory(config)
         assert trajectory.trials_used == 1
-        state, sign = trajectory.attempts[0]
-        assert sign == PLUS
+        assert trajectory.outcomes == PLUS
+        state, probability = AttemptChain(config).at(1)
+        assert probability == 1.0
         assert np.abs(state.populations - fixed_point(2, make_thermal_params(0.5)).populations).sum() < 1e-9
 
     def test_impossible_heralding_raises(self):
@@ -428,15 +459,16 @@ class TestSampler:
 
     def test_bath_free_retry_reprepares_input(self):
         config = SchemeConfig(scheme=ICO_ALONE, n=2, epsilon=0.5, seed=19, max_attempts=10_000)
-        batch = sample_batch(config, 2000)
+        chain = AttemptChain(config)
+        batch = sample_batch(chain, 2000)
         # constant per-attempt probability implies a plain geometric law
         probability = success_probability(config)
         mean = np.mean([t.trials_used for t in batch])
         sigma = math.sqrt((1 - probability) / probability**2 / len(batch))
         assert abs(mean - 1.0 / probability) < 5 * sigma
-        for trajectory in batch[:50]:
-            for state, _sign in trajectory.attempts:
-                assert np.array_equal(state.populations, initial_full(config).populations)
+        for attempt in range(1, max(t.trials_used for t in batch) + 1):
+            state, _probability = chain.at(attempt)
+            assert np.array_equal(state.populations, initial_full(config).populations)
 
     def test_repump_rounds_change_the_chain(self):
         base = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, seed=1)
@@ -447,20 +479,15 @@ class TestSampler:
         plain = failure_update(start, params, spec)
         expected = hbac_round(hbac_round(plain, params), params)
         # find a failing trajectory to expose the second attempt's state
-        for index in range(100):
-            trajectory = sample_trajectory(pumped, index=index)
-            if trajectory.trials_used >= 2:
-                second_state = trajectory.attempts[1][0]
-                assert np.abs(second_state.populations - expected.populations).max() < 1e-14
-                break
-        else:
-            pytest.fail("no failing trajectory found in 100 tries")
-        trajectory = next(
-            sample_trajectory(base, index=i)
-            for i in range(100)
-            if sample_trajectory(base, index=i).trials_used >= 2
-        )
-        assert np.abs(trajectory.attempts[1][0].populations - plain.populations).max() < 1e-14
+        pumped_chain = AttemptChain(pumped)
+        batch = sample_batch(pumped_chain, 100)
+        assert any(t.trials_used >= 2 for t in batch), "no failing trajectory in 100 tries"
+        second_state, _probability = pumped_chain.at(2)
+        assert np.abs(second_state.populations - expected.populations).max() < 1e-14
+        base_chain = AttemptChain(base)
+        assert any(t.trials_used >= 2 for t in sample_batch(base_chain, 100))
+        second_state, _probability = base_chain.at(2)
+        assert np.abs(second_state.populations - plain.populations).max() < 1e-14
 
 
 class TestRunScheme:

@@ -14,14 +14,12 @@ from ico_hbac.switch import (
     PLUS,
     BlockUnitarySpec,
     BranchOutcome,
-    branch_population_matrix,
     branch_transfer,
     ideal_pair,
     k_pair,
     standard_pair,
     switch_branches,
     tree_pair,
-    unity_branch_transfer,
 )
 
 ALL_FAMILIES = [
@@ -195,54 +193,44 @@ class TestBranchTransfer:
 
 
 class TestPopulationMatrices:
+    # the branch population action, read from switch_branches on random vectors
+
     def test_standard_plus_has_two_unit_entries(self):
+        rng = np.random.default_rng(5)
         for n in range(1, 6):
-            matrix = branch_population_matrix(standard_pair(n), PLUS)
-            nonzero = np.nonzero(matrix)
-            assert list(zip(*nonzero)) == [(0, 0), (2 ** (n + 1) - 1, 2 ** (n + 1) - 1)]
-            assert np.all(matrix[nonzero] == 1.0)
+            vec = rng.random(2 ** (n + 1)) + 0.1
+            plus, _minus = switch_branches(DiagonalState.from_vector(vec), standard_pair(n))
+            kept = np.nonzero(plus.state.populations)[0]
+            assert list(kept) == [0, 2 ** (n + 1) - 1]
+            assert np.array_equal(plus.state.populations[kept], vec[kept])
 
     def test_standard_plus_extremal_eigenvectors(self):
-        matrix = branch_population_matrix(standard_pair(3), PLUS)
-        dim = matrix.shape[0]
+        dim = 2 ** (3 + 1)
         for index in (0, dim - 1):
             basis = np.zeros(dim)
             basis[index] = 1.0
-            assert np.array_equal(matrix @ basis, basis)
+            plus, _minus = switch_branches(DiagonalState.from_vector(basis), standard_pair(3))
+            assert np.array_equal(plus.state.populations, basis)
 
     def test_minus_matches_interior_swap(self):
         # the minus action equals the sorting permutation with both ends zeroed
+        from ico_hbac.hbac_core import two_sort
+
         rng = np.random.default_rng(8)
         for n in range(1, 5):
-            spec = standard_pair(n)
-            matrix = branch_population_matrix(spec, MINUS)
             vec = rng.random(2 ** (n + 1))
-            from ico_hbac.hbac_core import two_sort
-
-            sorted_vec = two_sort(DiagonalState.from_vector(vec)).populations.copy()
+            state = DiagonalState.from_vector(vec)
+            _plus, minus = switch_branches(state, standard_pair(n))
+            sorted_vec = two_sort(state).populations.copy()
             sorted_vec[0] = 0.0
             sorted_vec[-1] = 0.0
-            assert np.abs(matrix @ vec - sorted_vec).max() < 1e-15
+            assert np.abs(minus.state.populations - sorted_vec).max() < 1e-15
 
     def test_tree_level0_projects_first_half(self):
+        rng = np.random.default_rng(13)
         for n in range(1, 6):
-            matrix = branch_population_matrix(tree_pair(n, 0), PLUS)
+            vec = rng.random(2 ** (n + 1))
+            plus, _minus = switch_branches(DiagonalState.from_vector(vec), tree_pair(n, 0))
             half = 2**n
-            expected = np.diag(np.concatenate([np.ones(half), np.zeros(half)]))
-            assert np.array_equal(matrix, expected)
-
-    def test_unity_pattern_matches_branch_transfer(self):
-        for n in range(1, 5):
-            for _label, family in ALL_FAMILIES:
-                spec = family(n)
-                for sign in (PLUS, MINUS):
-                    pattern = unity_branch_transfer(n, spec, sign)
-                    for eps in (0.1, 1.0):
-                        entries = branch_transfer(n, make_thermal_params(eps), spec, sign).entries
-                        assert np.array_equal(pattern, (entries != 0.0).astype(float))
-
-    def test_unity_standard_plus_is_extremal_diagonal(self):
-        pattern = unity_branch_transfer(3, standard_pair(3), PLUS)
-        expected = np.zeros((8, 8))
-        expected[0, 0] = expected[7, 7] = 1.0
-        assert np.array_equal(pattern, expected)
+            expected = np.concatenate([vec[:half], np.zeros(half)])
+            assert np.array_equal(plus.state.populations, expected)
