@@ -12,11 +12,12 @@ Exit codes: 0 success, 2 usage or domain error, 3 validation failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
+import types
 
 import numpy as np
 
@@ -95,30 +96,44 @@ def _json_float(value):
     return value if math.isfinite(value) else None
 
 
-def _render_csv(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)  # RFC-4180: CRLF line endings, quoting as needed
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row.get(column)) for column in CSV_COLUMNS])
-    return buffer.getvalue()
+_CHUNK_CHARS = 1 << 16  # CSV characters gathered before each write
 
 
-def _render_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _write_text(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Standard output, or the file at ``path`` opened (and closed) around the write."""
+    if path is None:
+        yield sys.stdout
         return
-    with open(output, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def _emit(rows, obj, fmt: str, output: str | None) -> None:
-    text = _render_csv(rows) if fmt == "csv" else _render_json(obj)
-    _write_text(text, output)
+    """Write ``rows`` (dicts keyed by CSV column) as CSV, or ``obj`` as JSON.
+
+    CSV rows are consumed one at a time and written in chunks, so ``rows`` may be
+    a generator.
+    """
+    with _output(output) as handle:
+        if fmt == "csv":
+            # lines leave in chunks: standard output may be unbuffered
+            # (PYTHONUNBUFFERED), and a write per row is then a system call per row
+            lines: list[str] = []
+            pending = 0
+            writer = csv.writer(types.SimpleNamespace(write=lines.append))  # RFC-4180: CRLF
+            writer.writerow(CSV_COLUMNS)
+            for row in rows:
+                writer.writerow([_fmt(row.get(column)) for column in CSV_COLUMNS])
+                pending += len(lines[-1])
+                if pending >= _CHUNK_CHARS:
+                    handle.write("".join(lines))
+                    lines.clear()
+                    pending = 0
+            handle.write("".join(lines))
+        else:
+            # one dumps and one write: json.dump's many small writes are slower
+            handle.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +260,12 @@ def _config_from_runspec(spec: dict) -> SchemeConfig:
         k=spec.get("k"),
         initial=initial,
         desired_success=spec.get("desired_success"),
-        seed=spec.get("seed", 0),
-        pair=spec.get("pair", "standard"),
-        level=spec.get("level", 0),
-        nondemolition=spec.get("nondemolition", False),
-        repump_rounds=spec.get("repump_rounds", 0),
-        max_attempts=spec.get("max_attempts", 100_000),
+        seed=spec["seed"],
+        pair=spec["pair"],
+        level=spec["level"],
+        nondemolition=spec["nondemolition"],
+        repump_rounds=spec["repump_rounds"],
+        max_attempts=spec["max_attempts"],
     )
 
 
@@ -420,81 +435,74 @@ def cmd_sample(args) -> int:
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     chain = AttemptChain(config)
+    # every draw happens before the output is opened, so a failed run writes nothing
     trajectories = sample_batch(chain, trials)
     base = {"scheme": config.scheme, "n": config.n, "k": config.k, "epsilon": config.epsilon}
     want_json = spec["format"] == "json"
-    # trajectories share chain positions, so each state is rendered once
+    # trajectories share chain positions, so each position is rendered once
     rendered: dict = {}
 
-    def render(position):
-        cell = rendered.get(position)
-        if cell is None:
-            state, probability = chain.at(position)
-            vector = state.populations
-            cell = (probability, [float(x) for x in vector] if want_json else _join_state(vector))
-            rendered[position] = cell
-        return cell
+    def attempts(outcomes):
+        """(round, outcome, probability, state) of every attempt in ``outcomes``."""
+        for number, (outcome, position) in enumerate(zip(outcomes, chain.positions(outcomes)), 1):
+            cells = rendered.get(position)
+            if cells is None:
+                state, probability = chain.at(position)
+                vector = state.populations
+                if want_json:
+                    cells = (probability, [float(x) for x in vector])
+                else:
+                    cells = (_fmt(probability), _join_state(vector))
+                rendered[position] = cells
+            yield number, outcome, *cells
 
-    rows = []
-    json_trajectories = []
-    total_trials = 0
-    for index, trajectory in enumerate(trajectories, start=1):
-        total_trials += trajectory.trials_used
-        outcomes = trajectory.outcomes
-        attempts_json = []
-        for round_index, (outcome, position) in enumerate(
-            zip(outcomes, chain.positions(outcomes)), start=1
-        ):
-            probability, state = render(position)
-            if want_json:
-                attempts_json.append(
-                    {
-                        "round": round_index,
-                        "outcome": outcome,
-                        "probability": probability,
-                        "state": state,
-                    }
+    mean_trials = sum(trajectory.trials_used for trajectory in trajectories) / len(trajectories)
+    analytic = success_probability(config)
+    expected = math.inf if analytic == 0.0 else 1.0 / analytic
+    summary = {
+        "trajectories": len(trajectories),
+        "mean-trials": mean_trials,
+        "expected-trials": expected,
+    }
+
+    def rows():
+        for index, trajectory in enumerate(trajectories, start=1):
+            for number, outcome, probability, state in attempts(trajectory.outcomes):
+                yield dict(
+                    base,
+                    round=number,
+                    outcome=outcome,
+                    probability=probability,
+                    trials=index,
+                    value=state,
                 )
-            else:
-                rows.append(
-                    dict(
-                        base,
-                        round=round_index,
-                        outcome=outcome,
-                        probability=probability,
-                        trials=index,
-                        value=state,
-                    )
-                )
-        if want_json:
-            json_trajectories.append(
+        for name, value in summary.items():
+            yield dict(base, outcome=name, value=value)
+
+    obj = None
+    if want_json:
+        obj = {
+            "command": "sample",
+            "runspec": _echo_runspec(spec),
+            "summary": {
+                "trajectories": len(trajectories),
+                "mean_trials": mean_trials,
+                "expected_trials": _json_float(expected),
+            },
+            "trajectories": [
                 {
                     "index": index,
                     "trials_used": trajectory.trials_used,
                     "terminal": trajectory.terminal,
-                    "attempts": attempts_json,
+                    "attempts": [
+                        dict(zip(("round", "outcome", "probability", "state"), attempt))
+                        for attempt in attempts(trajectory.outcomes)
+                    ],
                 }
-            )
-    mean_trials = total_trials / len(trajectories)
-    analytic = success_probability(config)
-    expected = math.inf if analytic == 0.0 else 1.0 / analytic
-    summary_rows = [
-        dict(base, outcome="trajectories", value=len(trajectories)),
-        dict(base, outcome="mean-trials", value=mean_trials),
-        dict(base, outcome="expected-trials", value=expected),
-    ]
-    rows.extend(summary_rows)
-    obj = {
-        "command": "sample",
-        "runspec": _echo_runspec(spec),
-        "summary": {
-            "trajectories": len(trajectories),
-            "mean_trials": mean_trials,
-            "expected_trials": _json_float(expected),
-        },
-        "trajectories": json_trajectories,
-    }
-    _emit(rows, obj, spec["format"], spec.get("output"))
+                for index, trajectory in enumerate(trajectories, start=1)
+            ],
+        }
+    _emit(rows(), obj, spec["format"], spec.get("output"))
     return EXIT_OK
 
 
@@ -588,14 +596,13 @@ def _validation_checks(nmax: int, trials: int, seed: int):
 
 def cmd_validate(args) -> int:
     checks = _validation_checks(args.nmax, args.trials, args.seed)
-    lines = []
-    all_ok = True
-    for name, ok, detail in checks:
-        all_ok &= ok
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-    lines.append(f"{'ok  ' if all_ok else 'FAIL'} overall: {sum(ok for _, ok, _ in checks)}/{len(checks)} checks passed")
-    text = "\n".join(lines) + "\n"
-    _write_text(text, args.output)
+    passed = sum(ok for _, ok, _ in checks)
+    all_ok = passed == len(checks)
+    with _output(args.output) as handle:
+        for name, ok, detail in checks:
+            handle.write(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}\n")
+        overall = f"overall: {passed}/{len(checks)} checks passed"
+        handle.write(f"{'ok  ' if all_ok else 'FAIL'} {overall}\n")
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .register import DiagonalState, ReducedState, ThermalParams
+from .register import DiagonalState, ReducedState, ThermalParams, _check_exponent
 
 DENSE_MATRIX_CAP = 12
 
@@ -130,8 +130,7 @@ def fixed_point(n: int, params: ThermalParams) -> ReducedState:
     evaluated through ``expm1`` so small gaps do not cancel; for very cold
     baths the denominator saturates at one automatically.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_exponent(n)
     size = 2**n
     eps = params.epsilon
     prefactor = math.expm1(-2.0 * eps) / math.expm1(-2.0 * eps * size)

@@ -167,6 +167,10 @@ def compare(
     and the worst off-diagonal magnitude (which must vanish for diagonal
     inputs under these block unitaries).  Deterministic for a fixed seed.
     """
+    if nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if nmax > max_exponent:
         raise ValueError(f"nmax={nmax} exceeds the dense cap {max_exponent}")
     rng = np.random.default_rng(seed)

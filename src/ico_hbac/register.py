@@ -44,6 +44,13 @@ def max_register_exponent() -> int:
     return value
 
 
+def _check_exponent(n: int) -> None:
+    """Reject an exponent outside ``[1, max_register_exponent()]`` before any allocation."""
+    cap = max_register_exponent()
+    if not 1 <= n <= cap:
+        raise ValueError(f"n must be in [1, {cap}], got {n}")
+
+
 @dataclass(frozen=True)
 class ThermalParams:
     """Bath parameters: gap ``epsilon`` in units of k_B*T, ``z = 2*cosh(epsilon)``.

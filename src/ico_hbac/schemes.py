@@ -32,9 +32,9 @@ from .register import (
     DiagonalState,
     ReducedState,
     ThermalParams,
+    _check_exponent,
     ground_state,
     make_thermal_params,
-    max_register_exponent,
     reduce,
     reset,
     thermal_full,
@@ -104,9 +104,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        cap = max_register_exponent()
-        if not 1 <= self.n <= cap:
-            raise ValueError(f"n must be in [1, {cap}], got {self.n}")
+        _check_exponent(self.n)
         if self.scheme == HBAC_KICO:
             if self.k is None:
                 raise ValueError(f"k is required for {HBAC_KICO}")

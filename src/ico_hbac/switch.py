@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .hbac_core import DENSE_MATRIX_CAP, TransferMatrix
-from .register import DiagonalState, ThermalParams, max_register_exponent
+from .register import DiagonalState, ThermalParams, _check_exponent, max_register_exponent
 
 ONE = "one"
 PAIR = "pair"
@@ -29,12 +29,6 @@ PAIR = "pair"
 PLUS = "+"
 MINUS = "-"
 SIGNS = (PLUS, MINUS)
-
-
-def _check_exponent(n: int) -> None:
-    cap = max_register_exponent()
-    if not 1 <= n <= cap:
-        raise ValueError(f"n must be in [1, {cap}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -72,31 +66,18 @@ class BlockUnitarySpec:
     @cached_property
     def one_mask(self) -> np.ndarray:
         """Boolean mask of full-register entries sitting under scalar blocks."""
-        mask = np.zeros(self.dim, dtype=bool)
-        i = 0
-        for blk in self.blocks:
-            if blk == ONE:
-                mask[i] = True
-                i += 1
-            else:
-                i += 2
+        # comparing an object array is faster than building a "<U4" string array
+        kinds = np.array(self.blocks, dtype=object) == ONE
+        mask = np.repeat(kinds, np.where(kinds, 1, 2))
         mask.setflags(write=False)
         return mask
 
     @cached_property
     def pair_starts(self) -> np.ndarray:
         """First full-register index of every PAIR block."""
-        starts = []
-        i = 0
-        for blk in self.blocks:
-            if blk == PAIR:
-                starts.append(i)
-                i += 2
-            else:
-                i += 1
-        arr = np.asarray(starts, dtype=np.intp)
-        arr.setflags(write=False)
-        return arr
+        starts = np.flatnonzero(~self.one_mask)[::2]
+        starts.setflags(write=False)
+        return starts
 
 
 def standard_pair(n: int) -> BlockUnitarySpec:

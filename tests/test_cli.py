@@ -1,6 +1,7 @@
 """CLI tests: argument handling, output formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -61,6 +62,13 @@ class TestFixedPointCommand:
         code, _out, err = run_cli(capsys, "fixed-point", "--n", "2")
         assert code == 2
         assert err
+
+    def test_exponent_above_cap_fails_before_allocating(self, capsys, monkeypatch):
+        monkeypatch.delenv("ICO_HBAC_MAX_N", raising=False)
+        code, out, err = run_cli(capsys, "fixed-point", "--n", "40", "--eps", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be in [1, 24], got 40\n"
 
 
 class TestTable1Command:
@@ -454,6 +462,13 @@ class TestValidateCommand:
         assert code == 3
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flag", ["--nmax", "--trials"])
+    def test_empty_run_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "validate", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag[2:]} must be >= 1, got 0\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
         code, _out, _err = run_cli(
@@ -461,6 +476,9 @@ class TestValidateCommand:
         )
         assert code == 0
         assert "overall" in target.read_text()
+        code, out, _err = run_cli(capsys, "validate", "--nmax", "1", "--trials", "5")
+        assert code == 0
+        assert target.read_bytes() == out.encode("utf-8")
 
 
 class TestParsing:
@@ -478,3 +496,170 @@ class TestParsing:
         assert cli._fmt(1.0) == "1"
         assert cli._fmt(None) == ""
         assert cli._fmt(True) == "1"
+
+
+# SHA-256 of stdout, recorded before the output path was rewritten to stream:
+# any change to these bytes is a change to the output format
+_PINNED_STDOUT = (
+    (
+        "sample --scheme hbac --n 2 --eps 0.5 --trials 25 --seed 5 --format csv",
+        "0d89db2fcedf9ef8f39746f4485ef70ce2406cd4affd23796ec4ebccb9c1143a",
+    ),
+    (
+        "sample --scheme hbac --n 2 --eps 0.5 --trials 25 --seed 5 --format json",
+        "9cf38c6b40656d39c1838435b00a34ba6c440564a1cbe0a7fb13a8b7825cf70d",
+    ),
+    (
+        "sample --scheme hbac --n 3 --eps 0.5 --trials 25 --seed 5 --format csv",
+        "65c0f02e0393c0399edeefc527fa468a0bc58e9dd197277bbb0b952ab53fefbd",
+    ),
+    (
+        "sample --scheme hbac --n 3 --eps 0.5 --trials 25 --seed 5 --format json",
+        "9eb8c60d8e6422a05116623c75f53665a3c91e3c8fd138a8407025cd86f67f7b",
+    ),
+    (
+        "sample --scheme hbac-ico --n 2 --eps 0.5 --trials 25 --seed 5 --format csv",
+        "753eb0e142a5e6dfdbebce4b56f432ef6ac794986ecb6d51961e140ba2f5588a",
+    ),
+    (
+        "sample --scheme hbac-ico --n 2 --eps 0.5 --trials 25 --seed 5 --format json",
+        "a5e4ec49177816d21a4ed5f8ba7fc389f62c2cf05ba4014528d08ea7fe49ad72",
+    ),
+    (
+        "sample --scheme hbac-ico --n 3 --eps 0.5 --trials 25 --seed 5 --format csv",
+        "6cf47a99ca06d5dde87c058420e3b551062718663c035d1fda9e585a8ffbd3a5",
+    ),
+    (
+        "sample --scheme hbac-ico --n 3 --eps 0.5 --trials 25 --seed 5 --format json",
+        "66c8c1754ce9218bebd9a5cdb6bffc97e8ce7f2c3cecb50b10fc1192440fce26",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --eps 0.5 --trials 25 --seed 5 --format csv",
+        "1847e4539841c44e51fd3b253aa2e8ea8ccc9d287f66ab03a9f728e89f270b3a",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --eps 0.5 --trials 25 --seed 5 --format json",
+        "f9baef2c6f2688faf14bce768716fb5e97c09e54fd5e328e6e23c7402cdee27b",
+    ),
+    (
+        "sample --scheme ico-alone --n 3 --eps 0.5 --trials 25 --seed 5 --format csv",
+        "3fa6c5ccb284bb339a11fbdf838f46fef919bc7e2504fb18458dfd3427996a26",
+    ),
+    (
+        "sample --scheme ico-alone --n 3 --eps 0.5 --trials 25 --seed 5 --format json",
+        "cbc8df5643947709ca80313374b35f50ecb0f1a98950f15adf30c37dc446ff0f",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 2 --eps 0.5 --trials 25 --seed 5 --format csv",
+        "8a791421c47827f8760933feecf232340cfc10652bf1f7100e9969fe5906d546",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 2 --eps 0.5 --trials 25 --seed 5 --format json",
+        "1be37f6c52b76aaae56268513c998df2c42f49e1c832947b2c4d4f95d2157768",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 3 --eps 0.5 --trials 25 --seed 5 --format csv",
+        "cff9179ffc004d2476a39af98a7ccf3fb66bb25667315087683c91c206e6a571",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 3 --eps 0.5 --trials 25 --seed 5 --format json",
+        "0f165f07cc9123d3cb062ab92a36ffb28e4e12bd19a9ed0f33c12e418d6867c3",
+    ),
+    (
+        "sample --scheme hbac-kico --n 2 --eps 0.5 --trials 25 --seed 5 --format csv --k 1 --repump-rounds 1",
+        "ac2c5389e83a99b4866a3db2e859c359f7e63e0d6d421e179e36837ae0ae7b86",
+    ),
+    (
+        "sample --scheme hbac-kico --n 2 --eps 0.5 --trials 25 --seed 5 --format json --k 1 --repump-rounds 1",
+        "866428126ce5fbe9e368d0522ec86361bec02874c4275b836de57de7d327ef7d",
+    ),
+    (
+        "sample --scheme hbac-kico --n 3 --eps 0.5 --trials 25 --seed 5 --format csv --k 1 --repump-rounds 1",
+        "6811f7e0eb9d6d61d69320f513e7ebf33f8bcaa4eec622fd484cf9e3dc84d6ce",
+    ),
+    (
+        "sample --scheme hbac-kico --n 3 --eps 0.5 --trials 25 --seed 5 --format json --k 1 --repump-rounds 1",
+        "a9d2ccfbc4619a0126bf50c45b83738c9a02336785d645a43d61ea1a855c122c",
+    ),
+    (
+        "run --scheme hbac-kico --n 3 --k 2 --eps 0.3 --desired-success 0.9",
+        "d7d611236e66476ec65b8220e79d9fd0cea589868ca6e0896a334aad0eb705a8",
+    ),
+    (
+        "run --scheme ico-tree-sort --n 3 --eps 0.3 --format json",
+        "625e14bfbf35312172623ea997a9fdef26ff4449784ddeb9257a585d14613a58",
+    ),
+    (
+        "table1 --n 4 --eps 0.2 --k 2",
+        "f060e1be9bd98bfe0043516815133a20905f0676d088d6666a3b28db44a33e79",
+    ),
+    (
+        "table1 --n 3 --eps 0.2 --format json",
+        "57c84ae191e38bd36d70a1fe5c7277d391b0c230ded728d1ab8d15af35e6e123",
+    ),
+    (
+        "fixed-point --n 3 --eps 0.3",
+        "2560292f4f9f803c17f7e825517c2cafb6c753f7bf912deb57631fa771655604",
+    ),
+    (
+        "fixed-point --n 2 --eps 0.3 --format json",
+        "0bc548a65101e50773c963f34645dae0ea1faebd08b752da3c18e38206d0ffb7",
+    ),
+    # longer than one 64 KiB write chunk
+    (
+        "sample --scheme hbac-ico --n 5 --eps 0.5 --trials 40 --seed 5",
+        "86b8dd842e9aa906686b0b6ab0a43a34bb28ed5fd8bfd8a7828f1d55cff55d85",
+    ),
+    (
+        "run --scheme hbac --n 12 --eps 0.01",
+        "92df873c45b404f69450fe0d2414852b2d4891edc026a4d4b6c18bc5a06192fa",
+    ),
+)
+
+
+class TestByteGuard:
+    @pytest.mark.parametrize("argv,digest", _PINNED_STDOUT, ids=[argv for argv, _ in _PINNED_STDOUT])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _err = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestOutputSink:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--scheme", "hbac-ico", "--n", "3", "--eps", "0.5", "--trials", "30", "--seed", "4"),
+            ("sample", "--scheme", "ico-tree-sort", "--n", "3", "--eps", "0.5", "--trials", "30", "--seed", "4"),
+            ("run", "--scheme", "hbac-kico", "--n", "3", "--k", "2", "--eps", "0.5"),
+        ],
+        ids=["sample-hbac-ico", "sample-tree-sort", "run-kico"],
+    )
+    def test_output_file_equals_stdout(self, capsys, tmp_path, argv, fmt):
+        target = tmp_path / "out"
+        code, out, _err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        code, written, _err = run_cli(capsys, *argv, "--format", fmt, "--output", str(target))
+        assert code == 0
+        assert written == ""
+        data = target.read_bytes().decode("utf-8")
+        if fmt == "json":
+            # the echoed run specification names the output file; nothing else differs
+            echo = f'    "output": {json.dumps(str(target))},\n'
+            assert data.count(echo) == 1
+            data = data.replace(echo, "")
+        assert data == out
+
+    def test_failed_sample_writes_no_file(self, capsys, tmp_path):
+        # zero heralding weight: the draw fails before any output is opened
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps({"scheme": "ico-alone", "n": 1, "initial": [0.0, 0.5, 0.5, 0.0], "trials": 3})
+        )
+        target = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "sample", "--config", str(spec), "--output", str(target))
+        assert code == 2
+        assert "attempts" in err
+        assert out == ""
+        assert not target.exists()

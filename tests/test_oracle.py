@@ -193,3 +193,14 @@ class TestDiagonalHelpers:
     def test_k_and_tree_specs_cover_expected_scalars(self):
         assert int(k_pair(3, 2).one_mask.sum()) == 4
         assert int(tree_pair(3, 0).one_mask.sum()) == 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_block_masks_match_the_literal_unitary(self, n):
+        # scalar blocks sit on the diagonal, each Pauli pair puts one entry on
+        # the superdiagonal at its first index
+        for _label, spec in spec_families(n):
+            unitary = materialize(spec, "A")
+            assert np.array_equal(spec.one_mask, np.abs(np.diag(unitary)) == 1.0)
+            assert np.array_equal(spec.pair_starts, np.flatnonzero(np.diag(unitary, 1)))
+            assert not spec.one_mask.flags.writeable
+            assert not spec.pair_starts.flags.writeable
