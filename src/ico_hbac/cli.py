@@ -2,9 +2,12 @@
 
 All commands emit machine-readable output.  CSV uses one fixed column schema
 (``scheme,n,k,epsilon,round,outcome,probability,trials,value``) in long
-format; JSON mirrors the same data as structured objects with stable key
-order.  Floats are written with 17 significant digits so identical seeds
-reproduce identical bytes.
+format, CRLF-terminated and streamed as each command yields its lines.  No
+cell needs RFC-4180 quoting (schemes are checked against SCHEMES, outcomes are
+literals, every other cell is a number or a pipe-joined list of numbers), so a
+line is its cells joined by commas.  JSON mirrors the same data as structured
+objects with stable key order.  Floats are written with 17 significant digits
+so identical seeds reproduce identical bytes.
 
 Exit codes: 0 success, 2 usage or domain error, 3 validation failure, 4 I/O.
 """
@@ -13,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
-import types
 
 import numpy as np
 
@@ -49,8 +50,6 @@ from .schemes import (
     success_probability,
 )
 from .switch import branch_transfer, standard_pair
-
-CSV_COLUMNS = ("scheme", "n", "k", "epsilon", "round", "outcome", "probability", "trials", "value")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,6 +95,23 @@ def _json_float(value):
     return value if math.isfinite(value) else None
 
 
+def _head(scheme: str, n: int, k, epsilon) -> str:
+    """The ``scheme,n,k,epsilon`` cells that every line of one command shares."""
+    return ",".join(map(_fmt, (scheme, n, k, epsilon)))
+
+
+def _line(head: str, *cells) -> str:
+    """``head`` and ``cells`` as one CSV line (no cell needs quoting: see the module docstring)."""
+    return ",".join((head, *map(_fmt, cells))) + "\r\n"
+
+
+def _vector_lines(head: str, outcome: str, vector):
+    """One ``head,i,outcome,,,value`` line per entry of ``vector``, ``i`` counting from 1."""
+    for i, value in enumerate(vector, 1):
+        yield f"{head},{i},{outcome},,,{format(float(value), '.17g')}\r\n"
+
+
+_HEADER = "scheme,n,k,epsilon,round,outcome,probability,trials,value\r\n"
 _CHUNK_CHARS = 1 << 16  # CSV characters gathered before each write
 
 
@@ -109,28 +125,26 @@ def _output(path: str | None):
         yield handle
 
 
-def _emit(rows, obj, fmt: str, output: str | None) -> None:
-    """Write ``rows`` (dicts keyed by CSV column) as CSV, or ``obj`` as JSON.
+def _emit(lines, obj, fmt: str, output: str | None) -> None:
+    """Write the CSV header and ``lines`` (CRLF-terminated CSV lines), or ``obj`` as JSON.
 
-    CSV rows are consumed one at a time and written in chunks, so ``rows`` may be
-    a generator.
+    CSV lines are consumed one at a time and written in chunks, so ``lines`` may
+    be a generator.
     """
     with _output(output) as handle:
         if fmt == "csv":
             # lines leave in chunks: standard output may be unbuffered
-            # (PYTHONUNBUFFERED), and a write per row is then a system call per row
-            lines: list[str] = []
+            # (PYTHONUNBUFFERED), and a write per line is then a system call per line
+            chunk = [_HEADER]
             pending = 0
-            writer = csv.writer(types.SimpleNamespace(write=lines.append))  # RFC-4180: CRLF
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(row.get(column)) for column in CSV_COLUMNS])
-                pending += len(lines[-1])
+            for line in lines:
+                chunk.append(line)
+                pending += len(line)
                 if pending >= _CHUNK_CHARS:
-                    handle.write("".join(lines))
-                    lines.clear()
+                    handle.write("".join(chunk))
+                    chunk.clear()
                     pending = 0
-            handle.write("".join(lines))
+            handle.write("".join(chunk))
         else:
             # one dumps and one write: json.dump's many small writes are slower
             handle.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -291,50 +305,30 @@ def cmd_fixed_point(args) -> int:
     residual = float(
         np.abs(hbac_round(profile, params).populations - profile.populations).sum()
     )
-    rows = []
-    for i, value in enumerate(profile.populations):
-        rows.append(
-            {
-                "scheme": HBAC,
-                "n": args.n,
-                "epsilon": args.epsilon,
-                "round": i + 1,
-                "outcome": "fixed-point",
-                "value": float(value),
-            }
-        )
-    rows.append(
-        {
-            "scheme": HBAC,
+    head = _head(HBAC, args.n, None, args.epsilon)
+
+    def lines():
+        yield from _vector_lines(head, "fixed-point", profile.populations)
+        yield _line(head, None, "residual", None, None, residual)
+
+    obj = None
+    if args.format == "json":
+        obj = {
+            "command": "fixed-point",
             "n": args.n,
             "epsilon": args.epsilon,
-            "outcome": "residual",
-            "value": residual,
+            "fixed_point": [float(x) for x in profile.populations],
+            "residual_l1": residual,
         }
-    )
-    obj = {
-        "command": "fixed-point",
-        "n": args.n,
-        "epsilon": args.epsilon,
-        "fixed_point": [float(x) for x in profile.populations],
-        "residual_l1": residual,
-    }
-    _emit(rows, obj, args.format, args.output)
+    _emit(lines(), obj, args.format, args.output)
     return EXIT_OK
-
-
-_TABLE_QUANTITIES = (
-    "bath",
-    "input-pure-qubits",
-    "output-pure-qubits",
-    "success-probability",
-    "expected-trials",
-)
 
 
 def cmd_table1(args) -> int:
     make_thermal_params(args.epsilon)
-    rows = []
+    # every scheme is evaluated before the output opens; only lines are kept, not
+    # the reports and their 2**n-entry final states
+    lines = []
     json_rows = []
     for scheme in SCHEMES:
         config = SchemeConfig(
@@ -345,6 +339,7 @@ def cmd_table1(args) -> int:
             nondemolition=args.nondemolition,
         )
         report = run_scheme(config)
+        head = _head(scheme, args.n, config.k, args.epsilon)
         values = {
             "bath": args.epsilon if report.bath_used else "none",
             "input-pure-qubits": report.input_pure_qubits,
@@ -352,18 +347,8 @@ def cmd_table1(args) -> int:
             "success-probability": report.success_probability,
             "expected-trials": report.expected_trials,
         }
-        for quantity in _TABLE_QUANTITIES:
-            rows.append(
-                {
-                    "scheme": scheme,
-                    "n": args.n,
-                    "k": config.k,
-                    "epsilon": args.epsilon,
-                    "outcome": quantity,
-                    "probability": report.success_probability,
-                    "value": values[quantity],
-                }
-            )
+        for quantity, value in values.items():
+            lines.append(_line(head, None, quantity, report.success_probability, None, value))
         json_rows.append(
             {
                 "scheme": scheme,
@@ -382,7 +367,7 @@ def cmd_table1(args) -> int:
         "nondemolition": args.nondemolition,
         "rows": json_rows,
     }
-    _emit(rows, obj, args.format, args.output)
+    _emit(lines, obj, args.format, args.output)
     return EXIT_OK
 
 
@@ -390,8 +375,7 @@ def cmd_run(args) -> int:
     spec = _merge_runspec(args)
     config = _config_from_runspec(spec)
     report = run_scheme(config)
-    base = {"scheme": config.scheme, "n": config.n, "k": config.k, "epsilon": config.epsilon}
-    rows = []
+    head = _head(config.scheme, config.n, config.k, config.epsilon)
     quantities = [
         ("success-probability", report.success_probability),
         ("expected-trials", report.expected_trials),
@@ -401,25 +385,29 @@ def cmd_run(args) -> int:
     ]
     if report.trials_for_desired is not None:
         quantities.append(("trials-for-desired", report.trials_for_desired))
-    for name, value in quantities:
-        rows.append(dict(base, outcome=name, probability=report.success_probability, value=value))
-    for i, value in enumerate(report.final_state.populations):
-        rows.append(dict(base, round=i + 1, outcome="final-state", value=float(value)))
-    obj = {
-        "command": "run",
-        "runspec": _echo_runspec(spec),
-        "report": {
-            "success_probability": report.success_probability,
-            "expected_trials": _json_float(report.expected_trials),
-            "input_pure_qubits": report.input_pure_qubits,
-            "output_pure_qubits": report.output_pure_qubits,
-            "bath_used": report.bath_used,
-            "trials_for_desired": report.trials_for_desired,
-            "final_state_qubits": report.final_state.n + 1,
-            "final_state": [float(x) for x in report.final_state.populations],
-        },
-    }
-    _emit(rows, obj, spec["format"], spec.get("output"))
+
+    def lines():
+        for name, value in quantities:
+            yield _line(head, None, name, report.success_probability, None, value)
+        yield from _vector_lines(head, "final-state", report.final_state.populations)
+
+    obj = None
+    if spec["format"] == "json":
+        obj = {
+            "command": "run",
+            "runspec": _echo_runspec(spec),
+            "report": {
+                "success_probability": report.success_probability,
+                "expected_trials": _json_float(report.expected_trials),
+                "input_pure_qubits": report.input_pure_qubits,
+                "output_pure_qubits": report.output_pure_qubits,
+                "bath_used": report.bath_used,
+                "trials_for_desired": report.trials_for_desired,
+                "final_state_qubits": report.final_state.n + 1,
+                "final_state": [float(x) for x in report.final_state.populations],
+            },
+        }
+    _emit(lines(), obj, spec["format"], spec.get("output"))
     return EXIT_OK
 
 
@@ -437,7 +425,7 @@ def cmd_sample(args) -> int:
     chain = AttemptChain(config)
     # every draw happens before the output is opened, so a failed run writes nothing
     trajectories = sample_batch(chain, trials)
-    base = {"scheme": config.scheme, "n": config.n, "k": config.k, "epsilon": config.epsilon}
+    head = _head(config.scheme, config.n, config.k, config.epsilon)
     want_json = spec["format"] == "json"
     # trajectories share chain positions, so each position is rendered once
     rendered: dict = {}
@@ -465,19 +453,12 @@ def cmd_sample(args) -> int:
         "expected-trials": expected,
     }
 
-    def rows():
+    def lines():
         for index, trajectory in enumerate(trajectories, start=1):
             for number, outcome, probability, state in attempts(trajectory.outcomes):
-                yield dict(
-                    base,
-                    round=number,
-                    outcome=outcome,
-                    probability=probability,
-                    trials=index,
-                    value=state,
-                )
+                yield f"{head},{number},{outcome},{probability},{index},{state}\r\n"
         for name, value in summary.items():
-            yield dict(base, outcome=name, value=value)
+            yield _line(head, None, name, None, None, value)
 
     obj = None
     if want_json:
@@ -502,7 +483,7 @@ def cmd_sample(args) -> int:
                 for index, trajectory in enumerate(trajectories, start=1)
             ],
         }
-    _emit(rows(), obj, spec["format"], spec.get("output"))
+    _emit(lines(), obj, spec["format"], spec.get("output"))
     return EXIT_OK
 
 

@@ -67,9 +67,7 @@ class ThermalParams:
             raise ValueError(f"epsilon must be a finite number, got {self.epsilon!r}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        expected = 2.0 * math.cosh(self.epsilon)
-        if not math.isfinite(expected):
-            raise ValueError(f"epsilon={self.epsilon} overflows the partition constant")
+        expected = _partition_constant(self.epsilon)
         if abs(self.z - expected) > 1e-12 * expected:
             raise ValueError(f"z={self.z} is not 2*cosh(epsilon)={expected}")
 
@@ -81,7 +79,22 @@ class ThermalParams:
     @property
     def excited_population(self) -> float:
         """Thermal weight of |e>, i.e. exp(-epsilon)/z."""
-        return 1.0 / (1.0 + math.exp(2.0 * self.epsilon))
+        try:
+            return 1.0 / (1.0 + math.exp(2.0 * self.epsilon))
+        except OverflowError:
+            # where exp(2 eps) overflows, 1/(1 + exp(2 eps)) is exp(-2 eps) to the last ulp
+            return math.exp(-2.0 * self.epsilon)
+
+
+def _partition_constant(epsilon: float) -> float:
+    """``2*cosh(epsilon)``, or ValueError where that overflows a float."""
+    try:
+        z = 2.0 * math.cosh(epsilon)
+    except OverflowError:
+        z = math.inf
+    if not math.isfinite(z):
+        raise ValueError(f"epsilon={epsilon} overflows the partition constant")
+    return z
 
 
 def make_thermal_params(epsilon: float) -> ThermalParams:
@@ -90,7 +103,7 @@ def make_thermal_params(epsilon: float) -> ThermalParams:
         raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     if not math.isfinite(epsilon) or epsilon <= 0:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    return ThermalParams(epsilon=float(epsilon), z=2.0 * math.cosh(float(epsilon)))
+    return ThermalParams(epsilon=float(epsilon), z=_partition_constant(float(epsilon)))
 
 
 def _population_vector(values, what: str) -> np.ndarray:

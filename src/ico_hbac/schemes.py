@@ -138,6 +138,10 @@ class SchemeConfig:
                 raise ValueError(
                     f"initial state has n={self.initial.n}, config has n={self.n}"
                 )
+            if self.initial.norm <= 0.0:
+                raise ValueError(
+                    f"initial state must have a positive norm, got {self.initial.norm}"
+                )
 
     @property
     def params(self) -> ThermalParams | None:
@@ -456,9 +460,8 @@ def _draw_trajectory(chain: AttemptChain, index: int) -> Trajectory:
             return Trajectory(outcomes, True, attempt)
     if tree:
         return Trajectory(outcomes, True, 1)
-    raise MaxAttemptsError(
-        message, Trajectory(MINUS * config.max_attempts, False, config.max_attempts)
-    )
+    # the outcomes actually drawn: a chain stuck at probability 0 stops early
+    raise MaxAttemptsError(message, Trajectory(outcomes, False, config.max_attempts))
 
 
 def sample_batch(chain: AttemptChain, count: int, start_index: int = 0) -> list[Trajectory]:

@@ -153,6 +153,18 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out)["report"]["success_probability"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "scheme,initial", [("hbac-ico", [0.0] * 4), ("ico-alone", [0.0] * 8)]
+    )
+    def test_zero_norm_initial_is_rejected(self, capsys, tmp_path, scheme, initial):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"scheme": scheme, "n": 2, "epsilon": 0.5, "initial": initial}))
+        for argv in (("run",), ("run", "--format", "json"), ("sample",)):
+            code, out, err = run_cli(capsys, *argv, "--config", str(path))
+            assert code == 2
+            assert out == ""
+            assert err == "error: initial state must have a positive norm, got 0.0\n"
+
     def test_wrong_initial_length(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"scheme": "ico-alone", "n": 2, "initial": [0.5, 0.5]}))
@@ -481,6 +493,28 @@ class TestValidateCommand:
         assert target.read_bytes() == out.encode("utf-8")
 
 
+class TestLargeEpsilon:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixed-point", "--n", "3"),
+            ("table1", "--n", "3"),
+            ("sample", "--scheme", "hbac-ico", "--n", "3", "--trials", "5", "--seed", "1"),
+        ],
+        ids=["fixed-point", "table1", "sample"],
+    )
+    @pytest.mark.parametrize("eps", ["400", "700", "709.7", "710", "800", "1e300"])
+    def test_finishes_or_fails_in_one_line(self, capsys, argv, eps):
+        code, out, err = run_cli(capsys, *argv, "--eps", eps)
+        if float(eps) < 710:
+            assert code == 0
+            assert out and err == ""
+        else:
+            assert code == 2
+            assert out == ""
+            assert err == f"error: epsilon={float(eps)} overflows the partition constant\n"
+
+
 class TestParsing:
     def test_no_command_is_usage_error(self, capsys):
         code, _out, err = run_cli(capsys)
@@ -614,6 +648,23 @@ _PINNED_STDOUT = (
         "run --scheme hbac --n 12 --eps 0.01",
         "92df873c45b404f69450fe0d2414852b2d4891edc026a4d4b6c18bc5a06192fa",
     ),
+    # recorded before CSV lines were rendered without the csv module
+    (
+        "fixed-point --n 12 --eps 0.01",  # longer than one write chunk
+        "a20efdbb8e170d8dff92eb69da06d8357de8f8585ba83080df8158054a83d17a",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --trials 25 --seed 5",  # empty k and epsilon cells
+        "834c0bcb3a71f003601dd699f488eadb42d100da8a89752949532b5abd4feaa6",
+    ),
+    (
+        "sample --scheme hbac-kico --n 3 --k 2 --repump-rounds 1 --eps 0.5 --trials 25 --seed 5",
+        "ab9ca7835a03873b34d8e0c3795483ab3d560968ac901e8c7bb2e3bd94e79971",
+    ),
+    (
+        "run --scheme hbac-ico --n 3 --eps 0.5",
+        "7ea468ad8772f315614656caf3d7a4739e8a659ac1edda5b32252c061129bbed",
+    ),
 )
 
 
@@ -623,6 +674,18 @@ class TestByteGuard:
         code, out, _err = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv, _ in _PINNED_STDOUT if "json" not in argv]
+    )
+    def test_csv_module_writes_the_same_bytes(self, capsys, argv):
+        # the csv module is the reference: no cell the commands write needs quoting
+        code, out, _err = run_cli(capsys, *argv.split())
+        assert code == 0
+        rows = csv.reader(io.StringIO(out, newline=""))
+        rewritten = io.StringIO(newline="")
+        csv.writer(rewritten, lineterminator="\r\n").writerows(rows)
+        assert rewritten.getvalue() == out
 
 
 class TestOutputSink:

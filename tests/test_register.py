@@ -44,6 +44,20 @@ class TestThermalParams:
         assert abs(params.ground_population - 1.0) < 1e-12
         assert abs(params.excited_population) < 1e-12
 
+    @pytest.mark.parametrize("eps", [400.0, 700.0, 709.7])
+    def test_huge_epsilon_does_not_overflow(self, eps):
+        # exp(2 eps) overflows at each of these; the excited weight is then exp(-2 eps)
+        params = make_thermal_params(eps)
+        assert params.ground_population == 1.0
+        assert params.excited_population == math.exp(-2.0 * eps)
+
+    @pytest.mark.parametrize("eps", [710.0, 800.0, 1e300])
+    def test_overflowing_partition_constant_is_a_value_error(self, eps):
+        with pytest.raises(ValueError, match="overflows the partition constant"):
+            make_thermal_params(eps)
+        with pytest.raises(ValueError, match="overflows the partition constant"):
+            ThermalParams(epsilon=eps, z=math.inf)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "0.5", None, True])
     def test_rejects_bad_epsilon(self, bad):
         with pytest.raises(ValueError):

@@ -385,15 +385,20 @@ class TestSampler:
     def test_zero_probability_chain_fails_at_once(self):
         # the stuck k-switch chain is certain to exhaust its budget, so the
         # sampler reports that without walking it
-        config = SchemeConfig(
-            scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=100_000
-        )
-        chain = AttemptChain(config)
-        with pytest.raises(MaxAttemptsError, match="exactly 0") as excinfo:
-            sample_batch(chain, 40)
-        assert excinfo.value.trajectory.trials_used == 100_000
-        assert not excinfo.value.trajectory.terminal
-        assert len(chain) <= 2
+        # and the failed trajectory it reports holds only the outcomes drawn,
+        # not one per attempt of the budget
+        for max_attempts in (100_000, 10**9):
+            config = SchemeConfig(
+                scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=max_attempts
+            )
+            chain = AttemptChain(config)
+            with pytest.raises(MaxAttemptsError, match="exactly 0") as excinfo:
+                sample_batch(chain, 40)
+            trajectory = excinfo.value.trajectory
+            assert trajectory.trials_used == max_attempts
+            assert not trajectory.terminal
+            assert len(trajectory.outcomes) <= 2
+            assert len(chain) <= 2
 
     def test_tree_sort_always_one_trial(self):
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=3, seed=5)
