@@ -6,7 +6,11 @@ format, CRLF-terminated and streamed as each command yields its lines.  No
 cell needs RFC-4180 quoting (schemes are checked against SCHEMES, outcomes are
 literals, every other cell is a number or a pipe-joined list of numbers), so a
 line is its cells joined by commas.  JSON mirrors the same data as structured
-objects with stable key order.  Floats are written with 17 significant digits
+objects with stable key order, with the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True, allow_nan=False)`` plus a newline; ``_json_chunks`` streams it,
+numpy vectors a slice at a time, and ``sample`` encodes each distinct chain
+state once.  Output of either format leaves in chunks of about 64 KiB.  CSV
+floats are written with 17 significant digits and JSON floats with ``repr``,
 so identical seeds reproduce identical bytes.
 
 Exit codes: 0 success, 2 usage or domain error, 3 validation failure, 4 I/O.
@@ -16,9 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
+import types
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -111,8 +118,84 @@ def _vector_lines(head: str, outcome: str, vector):
         yield f"{head},{i},{outcome},,,{format(float(value), '.17g')}\r\n"
 
 
+class _JsonText(str):
+    """Already-encoded JSON text: ``_json_chunks`` writes it as it is."""
+
+
+_JSON_SLICE = 2048  # floats of a numpy vector encoded per piece
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return value if isinstance(value, _JsonText) else encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_vector(vector, depth: int):
+    """Pieces of a 1-D numpy float vector at nesting level ``depth``, one slice each."""
+    if not vector.size:
+        yield "[]"
+        return
+    separator = ",\n" + "  " * (depth + 1)
+    for start in range(0, vector.size, _JSON_SLICE):
+        part = vector[start : start + _JSON_SLICE]
+        if not np.isfinite(part).all():
+            bad = float(part[~np.isfinite(part)][0])
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        lead = "[" + separator[1:] if start == 0 else separator
+        yield lead + separator.join(map(float.__repr__, part.tolist()))
+    yield "\n" + "  " * depth + "]"
+
+
+def _json_chunks(obj, depth: int = 0):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, in pieces.
+
+    ``depth`` is the nesting level ``obj`` sits at.  A list may also be a
+    generator, consumed as it is written.  A 1-D numpy float vector is
+    encoded one slice at a time, and a ``_JsonText`` fragment passes through.
+    A non-finite float raises ``ValueError`` when it is reached, as
+    ``allow_nan=False`` does.
+    """
+    if isinstance(obj, dict):
+        items = ((f"{encode_basestring_ascii(key)}: ", obj[key]) for key in sorted(obj))
+        brackets = "{}"
+    elif isinstance(obj, (list, types.GeneratorType)):
+        items = (("", item) for item in obj)
+        brackets = "[]"
+    elif isinstance(obj, np.ndarray):
+        yield from _json_vector(obj, depth)
+        return
+    else:
+        yield _json_scalar(obj)
+        return
+    inner = "\n" + "  " * (depth + 1)
+    empty = True
+    for prefix, value in items:
+        yield (brackets[0] if empty else ",") + inner + prefix
+        yield from _json_chunks(value, depth + 1)
+        empty = False
+    yield brackets if empty else "\n" + "  " * depth + brackets[1]
+
+
+def _json_text(obj, depth: int) -> _JsonText:
+    """``obj`` encoded whole at nesting level ``depth``, to be placed there by ``_json_chunks``."""
+    return _JsonText("".join(_json_chunks(obj, depth)))
+
+
 _HEADER = "scheme,n,k,epsilon,round,outcome,probability,trials,value\r\n"
-_CHUNK_CHARS = 1 << 16  # CSV characters gathered before each write
+_CHUNK_CHARS = 1 << 16  # characters gathered before each write
 
 
 @contextlib.contextmanager
@@ -128,26 +211,26 @@ def _output(path: str | None):
 def _emit(lines, obj, fmt: str, output: str | None) -> None:
     """Write the CSV header and ``lines`` (CRLF-terminated CSV lines), or ``obj`` as JSON.
 
-    CSV lines are consumed one at a time and written in chunks, so ``lines`` may
-    be a generator.
+    Both are consumed piece by piece and written in chunks, so ``lines`` and the
+    lists of ``obj`` may be generators.
     """
+    if fmt == "csv":
+        pieces = itertools.chain((_HEADER,), lines)
+    else:
+        pieces = itertools.chain(_json_chunks(obj), ("\n",))
     with _output(output) as handle:
-        if fmt == "csv":
-            # lines leave in chunks: standard output may be unbuffered
-            # (PYTHONUNBUFFERED), and a write per line is then a system call per line
-            chunk = [_HEADER]
-            pending = 0
-            for line in lines:
-                chunk.append(line)
-                pending += len(line)
-                if pending >= _CHUNK_CHARS:
-                    handle.write("".join(chunk))
-                    chunk.clear()
-                    pending = 0
-            handle.write("".join(chunk))
-        else:
-            # one dumps and one write: json.dump's many small writes are slower
-            handle.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        # pieces leave in chunks: standard output may be unbuffered
+        # (PYTHONUNBUFFERED), and a write per piece is then a system call per piece
+        chunk = []
+        pending = 0
+        for piece in pieces:
+            chunk.append(piece)
+            pending += len(piece)
+            if pending >= _CHUNK_CHARS:
+                handle.write("".join(chunk))
+                chunk.clear()
+                pending = 0
+        handle.write("".join(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +366,6 @@ def _config_from_runspec(spec: dict) -> SchemeConfig:
     )
 
 
-def _echo_runspec(spec: dict) -> dict:
-    echo = {}
-    for key in _RUNSPEC_TYPES:
-        if key in spec:
-            value = spec[key]
-            if isinstance(value, np.ndarray):
-                value = [float(x) for x in value]
-            echo[key] = value
-    return echo
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -317,7 +389,7 @@ def cmd_fixed_point(args) -> int:
             "command": "fixed-point",
             "n": args.n,
             "epsilon": args.epsilon,
-            "fixed_point": [float(x) for x in profile.populations],
+            "fixed_point": profile.populations,
             "residual_l1": residual,
         }
     _emit(lines(), obj, args.format, args.output)
@@ -395,7 +467,7 @@ def cmd_run(args) -> int:
     if spec["format"] == "json":
         obj = {
             "command": "run",
-            "runspec": _echo_runspec(spec),
+            "runspec": spec,
             "report": {
                 "success_probability": report.success_probability,
                 "expected_trials": _json_float(report.expected_trials),
@@ -404,11 +476,16 @@ def cmd_run(args) -> int:
                 "bath_used": report.bath_used,
                 "trials_for_desired": report.trials_for_desired,
                 "final_state_qubits": report.final_state.n + 1,
-                "final_state": [float(x) for x in report.final_state.populations],
+                "final_state": report.final_state.populations,
             },
         }
     _emit(lines(), obj, spec["format"], spec.get("output"))
     return EXIT_OK
+
+
+# nesting level of an attempt's state in the sample document:
+# top object > "trajectories" > trajectory > "attempts" > attempt > "state"
+_SAMPLE_STATE_DEPTH = 5
 
 
 def cmd_sample(args) -> int:
@@ -427,7 +504,8 @@ def cmd_sample(args) -> int:
     trajectories = sample_batch(chain, trials)
     head = _head(config.scheme, config.n, config.k, config.epsilon)
     want_json = spec["format"] == "json"
-    # trajectories share chain positions, so each position is rendered once
+    # trajectories share chain positions, so each position is rendered once:
+    # for CSV its cells, for JSON its probability and its state's encoded text
     rendered: dict = {}
 
     def attempts(outcomes):
@@ -438,7 +516,7 @@ def cmd_sample(args) -> int:
                 state, probability = chain.at(position)
                 vector = state.populations
                 if want_json:
-                    cells = (probability, [float(x) for x in vector])
+                    cells = (probability, _json_text(vector, _SAMPLE_STATE_DEPTH))
                 else:
                     cells = (_fmt(probability), _join_state(vector))
                 rendered[position] = cells
@@ -464,24 +542,25 @@ def cmd_sample(args) -> int:
     if want_json:
         obj = {
             "command": "sample",
-            "runspec": _echo_runspec(spec),
+            "runspec": spec,
             "summary": {
                 "trajectories": len(trajectories),
                 "mean_trials": mean_trials,
                 "expected_trials": _json_float(expected),
             },
-            "trajectories": [
+            # generators: each trajectory is built as it is written
+            "trajectories": (
                 {
                     "index": index,
                     "trials_used": trajectory.trials_used,
                     "terminal": trajectory.terminal,
-                    "attempts": [
+                    "attempts": (
                         dict(zip(("round", "outcome", "probability", "state"), attempt))
                         for attempt in attempts(trajectory.outcomes)
-                    ],
+                    ),
                 }
                 for index, trajectory in enumerate(trajectories, start=1)
-            ],
+            ),
         }
     _emit(lines(), obj, spec["format"], spec.get("output"))
     return EXIT_OK

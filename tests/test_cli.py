@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ico_hbac.cli as cli
 import ico_hbac.oracle as oracle
@@ -665,6 +667,66 @@ _PINNED_STDOUT = (
         "run --scheme hbac-ico --n 3 --eps 0.5",
         "7ea468ad8772f315614656caf3d7a4739e8a659ac1edda5b32252c061129bbed",
     ),
+    # recorded before JSON was streamed; each is longer than one write chunk,
+    # and the run and fixed-point vectors are longer than one encoded slice
+    (
+        "sample --scheme ico-tree-sort --n 6 --eps 0.5 --trials 40 --seed 3 --format json",
+        "641a27c164abf4042f83db70cda8b8938760622528829e085f0f55edc175f328",
+    ),
+    (
+        "sample --scheme hbac-ico --n 5 --eps 0.3 --trials 50 --seed 2 --format json",
+        "4285d029c9ecb235e84a295ba2208925cbb5aba801da55dbaada5037bec3dece",
+    ),
+    (
+        "run --scheme hbac --n 12 --eps 0.1 --format json",
+        "06221e402abf1013ce3d6b10ac885429b7ccc304fad5a9c2ced1c82e09a54ca9",
+    ),
+    (
+        "fixed-point --n 12 --eps 0.01 --format json",
+        "70c6fb66f7ff0943689c824606d417a97a8ec737ecc7a32cd30038cff0106390",
+    ),
+)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _plain(obj):
+    """``obj`` with every numpy vector turned into a list, as ``json.dumps`` needs."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_plain(value) for value in obj]
+    return obj
+
+
+def _vector(size: int, seed: int):
+    """A float vector over many magnitudes with -0.0 and the smallest subnormal in it."""
+    rng = np.random.default_rng(seed)
+    vector = rng.standard_normal(size) * np.exp(rng.uniform(-700.0, 700.0, size))
+    vector[::97] = -0.0
+    vector[1::89] = 5e-324
+    return vector
+
+
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e300, 0.1, 1 / 3]
+)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | _FINITE_FLOATS
+    | st.text()
+    | st.builds(_vector, st.integers(0, 2 * cli._JSON_SLICE + 3), st.integers(0, 2**32 - 1))
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
 )
 
 
@@ -687,6 +749,31 @@ class TestByteGuard:
         csv.writer(rewritten, lineterminator="\r\n").writerows(rows)
         assert rewritten.getvalue() == out
 
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _PINNED_STDOUT if "json" in argv])
+    def test_json_module_writes_the_same_bytes(self, capsys, argv):
+        # the json module is the reference for the streaming encoder
+        code, out, _err = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert _dumps(json.loads(out)) + "\n" == out
+
+    @settings(deadline=None, max_examples=150)
+    @given(_JSON_TREES)
+    def test_json_chunks_match_json_dumps(self, obj):
+        plain = _plain(obj)
+        assert "".join(cli._json_chunks(obj)) == _dumps(plain)
+        # an encoded fragment placed at its depth, and a generator read as a list
+        nested = {"fragment": [cli._json_text(obj, 2)], "generator": (item for item in [obj])}
+        assert "".join(cli._json_chunks(nested)) == _dumps({"fragment": [plain], "generator": [plain]})
+
+    @settings(deadline=None, max_examples=60)
+    @given(_JSON_TREES, st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
+    def test_non_finite_floats_raise_like_json_dumps(self, obj, bad, in_vector):
+        tainted = {"ok": obj, "bad": [np.array([1.0, bad]) if in_vector else bad]}
+        with pytest.raises(ValueError):
+            _dumps(_plain(tainted))
+        with pytest.raises(ValueError):
+            "".join(cli._json_chunks(tainted))
+
 
 class TestOutputSink:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -696,8 +783,12 @@ class TestOutputSink:
             ("sample", "--scheme", "hbac-ico", "--n", "3", "--eps", "0.5", "--trials", "30", "--seed", "4"),
             ("sample", "--scheme", "ico-tree-sort", "--n", "3", "--eps", "0.5", "--trials", "30", "--seed", "4"),
             ("run", "--scheme", "hbac-kico", "--n", "3", "--k", "2", "--eps", "0.5"),
+            ("fixed-point", "--n", "3", "--eps", "0.3"),
+            ("table1", "--n", "3", "--eps", "0.2", "--k", "2", "--nondemolition"),
+            # longer than one write chunk in both formats
+            ("sample", "--scheme", "ico-tree-sort", "--n", "6", "--eps", "0.5", "--trials", "40", "--seed", "3"),
         ],
-        ids=["sample-hbac-ico", "sample-tree-sort", "run-kico"],
+        ids=["sample-hbac-ico", "sample-tree-sort", "run-kico", "fixed-point", "table1", "sample-long"],
     )
     def test_output_file_equals_stdout(self, capsys, tmp_path, argv, fmt):
         target = tmp_path / "out"
@@ -707,7 +798,7 @@ class TestOutputSink:
         assert code == 0
         assert written == ""
         data = target.read_bytes().decode("utf-8")
-        if fmt == "json":
+        if fmt == "json" and argv[0] in ("run", "sample"):
             # the echoed run specification names the output file; nothing else differs
             echo = f'    "output": {json.dumps(str(target))},\n'
             assert data.count(echo) == 1
