@@ -46,6 +46,7 @@ from .schemes import (
     HBAC,
     HBAC_ICO,
     HBAC_KICO,
+    ICO_TREE_SORT,
     PAIR_CHOICES,
     SCHEMES,
     AttemptChain,
@@ -56,7 +57,7 @@ from .schemes import (
     sample_batch,
     success_probability,
 )
-from .switch import branch_transfer, standard_pair
+from .switch import MINUS, PLUS, branch_transfer, standard_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -94,7 +95,8 @@ def _fmt(value) -> str:
 
 
 def _join_state(vector) -> str:
-    return "|".join(format(float(x), ".17g") for x in vector)
+    """The floats of ``vector`` with 17 significant digits, pipe-joined: one ``%`` for all."""
+    return "|".join(["%.17g"] * vector.size) % tuple(vector.tolist())
 
 
 def _json_float(value):
@@ -112,17 +114,18 @@ def _line(head: str, *cells) -> str:
     return ",".join((head, *map(_fmt, cells))) + "\r\n"
 
 
+_JSON_SLICE = 2048  # floats of a numpy vector converted per piece (JSON text, CSV lines)
+
+
 def _vector_lines(head: str, outcome: str, vector):
     """One ``head,i,outcome,,,value`` line per entry of ``vector``, ``i`` counting from 1."""
-    for i, value in enumerate(vector, 1):
-        yield f"{head},{i},{outcome},,,{format(float(value), '.17g')}\r\n"
+    for start in range(0, vector.size, _JSON_SLICE):
+        for i, value in enumerate(vector[start : start + _JSON_SLICE].tolist(), start + 1):
+            yield "%s,%d,%s,,,%.17g\r\n" % (head, i, outcome, value)
 
 
 class _JsonText(str):
     """Already-encoded JSON text: ``_json_chunks`` writes it as it is."""
-
-
-_JSON_SLICE = 2048  # floats of a numpy vector encoded per piece
 
 
 def _json_scalar(value) -> str:
@@ -501,12 +504,23 @@ def cmd_sample(args) -> int:
         raise UsageError(f"workers must be >= 1, got {workers}")
     chain = AttemptChain(config)
     # every draw happens before the output is opened, so a failed run writes nothing
-    trajectories = sample_batch(chain, trials)
+    runs = sample_batch(chain, trials)
+    tree = config.scheme == ICO_TREE_SORT
+    trials_used = [1] * len(runs) if tree else runs.tolist()
     head = _head(config.scheme, config.n, config.k, config.epsilon)
     want_json = spec["format"] == "json"
     # trajectories share chain positions, so each position is rendered once:
     # for CSV its cells, for JSON its probability and its state's encoded text
     rendered: dict = {}
+
+    def trajectories():
+        """(index, trials used, outcomes) of every run, counting from 1.
+
+        A heralded run failed every trial before its last; a tree-sort run
+        records one outcome per level.
+        """
+        for index, used in enumerate(trials_used, start=1):
+            yield index, used, runs[index - 1] if tree else MINUS * (used - 1) + PLUS
 
     def attempts(outcomes):
         """(round, outcome, probability, state) of every attempt in ``outcomes``."""
@@ -522,18 +536,18 @@ def cmd_sample(args) -> int:
                 rendered[position] = cells
             yield number, outcome, *cells
 
-    mean_trials = sum(trajectory.trials_used for trajectory in trajectories) / len(trajectories)
+    mean_trials = sum(trials_used) / len(trials_used)
     analytic = success_probability(config)
     expected = math.inf if analytic == 0.0 else 1.0 / analytic
     summary = {
-        "trajectories": len(trajectories),
+        "trajectories": len(trials_used),
         "mean-trials": mean_trials,
         "expected-trials": expected,
     }
 
     def lines():
-        for index, trajectory in enumerate(trajectories, start=1):
-            for number, outcome, probability, state in attempts(trajectory.outcomes):
+        for index, _used, outcomes in trajectories():
+            for number, outcome, probability, state in attempts(outcomes):
                 yield f"{head},{number},{outcome},{probability},{index},{state}\r\n"
         for name, value in summary.items():
             yield _line(head, None, name, None, None, value)
@@ -544,7 +558,7 @@ def cmd_sample(args) -> int:
             "command": "sample",
             "runspec": spec,
             "summary": {
-                "trajectories": len(trajectories),
+                "trajectories": len(trials_used),
                 "mean_trials": mean_trials,
                 "expected_trials": _json_float(expected),
             },
@@ -552,14 +566,14 @@ def cmd_sample(args) -> int:
             "trajectories": (
                 {
                     "index": index,
-                    "trials_used": trajectory.trials_used,
-                    "terminal": trajectory.terminal,
+                    "trials_used": used,
+                    "terminal": True,  # a run that never heralds raises instead
                     "attempts": (
                         dict(zip(("round", "outcome", "probability", "state"), attempt))
-                        for attempt in attempts(trajectory.outcomes)
+                        for attempt in attempts(outcomes)
                     ),
                 }
-                for index, trajectory in enumerate(trajectories, start=1)
+                for index, used, outcomes in trajectories()
             ),
         }
     _emit(lines(), obj, spec["format"], spec.get("output"))

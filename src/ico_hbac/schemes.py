@@ -7,6 +7,13 @@ heralds pure output qubits, a minus outcome triggers a retry policy.  Each
 scheme exposes a closed-form per-attempt success probability, a resource
 summary, and a seeded Monte Carlo trajectory sampler.
 
+Sampled runs of a heralded scheme are integers: each walks the scheme's one
+deterministic failure chain until its first plus outcome, so the number of
+trials it used is all there is to record.  Their random draws are the
+counter-based Philox4x64-10 streams of ``numpy.random.Philox`` keyed
+``(seed, index)``, computed in numpy for every unresolved run at once, in
+counter blocks of four uniforms.
+
 Retry policies:
 
 * bath schemes keep the register and apply the minus-branch update (plus an
@@ -70,11 +77,16 @@ SUPPORT_TOLERANCE = 1e-12
 
 
 class MaxAttemptsError(RuntimeError):
-    """A trajectory exhausted its attempt budget without a plus outcome."""
+    """A trajectory exhausted its attempt budget without a plus outcome.
 
-    def __init__(self, message: str, trajectory: "Trajectory"):
+    ``trajectory`` is the failed run's trials used, its whole budget, and
+    ``index`` its stream index: the lowest of the batch that failed.
+    """
+
+    def __init__(self, message: str, trajectory: int, index: int):
         super().__init__(message)
         self.trajectory = trajectory
+        self.index = index
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,21 +173,13 @@ class SchemeReport:
     trials_for_desired: int | None = None
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One repeat-until-success run, recorded as its control outcomes.
+class TreeOutcomes(str):
+    """One tree-sort run: its control outcomes, one ``+`` or ``-`` per level.
 
-    ``outcomes`` holds one ``+`` or ``-`` per switch application, in order;
-    the pre-measurement state of each is read from the :class:`AttemptChain`
-    the run was drawn against.  ``trials_used`` is the index of the first plus
-    outcome for heralded schemes; the deterministic schemes (plain cooling,
-    tree sort) always use one trial, and for tree sort each outcome is one
-    level of the cascade.
+    The cascade succeeds on either outcome, so the run is a single trial.
     """
 
-    outcomes: str
-    terminal: bool
-    trials_used: int
+    trials_used = 1
 
 
 def scheme_spec(config: SchemeConfig) -> BlockUnitarySpec | None:
@@ -350,12 +354,6 @@ def pi_pulse_correct(state: DiagonalState, measured_qubit_outcome: str) -> Diago
     return ground_state(state.n - 1)
 
 
-def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based random stream for one trajectory."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 class AttemptChain:
     """Pre-measurement states and plus probabilities shared by a batch of runs.
 
@@ -444,44 +442,139 @@ class AttemptChain:
         return node
 
 
-def _draw_trajectory(chain: AttemptChain, index: int) -> Trajectory:
-    config = chain.config
-    tree = config.scheme == ICO_TREE_SORT
-    rng = trajectory_rng(config.seed, index)
-    outcomes = ""
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11), as
+# numpy.random.Philox uses them.  They stay Python ints until the kernel runs:
+# building uint64 arrays at import costs every command about 0.2 MB of RSS.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+_SLICE = 1 << 14  # trajectories drawn together: bounds the kernel's temporaries (~5 MB)
+_LANES = 1024  # (stream, block) pairs a kernel call fills once few runs are live
+
+
+def _philox_uniforms(seed: int, streams: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Counter block ``blocks[i]`` of the stream keyed ``(seed, streams[i])``, as uniforms.
+
+    Row ``i`` holds the four doubles that
+    ``Generator(Philox(key=[seed, streams[i]])).random()`` returns as its draws
+    ``4 * blocks[i]`` to ``4 * blocks[i] + 3``: numpy bumps the counter before
+    each block, so block ``b`` is counter ``(b + 1, 0, 0, 0)``, and a double is
+    the top 53 bits of a word times ``2**-53``.  The high word of each 64-bit
+    product is assembled from 32-bit halves.
+    """
+    low32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    # one row per product word
+    multiplier = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
+    weyl = np.array(_PHILOX_W, dtype=np.uint64)[:, None]
+    m_low, m_high = multiplier & low32, multiplier >> shift
+    key = np.empty((2, streams.size), dtype=np.uint64)
+    key[0] = seed
+    key[1] = streams
+    words = np.zeros((4, streams.size), dtype=np.uint64)
+    words[0] = blocks + 1
+    for round_index in range(10):
+        if round_index:
+            key += weyl
+        factor = words[0::2]
+        low, high = factor & low32, factor >> shift
+        low_m_low = low * m_low
+        high_m_low = high * m_low
+        cross = (low_m_low >> shift) + (high_m_low & low32) + low * m_high
+        top = high * m_high + (high_m_low >> shift) + (cross >> shift)
+        bottom = factor * multiplier
+        words = np.stack(
+            (top[1] ^ words[1] ^ key[0], bottom[1], top[0] ^ words[3] ^ key[1], bottom[0])
+        )
+    return ((words >> np.uint64(11)) * 2.0**-53).T
+
+
+def _exhausted(config: SchemeConfig, stream: int, zero_from: int | None = None):
     message = f"no plus outcome within {config.max_attempts} attempts"
-    for attempt in range(1, (config.n if tree else config.max_attempts) + 1):
-        _state, probability = chain.at(outcomes if tree else attempt)
+    if zero_from is not None:
+        message += f": the plus probability is exactly 0 from attempt {zero_from} on"
+    return MaxAttemptsError(message, config.max_attempts, stream)
+
+
+def _heralded_trials(chain: AttemptChain, streams: np.ndarray) -> np.ndarray:
+    """Trials used by the run of each stream: attempt ``j`` reads uniform ``j - 1``."""
+    config = chain.config
+    trials = np.empty(streams.size, dtype=np.int64)
+    live = np.arange(streams.size)
+    uniforms = np.empty((streams.size, 0))
+    first = 1  # the attempt that reads uniforms[:, 0]
+    for attempt in range(1, config.max_attempts + 1):
+        column = attempt - first
+        if column == uniforms.shape[1]:
+            # the next counter blocks of every live stream; when few are live,
+            # one call looks several blocks ahead instead of one call per block
+            ahead = max(1, _LANES // live.size)
+            blocks = (attempt - 1) // 4 + np.arange(ahead)
+            uniforms = _philox_uniforms(
+                config.seed, np.repeat(streams[live], ahead), np.tile(blocks, live.size)
+            ).reshape(live.size, 4 * ahead)
+            first, column = attempt, 0
+        _state, probability = chain.at(attempt)
         if probability == 0.0 and chain.absorbing:
-            message += f": the plus probability is exactly 0 from attempt {attempt} on"
-            break
-        outcomes += PLUS if rng.random() < probability else MINUS
-        if outcomes[-1] == PLUS and not tree:
-            return Trajectory(outcomes, True, attempt)
-    if tree:
-        return Trajectory(outcomes, True, 1)
-    # the outcomes actually drawn: a chain stuck at probability 0 stops early
-    raise MaxAttemptsError(message, Trajectory(outcomes, False, config.max_attempts))
+            raise _exhausted(config, int(streams[live[0]]), zero_from=attempt)
+        plus = uniforms[:, column] < probability
+        if plus.any():
+            trials[live[plus]] = attempt
+            live, uniforms = live[~plus], uniforms[~plus]
+            if not live.size:
+                return trials
+    raise _exhausted(config, int(streams[live[0]]))
 
 
-def sample_batch(chain: AttemptChain, count: int, start_index: int = 0) -> list[Trajectory]:
+def _prefix(code: int) -> str:
+    """Outcome prefix of a code: a leading 1 bit, then one bit per level, 1 for plus."""
+    return bin(code)[3:].replace("1", PLUS).replace("0", MINUS)
+
+
+def _tree_outcomes(chain: AttemptChain, streams: np.ndarray) -> list[TreeOutcomes]:
+    """Outcomes of the run of each stream: level ``l`` reads uniform ``l``."""
+    config = chain.config
+    codes = np.ones(streams.size, dtype=np.int64)
+    for level in range(config.n):
+        if level % 4 == 0:
+            uniforms = _philox_uniforms(config.seed, streams, np.full(streams.size, level // 4))
+        # one chain lookup per distinct prefix, however many runs share it
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        probabilities = np.array([chain.at(_prefix(code))[1] for code in distinct.tolist()])
+        codes = 2 * codes + (uniforms[:, level % 4] < probabilities[inverse])
+    return [TreeOutcomes(_prefix(code)) for code in codes.tolist()]
+
+
+def sample_batch(
+    chain: AttemptChain, count: int, start_index: int = 0
+) -> np.ndarray | list[TreeOutcomes]:
     """Draw ``count`` trajectories against ``chain`` with independent per-index streams.
 
-    Trajectory ``i`` draws from the stream keyed by ``(chain.config.seed,
-    start_index + i)``, so results are identical however a batch is split.
-    Heralded runs stop at their first plus outcome; tree sort applies every
-    level.  A heralded run that exhausts ``max_attempts``, or reaches a plus
-    probability of exactly zero on a retry that cannot raise it, raises
-    :class:`MaxAttemptsError`.
+    Trajectory ``i`` draws from the Philox stream keyed by
+    ``(chain.config.seed, start_index + i)``, so results are identical however
+    a batch is split.  A heralded run stops at its first plus outcome and is
+    returned as its trials used, an int64 array over the batch; its outcomes
+    are ``-`` for every trial before the last, which is ``+``.  Plain cooling
+    always uses one trial and draws nothing.  Tree sort applies every level
+    and returns each run's :class:`TreeOutcomes`.  A heralded run that exhausts
+    ``max_attempts``, or reaches a plus probability of exactly zero on a retry
+    that cannot raise it, raises :class:`MaxAttemptsError` for the lowest such
+    index.  Chain states are computed only up to the last attempt some run
+    reached.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return [_draw_trajectory(chain, start_index + i) for i in range(count)]
-
-
-def sample_trajectory(config: SchemeConfig, index: int = 0) -> Trajectory:
-    """Simulate one seeded run of the scheme's repeat-until-success loop."""
-    return sample_batch(AttemptChain(config), 1, start_index=index)[0]
+    scheme = chain.config.scheme
+    if scheme == HBAC:
+        return np.ones(count, dtype=np.int64)
+    runs = [] if scheme == ICO_TREE_SORT else np.empty(count, dtype=np.int64)
+    for offset in range(0, count, _SLICE):
+        end = min(offset + _SLICE, count)
+        streams = np.arange(start_index + offset, start_index + end, dtype=np.uint64)
+        if scheme == ICO_TREE_SORT:
+            runs.extend(_tree_outcomes(chain, streams))
+        else:
+            runs[offset:end] = _heralded_trials(chain, streams)
+    return runs
 
 
 def run_scheme(config: SchemeConfig) -> SchemeReport:

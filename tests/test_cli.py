@@ -774,6 +774,21 @@ class TestByteGuard:
         with pytest.raises(ValueError):
             "".join(cli._json_chunks(tainted))
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.builds(_vector, st.integers(1, 2 * cli._JSON_SLICE + 3), st.integers(0, 2**32 - 1)),
+        st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), max_size=3),
+    )
+    def test_state_formatting_matches_format_17g(self, vector, specials):
+        # one %-format per vector (or line) writes what format(x, ".17g") writes per float
+        vector = np.concatenate([vector, specials])
+        reference = [format(float(x), ".17g") for x in vector]
+        assert cli._join_state(vector) == "|".join(reference)
+        lines = list(cli._vector_lines("hbac,2,,0.5", "final-state", vector))
+        assert lines == [
+            f"hbac,2,,0.5,{i},final-state,,,{text}\r\n" for i, text in enumerate(reference, 1)
+        ]
+
 
 class TestOutputSink:
     @pytest.mark.parametrize("fmt", ["csv", "json"])

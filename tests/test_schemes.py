@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ico_hbac import schemes
 from ico_hbac.hbac_core import fixed_point, hbac_round
 from ico_hbac.register import (
     DiagonalState,
@@ -23,6 +24,7 @@ from ico_hbac.schemes import (
     AttemptChain,
     MaxAttemptsError,
     SchemeConfig,
+    _philox_uniforms,
     expected_trials,
     failure_update,
     initial_full,
@@ -31,7 +33,6 @@ from ico_hbac.schemes import (
     run_round,
     run_scheme,
     sample_batch,
-    sample_trajectory,
     scheme_spec,
     success_probability,
 )
@@ -270,16 +271,134 @@ class TestPiPulse:
         assert out.populations[0] == 1.0
 
 
+def _stream(seed: int, index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def reference_walk(config: SchemeConfig, count: int, start_index: int = 0):
+    """The sampler as a plain loop: one generator per trajectory, one draw per attempt.
+
+    Returns the chain it walked and ``(trials_used, outcomes)`` per trajectory,
+    or raises :class:`MaxAttemptsError` for the first trajectory that fails.
+    """
+    chain = AttemptChain(config)
+    tree = config.scheme == ICO_TREE_SORT
+    runs = []
+    for index in range(start_index, start_index + count):
+        rng = _stream(config.seed, index)
+        outcomes = ""
+        message = f"no plus outcome within {config.max_attempts} attempts"
+        for attempt in range(1, (config.n if tree else config.max_attempts) + 1):
+            _state, probability = chain.at(outcomes if tree else attempt)
+            if probability == 0.0 and chain.absorbing:
+                message += f": the plus probability is exactly 0 from attempt {attempt} on"
+                break
+            outcomes += PLUS if rng.random() < probability else MINUS
+            if outcomes[-1] == PLUS and not tree:
+                break
+        if tree:
+            runs.append((1, outcomes))
+        elif outcomes.endswith(PLUS):
+            runs.append((len(outcomes), outcomes))
+        else:
+            raise MaxAttemptsError(message, config.max_attempts, index)
+    return chain, runs
+
+
+def _sampled(config: SchemeConfig, count: int, start_index: int = 0):
+    """(chain, [(trials_used, outcomes)]) from ``sample_batch``, outcomes as the CLI derives them."""
+    chain = AttemptChain(config)
+    batch = sample_batch(chain, count, start_index=start_index)
+    if config.scheme == ICO_TREE_SORT:
+        return chain, [(run.trials_used, str(run)) for run in batch]
+    return chain, [(used, MINUS * (used - 1) + PLUS) for used in batch.tolist()]
+
+
+_REFERENCE_CASES = [
+    dict(scheme=HBAC, epsilon=0.5),
+    dict(scheme=HBAC_ICO, epsilon=0.5),
+    dict(scheme=HBAC_ICO, epsilon=0.5, repump_rounds=2),
+    dict(scheme=ICO_ALONE, epsilon=0.5),
+    dict(scheme=ICO_ALONE, epsilon=0.5, pair="ideal"),
+    dict(scheme=ICO_ALONE),
+    dict(scheme=ICO_TREE_SORT, epsilon=0.5),
+    dict(scheme=ICO_TREE_SORT, epsilon=0.5, level=1),
+    dict(scheme=HBAC_KICO, epsilon=0.5, k=1, repump_rounds=1),
+    dict(scheme=HBAC_KICO, epsilon=0.5, k=2, repump_rounds=1),
+    dict(scheme=HBAC_KICO, epsilon=0.5, k=2, repump_rounds=2),
+]
+
+
+class TestPhiloxKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_blocks_match_numpy_philox(self, seed):
+        # 2001 streams and three counter blocks each; the last stream index
+        # needs the high 32 bits of the key word
+        streams = np.array([*range(2000), 2**32 + 7], dtype=np.uint64)
+        expected = np.array([_stream(seed, int(i)).random(12) for i in streams])
+        for block in range(3):
+            got = _philox_uniforms(seed, streams, np.full(streams.size, block))
+            assert got.shape == (streams.size, 4)
+            assert np.array_equal(got, expected[:, 4 * block : 4 * block + 4])
+
+    def test_blocks_of_one_stream_may_differ_per_lane(self):
+        # lanes pair any stream with any counter block, as the heralded walk's lookahead does
+        streams = np.array([5, 5, 5, 9, 9], dtype=np.uint64)
+        blocks = np.array([0, 1, 2, 2, 0])
+        got = _philox_uniforms(12345, streams, blocks)
+        for row, (stream, block) in enumerate(zip(streams.tolist(), blocks.tolist())):
+            expected = _stream(12345, stream).random(12)[4 * block : 4 * block + 4]
+            assert np.array_equal(got[row], expected)
+
+
 class TestSampler:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "case", _REFERENCE_CASES, ids=lambda case: "-".join(f"{v}" for v in case.values())
+    )
+    def test_batch_matches_reference_walk(self, case, n, seed):
+        config = SchemeConfig(n=n, seed=seed, **case)
+        ref_chain, expected = reference_walk(config, 60)
+        chain, got = _sampled(config, 60)
+        assert got == expected
+        assert len(chain) == len(ref_chain)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # stuck at a plus probability of exactly 0 after one failure
+            dict(scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=100_000),
+            # no heralding weight at all, and the retry re-prepares it
+            dict(
+                scheme=ICO_ALONE,
+                n=1,
+                initial=DiagonalState.from_vector([0.0, 0.5, 0.5, 0.0]),
+                max_attempts=5,
+            ),
+            # an attempt budget too small for the batch
+            dict(scheme=HBAC_ICO, n=3, epsilon=0.5, seed=3, max_attempts=5),
+            dict(scheme=HBAC_KICO, n=3, epsilon=0.5, k=2, seed=2, repump_rounds=1, max_attempts=3),
+        ],
+    )
+    def test_failure_matches_reference_walk(self, case):
+        config = SchemeConfig(**case)
+        with pytest.raises(MaxAttemptsError) as expected:
+            reference_walk(config, 200)
+        with pytest.raises(MaxAttemptsError) as got:
+            sample_batch(AttemptChain(config), 200)
+        assert str(got.value) == str(expected.value)
+        assert got.value.index == expected.value.index
+        assert got.value.trajectory == expected.value.trajectory == config.max_attempts
+
     def test_fixed_seed_reproduces_trajectory(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, seed=11)
-        first = sample_trajectory(config, index=4)
-        second = sample_trajectory(config, index=4)
-        assert first.trials_used == second.trials_used
-        assert first.outcomes == second.outcomes
+        first = sample_batch(AttemptChain(config), 1, start_index=4)
+        second = sample_batch(AttemptChain(config), 1, start_index=4)
+        assert first.tolist() == second.tolist()
         # two independently built chains hold the same states at every attempt
         chain_a, chain_b = AttemptChain(config), AttemptChain(config)
-        for attempt in range(1, first.trials_used + 1):
+        for attempt in range(1, int(first[0]) + 1):
             sa, pa = chain_a.at(attempt)
             sb, pb = chain_b.at(attempt)
             assert np.array_equal(sa.populations, sb.populations)
@@ -287,19 +406,34 @@ class TestSampler:
 
     def test_distinct_indices_are_independent(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.3, seed=11)
-        trials = [sample_trajectory(config, index=i).trials_used for i in range(200)]
+        trials = [int(sample_batch(AttemptChain(config), 1, start_index=i)[0]) for i in range(200)]
         assert len(set(trials)) > 1
 
     def test_batch_matches_individual_sampling(self):
         config = SchemeConfig(scheme=HBAC_KICO, n=3, epsilon=0.4, k=2, seed=3, repump_rounds=2)
-        batch = sample_batch(AttemptChain(config), 50)
-        singles = [sample_trajectory(config, index=i) for i in range(50)]
-        assert [t.trials_used for t in batch] == [t.trials_used for t in singles]
-        assert [t.outcomes for t in batch] == [t.outcomes for t in singles]
-        split = sample_batch(AttemptChain(config), 20) + sample_batch(
-            AttemptChain(config), 30, start_index=20
+        chain = AttemptChain(config)
+        batch = sample_batch(chain, 50)
+        singles = [int(sample_batch(AttemptChain(config), 1, start_index=i)[0]) for i in range(50)]
+        assert batch.tolist() == singles
+        split = np.concatenate(
+            [
+                sample_batch(AttemptChain(config), 20),
+                sample_batch(AttemptChain(config), 30, start_index=20),
+            ]
         )
-        assert [t.outcomes for t in split] == [t.outcomes for t in batch]
+        assert split.tolist() == batch.tolist()
+        # the chain holds exactly the states some run reached
+        assert len(chain) == batch.max()
+
+    def test_slices_of_a_batch_give_the_same_runs(self, monkeypatch):
+        # batches drawn in slices of 7 trajectories; the tree cascade has more
+        # levels than one counter block holds
+        monkeypatch.setattr(schemes, "_SLICE", 7)
+        for config in (
+            SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, seed=9),
+            SchemeConfig(scheme=ICO_TREE_SORT, n=6, epsilon=0.5, seed=9),
+        ):
+            assert _sampled(config, 100, start_index=3)[1] == reference_walk(config, 100, 3)[1]
 
     def test_empirical_round_success_matches_branch_norm(self):
         # at every round of the deterministic retry chain, the empirical
@@ -320,8 +454,9 @@ class TestSampler:
             state = nxt / nxt.sum()
         reach = np.zeros(12, dtype=int)
         wins = np.zeros(12, dtype=int)
-        for trajectory in batch:
-            for round_index, sign in enumerate(trajectory.outcomes):
+        for trials_used in batch.tolist():
+            # every attempt before the last failed
+            for round_index, sign in enumerate(MINUS * (trials_used - 1) + PLUS):
                 if round_index >= 12:
                     break
                 reach[round_index] += 1
@@ -337,7 +472,7 @@ class TestSampler:
     def test_mean_trials_tracks_chain_expectation(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=1.0, seed=77)
         batch = sample_batch(AttemptChain(config), 20_000)
-        mean = np.mean([t.trials_used for t in batch])
+        mean = np.mean(batch)
         # independent chain expectation from the dense branch matrices
         params = make_thermal_params(1.0)
         spec = standard_pair(2)
@@ -373,20 +508,22 @@ class TestSampler:
         config = SchemeConfig(
             scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=50
         )
-        with pytest.raises(MaxAttemptsError):
-            # index 1 happens to fail its first attempt under this seed
+        with pytest.raises(MaxAttemptsError) as excinfo:
             sample_batch(AttemptChain(config), 40)
+        # index 25 is the first to fail its first attempt under this seed
+        assert excinfo.value.index == 25
         rescued = SchemeConfig(
             scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=50, repump_rounds=3
         )
         batch = sample_batch(AttemptChain(rescued), 40)
-        assert all(t.terminal for t in batch)
+        # every run heralded within its budget
+        assert len(batch) == 40
+        assert ((batch >= 1) & (batch <= 50)).all()
 
     def test_zero_probability_chain_fails_at_once(self):
         # the stuck k-switch chain is certain to exhaust its budget, so the
-        # sampler reports that without walking it
-        # and the failed trajectory it reports holds only the outcomes drawn,
-        # not one per attempt of the budget
+        # sampler reports that without walking it, and reports the failed
+        # trajectory as its trials used, not one outcome per attempt
         for max_attempts in (100_000, 10**9):
             config = SchemeConfig(
                 scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=max_attempts
@@ -394,10 +531,8 @@ class TestSampler:
             chain = AttemptChain(config)
             with pytest.raises(MaxAttemptsError, match="exactly 0") as excinfo:
                 sample_batch(chain, 40)
-            trajectory = excinfo.value.trajectory
-            assert trajectory.trials_used == max_attempts
-            assert not trajectory.terminal
-            assert len(trajectory.outcomes) <= 2
+            assert excinfo.value.trajectory == max_attempts
+            assert excinfo.value.index == 25
             assert len(chain) <= 2
 
     def test_tree_sort_always_one_trial(self):
@@ -405,8 +540,8 @@ class TestSampler:
         chain = AttemptChain(config)
         for trajectory in sample_batch(chain, 50):
             assert trajectory.trials_used == 1
-            assert trajectory.terminal
-            assert len(trajectory.outcomes) == 3  # one level per storage qubit
+            assert len(trajectory) == 3  # one level per storage qubit
+            assert set(trajectory) <= {PLUS, MINUS}
         # each outcome prefix is split once, however many runs share it
         assert len(chain) <= 1 + 2 + 4
 
@@ -420,11 +555,11 @@ class TestSampler:
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=n, epsilon=0.5, seed=21)
         chain = AttemptChain(config)
         for index in range(20):
-            trajectory = sample_trajectory(config, index=index)
+            trajectory = sample_batch(AttemptChain(config), 1, start_index=index)[0]
             state = initial_full(config).normalized().populations
             outcomes = []
-            for level, sign in enumerate(trajectory.outcomes):
-                pre, _probability = chain.at(trajectory.outcomes[:level])
+            for level, sign in enumerate(trajectory):
+                pre, _probability = chain.at(trajectory[:level])
                 assert np.abs(pre.populations - state).max() < 1e-15
                 plus, minus = switch_branches(
                     DiagonalState.from_vector(state), tree_pair(n, level)
@@ -444,9 +579,7 @@ class TestSampler:
 
     def test_plain_cooling_single_deterministic_attempt(self):
         config = SchemeConfig(scheme=HBAC, n=2, epsilon=0.5, seed=5)
-        trajectory = sample_trajectory(config)
-        assert trajectory.trials_used == 1
-        assert trajectory.outcomes == PLUS
+        assert sample_batch(AttemptChain(config), 1).tolist() == [1]
         state, probability = AttemptChain(config).at(1)
         assert probability == 1.0
         assert np.abs(state.populations - fixed_point(2, make_thermal_params(0.5)).populations).sum() < 1e-9
@@ -458,9 +591,9 @@ class TestSampler:
             scheme=ICO_ALONE, n=1, initial=DiagonalState.from_vector(vec), max_attempts=5
         )
         with pytest.raises(MaxAttemptsError) as excinfo:
-            sample_trajectory(config)
-        assert excinfo.value.trajectory.trials_used == 5
-        assert not excinfo.value.trajectory.terminal
+            sample_batch(AttemptChain(config), 1)
+        assert excinfo.value.trajectory == 5
+        assert excinfo.value.index == 0
 
     def test_bath_free_retry_reprepares_input(self):
         config = SchemeConfig(scheme=ICO_ALONE, n=2, epsilon=0.5, seed=19, max_attempts=10_000)
@@ -468,10 +601,10 @@ class TestSampler:
         batch = sample_batch(chain, 2000)
         # constant per-attempt probability implies a plain geometric law
         probability = success_probability(config)
-        mean = np.mean([t.trials_used for t in batch])
+        mean = np.mean(batch)
         sigma = math.sqrt((1 - probability) / probability**2 / len(batch))
         assert abs(mean - 1.0 / probability) < 5 * sigma
-        for attempt in range(1, max(t.trials_used for t in batch) + 1):
+        for attempt in range(1, int(batch.max()) + 1):
             state, _probability = chain.at(attempt)
             assert np.array_equal(state.populations, initial_full(config).populations)
 
@@ -486,11 +619,11 @@ class TestSampler:
         # find a failing trajectory to expose the second attempt's state
         pumped_chain = AttemptChain(pumped)
         batch = sample_batch(pumped_chain, 100)
-        assert any(t.trials_used >= 2 for t in batch), "no failing trajectory in 100 tries"
+        assert (batch >= 2).any(), "no failing trajectory in 100 tries"
         second_state, _probability = pumped_chain.at(2)
         assert np.abs(second_state.populations - expected.populations).max() < 1e-14
         base_chain = AttemptChain(base)
-        assert any(t.trials_used >= 2 for t in sample_batch(base_chain, 100))
+        assert (sample_batch(base_chain, 100) >= 2).any()
         second_state, _probability = base_chain.at(2)
         assert np.abs(second_state.populations - plain.populations).max() < 1e-14
 
