@@ -654,13 +654,13 @@ def _validation_checks(nmax: int, trials: int, seed: int):
         config = SchemeConfig(scheme=HBAC_ICO, n=10, epsilon=eps)
         closed = success_probability(config)
         plus, _minus = run_round(fixed_point(10, params), config)
-        worst = max(worst, abs(closed - plus.probability))
+        worst = max(worst, abs(closed - plus.norm))
         for n in range(2, min(nmax + 4, 9)):
             for k in range(1, n + 1):
                 config = SchemeConfig(scheme=HBAC_KICO, n=n, epsilon=eps, k=k)
                 closed = success_probability(config)
                 plus, _minus = run_round(fixed_point(n, params), config)
-                worst = max(worst, abs(closed - plus.probability))
+                worst = max(worst, abs(closed - plus.norm))
     checks.append(
         ("closed-form success matches branch norm", worst < 1e-12, f"max dev {worst:.3e}")
     )

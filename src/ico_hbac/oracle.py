@@ -14,7 +14,6 @@ import numpy as np
 
 from .register import DiagonalState, ThermalParams
 from .switch import (
-    ONE,
     SIGNS,
     PLUS,
     BlockUnitarySpec,
@@ -43,15 +42,9 @@ def materialize(
     if spec.n > max_exponent:
         raise ValueError(f"dense unitaries are capped at n={max_exponent}, got n={spec.n}")
     pauli = _ROLE_BLOCKS[which]
-    unitary = np.zeros((spec.dim, spec.dim), dtype=complex)
-    i = 0
-    for blk in spec.blocks:
-        if blk == ONE:
-            unitary[i, i] = 1.0
-            i += 1
-        else:
-            unitary[i : i + 2, i : i + 2] = pauli
-            i += 2
+    unitary = np.diag(spec.one_mask.astype(complex))
+    pairs = spec.pair_starts[:, None] + np.arange(2)
+    unitary[pairs[:, :, None], pairs[:, None, :]] = pauli
     return unitary
 
 
@@ -183,12 +176,12 @@ def compare(
                 vec /= vec.sum()
                 state = DiagonalState.from_vector(vec)
                 rho = np.diag(vec).astype(complex)
-                for outcome in switch_branches(state, spec):
-                    dense = switch_channel(rho, spec, spec, outcome.sign, max_exponent=max_exponent)
+                for sign, branch in zip(SIGNS, switch_branches(state, spec)):
+                    dense = switch_channel(rho, spec, spec, sign, max_exponent=max_exponent)
                     diagonal = np.diag(dense).real
-                    deviation = float(np.abs(diagonal - outcome.state.populations).max())
-                    deviation = max(deviation, abs(float(np.trace(dense).real) - outcome.probability))
-                    key = (label, outcome.sign)
+                    deviation = float(np.abs(diagonal - branch.populations).max())
+                    deviation = max(deviation, abs(float(np.trace(dense).real) - branch.norm))
+                    key = (label, sign)
                     by_case[key] = max(by_case.get(key, 0.0), deviation)
                     max_offdiagonal = max(max_offdiagonal, offdiagonal_magnitude(dense))
     return CompareReport(max(by_case.values()), max_offdiagonal, by_case)

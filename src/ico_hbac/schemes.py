@@ -52,7 +52,6 @@ from .switch import (
     MINUS,
     PLUS,
     BlockUnitarySpec,
-    BranchOutcome,
     ideal_pair,
     k_pair,
     standard_pair,
@@ -300,7 +299,7 @@ def expected_trials(success_probability: float, desired: float) -> int:
 
 def run_round(
     state: DiagonalState | ReducedState, config: SchemeConfig
-) -> tuple[BranchOutcome, BranchOutcome]:
+) -> tuple[DiagonalState, DiagonalState]:
     """One protocol round: thermal reset (bath schemes only), then the switch split."""
     spec = scheme_spec(config)
     if spec is None:
@@ -324,7 +323,7 @@ def failure_update(
 ) -> ReducedState:
     """Renormalized reduced state after a minus outcome of reset-then-switch."""
     _plus, minus = switch_branches(reset(state, params), spec)
-    survivor = reduce(minus.state)
+    survivor = reduce(minus)
     if survivor.norm <= 0.0:
         raise ValueError("minus branch carries zero probability; cannot condition on it")
     return survivor.normalized()
@@ -379,7 +378,7 @@ class AttemptChain:
         )
         if config.scheme == ICO_TREE_SORT:
             self._level_specs = [tree_pair(config.n, level) for level in range(config.n)]
-            self._tree: dict[str, tuple[DiagonalState, BranchOutcome, BranchOutcome]] = {}
+            self._tree: dict[str, tuple[DiagonalState, DiagonalState, DiagonalState]] = {}
             return
         if config.scheme == HBAC:
             # the stationary profile is unique and iterated rounds keep the norm
@@ -405,7 +404,7 @@ class AttemptChain:
         """(pre-measurement state, plus probability) at a chain position."""
         if self.config.scheme == ICO_TREE_SORT:
             state, plus, _minus = self._tree_node(position)
-            return state, plus.probability
+            return state, plus.norm
         while len(self._states) < position:
             nxt = self._next_state(self._states[-1])
             self._states.append(nxt)
@@ -434,7 +433,7 @@ class AttemptChain:
         if node is None:
             if prefix:
                 _parent, plus, minus = self._tree_node(prefix[:-1])
-                state = (plus if prefix[-1] == PLUS else minus).state.normalized()
+                state = (plus if prefix[-1] == PLUS else minus).normalized()
             else:
                 state = initial_full(self.config).normalized()
             node = (state, *switch_branches(state, self._level_specs[len(prefix)]))

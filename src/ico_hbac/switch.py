@@ -3,14 +3,18 @@
 A control qubit prepared in the symmetric superposition applies two
 block-diagonal unitaries in a superposition of both orders; measuring the
 control in the superposition basis splits a diagonal state into two branches.
-Blocks come from a two-letter alphabet: a 1x1 scalar (``ONE``) or a 2x2 Pauli
-pair (``PAIR``, sigma_y in the first unitary and sigma_z in the second).
-Because the two Paulis anticommute, the symmetrized product vanishes on PAIR
-blocks and the antisymmetrized product vanishes on ONE blocks, which yields a
-simple per-block population rule:
+Both unitaries share one block layout made of 1x1 scalar blocks and 2x2 Pauli
+pairs (sigma_y in the first unitary, sigma_z in the second).  Because the two
+Paulis anticommute, the symmetrized product vanishes on pair blocks and the
+antisymmetrized product vanishes on scalar blocks, which yields a simple
+per-entry population rule:
 
-* plus branch: keep ONE-block entries, zero PAIR-block entries;
-* minus branch: zero ONE-block entries, swap the two entries of each PAIR.
+* plus branch: keep the entries under scalar blocks, zero the pair entries;
+* minus branch: zero the scalar entries, swap the two entries of each pair.
+
+The rule reads nothing but which entries sit under scalar blocks, so a
+:class:`BlockUnitarySpec` is exactly that boolean mask.  A branch is an
+unnormalized :class:`DiagonalState` whose norm is its outcome probability.
 """
 
 from __future__ import annotations
@@ -23,58 +27,52 @@ import numpy as np
 from .hbac_core import DENSE_MATRIX_CAP, TransferMatrix
 from .register import DiagonalState, ThermalParams, _check_exponent, max_register_exponent
 
-ONE = "one"
-PAIR = "pair"
-
 PLUS = "+"
 MINUS = "-"
 SIGNS = (PLUS, MINUS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockUnitarySpec:
-    """Ordered diagonal blocks defining a switch unitary pair.
+    """Block layout of a switch unitary pair, as the mask of scalar-block entries.
 
-    The same spec defines both unitaries of the pair; they differ only in
-    which Pauli occupies the PAIR blocks.
+    ``one_mask[j]`` is true where full-register entry ``j`` sits under a 1x1
+    scalar block; every other entry belongs to a 2x2 Pauli pair, and pairs
+    occupy adjacent entries.  The same spec defines both unitaries of the
+    pair; they differ only in which Pauli occupies the pair blocks.
     """
 
-    blocks: tuple[str, ...]
+    one_mask: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks:
-            raise ValueError("blocks must be nonempty")
-        bad = sorted({blk for blk in blocks if blk not in (ONE, PAIR)})
-        if bad:
-            raise ValueError(f"unknown block kinds: {bad!r}")
-        dim = sum(1 if blk == ONE else 2 for blk in blocks)
+        mask = np.array(self.one_mask, copy=True)
+        if mask.ndim != 1 or mask.dtype != np.bool_:
+            raise ValueError(
+                f"one_mask must be a one-dimensional bool array, got {mask.dtype} "
+                f"with shape {mask.shape}"
+            )
+        dim = mask.size
         if dim < 4 or dim & (dim - 1):
-            raise ValueError(f"block dimensions sum to {dim}, expected a power of two >= 4")
+            raise ValueError(f"mask size {dim} is not a power of two >= 4")
         if dim.bit_length() - 2 > max_register_exponent():
             raise ValueError(f"dimension {dim} exceeds the register cap")
+        paired = np.flatnonzero(~mask)
+        if paired.size % 2 or not np.array_equal(paired[1::2], paired[0::2] + 1):
+            raise ValueError("entries outside the mask do not form adjacent pairs")
+        mask.setflags(write=False)
+        object.__setattr__(self, "one_mask", mask)
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        return sum(1 if blk == ONE else 2 for blk in self.blocks)
+        return self.one_mask.size
 
     @property
     def n(self) -> int:
         return self.dim.bit_length() - 2
 
     @cached_property
-    def one_mask(self) -> np.ndarray:
-        """Boolean mask of full-register entries sitting under scalar blocks."""
-        # comparing an object array is faster than building a "<U4" string array
-        kinds = np.array(self.blocks, dtype=object) == ONE
-        mask = np.repeat(kinds, np.where(kinds, 1, 2))
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
     def pair_starts(self) -> np.ndarray:
-        """First full-register index of every PAIR block."""
+        """First full-register index of every pair block."""
         starts = np.flatnonzero(~self.one_mask)[::2]
         starts.setflags(write=False)
         return starts
@@ -83,13 +81,17 @@ class BlockUnitarySpec:
 def standard_pair(n: int) -> BlockUnitarySpec:
     """Scalar ends with Pauli pairs across the whole interior."""
     _check_exponent(n)
-    return BlockUnitarySpec((ONE,) + (PAIR,) * (2**n - 1) + (ONE,))
+    mask = np.zeros(2 ** (n + 1), dtype=bool)
+    mask[[0, -1]] = True
+    return BlockUnitarySpec(mask)
 
 
 def ideal_pair(n: int) -> BlockUnitarySpec:
     """Two leading scalars, Pauli pairs everywhere else (same as k_pair(n, 1))."""
     _check_exponent(n)
-    return BlockUnitarySpec((ONE, ONE) + (PAIR,) * (2**n - 1))
+    mask = np.zeros(2 ** (n + 1), dtype=bool)
+    mask[:2] = True
+    return BlockUnitarySpec(mask)
 
 
 def k_pair(n: int, k: int) -> BlockUnitarySpec:
@@ -97,7 +99,9 @@ def k_pair(n: int, k: int) -> BlockUnitarySpec:
     _check_exponent(n)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    return BlockUnitarySpec((ONE,) * 2**k + (PAIR,) * (2**n - 2 ** (k - 1)))
+    mask = np.zeros(2 ** (n + 1), dtype=bool)
+    mask[: 2**k] = True
+    return BlockUnitarySpec(mask)
 
 
 def tree_pair(n: int, level: int = 0) -> BlockUnitarySpec:
@@ -111,32 +115,15 @@ def tree_pair(n: int, level: int = 0) -> BlockUnitarySpec:
     _check_exponent(n)
     if not 0 <= level <= n - 1:
         raise ValueError(f"level must be in [0, {n - 1}], got {level}")
-    ones = 2 ** (n - level)
-    pairs = 2 ** (n - level - 1)
-    return BlockUnitarySpec(((ONE,) * ones + (PAIR,) * pairs) * 2**level)
-
-
-@dataclass(frozen=True, eq=False)
-class BranchOutcome:
-    """Unnormalized post-measurement state for one control outcome."""
-
-    sign: str
-    state: DiagonalState
-    probability: float
-
-    def __post_init__(self):
-        if self.sign not in SIGNS:
-            raise ValueError(f"sign must be one of {SIGNS}, got {self.sign!r}")
-        if abs(self.probability - self.state.norm) > 1e-12 * max(1.0, self.state.norm):
-            raise ValueError(
-                f"probability {self.probability} does not match branch norm {self.state.norm}"
-            )
+    mask = np.zeros(2 ** (n + 1), dtype=bool)
+    mask.reshape(2**level, 2 ** (n + 1 - level))[:, : 2 ** (n - level)] = True
+    return BlockUnitarySpec(mask)
 
 
 def switch_branches(
     state: DiagonalState, spec: BlockUnitarySpec
-) -> tuple[BranchOutcome, BranchOutcome]:
-    """Split a diagonal state into its two control-measurement branches.
+) -> tuple[DiagonalState, DiagonalState]:
+    """Split a diagonal state into its unnormalized (plus, minus) branches.
 
     Branch norms are the outcome probabilities; they partition the input norm.
     """
@@ -148,10 +135,8 @@ def switch_branches(
     starts = spec.pair_starts
     minus_vec[starts] = lam[starts + 1]
     minus_vec[starts + 1] = lam[starts]
-    plus_p = float(plus_vec.sum())
-    minus_p = float(minus_vec.sum())
-    plus = BranchOutcome(PLUS, DiagonalState(state.n, plus_vec, plus_p), plus_p)
-    minus = BranchOutcome(MINUS, DiagonalState(state.n, minus_vec, minus_p), minus_p)
+    plus = DiagonalState(state.n, plus_vec, float(plus_vec.sum()))
+    minus = DiagonalState(state.n, minus_vec, float(minus_vec.sum()))
     return plus, minus
 
 

@@ -107,8 +107,8 @@ def test_criterion_4_success_probabilities():
         formula = (1.0 - math.exp(-2.0 * eps)) * math.exp(eps) / (2.0 * math.cosh(eps))
         config = SchemeConfig(scheme=HBAC_ICO, n=10, epsilon=eps)
         plus, _minus = run_round(fixed_point(10, params), config)
-        assert abs(formula - plus.probability) < 1e-12
-        assert abs(success_probability(config) - plus.probability) < 1e-12
+        assert abs(formula - plus.norm) < 1e-12
+        assert abs(success_probability(config) - plus.norm) < 1e-12
     # single-switch after cooling: success equals the leading stationary entry
     for eps in EPSILONS:
         params = make_thermal_params(eps)
@@ -117,7 +117,7 @@ def test_criterion_4_success_probabilities():
             plus, _minus = run_round(fixed_point(n, params), config)
             first_entry = float(fixed_point(n, params).populations[0])
             assert abs(success_probability(config) - first_entry) < 1e-12
-            assert abs(success_probability(config) - plus.probability) < 1e-12
+            assert abs(success_probability(config) - plus.norm) < 1e-12
     # k-switch closed form across the (n, k) grid
     for eps in EPSILONS:
         params = make_thermal_params(eps)
@@ -126,7 +126,7 @@ def test_criterion_4_success_probabilities():
                 formula = math.expm1(-eps * 2**k) / math.expm1(-eps * 2 ** (n + 1))
                 config = SchemeConfig(scheme=HBAC_KICO, n=n, epsilon=eps, k=k)
                 plus, _minus = run_round(fixed_point(n, params), config)
-                assert abs(formula - plus.probability) < 1e-12
+                assert abs(formula - plus.norm) < 1e-12
     # hot-bath asymptotes at the pinned parameters
     hot = SchemeConfig(scheme=HBAC_ICO, n=10, epsilon=0.01)
     assert abs(success_probability(hot) / 0.01 - 1.0) < 0.1
@@ -141,7 +141,7 @@ def test_criterion_5_purity_of_output():
         for n in range(1, 9):
             config = SchemeConfig(scheme=HBAC_ICO, n=n, epsilon=eps)
             plus, _minus = run_round(fixed_point(n, params), config)
-            heralded = plus.state.normalized()
+            heralded = plus.normalized()
             # support is exactly the two extremal labels
             assert float(heralded.populations[1:-1].sum()) == 0.0
             for outcome in ("g", "e"):
@@ -269,6 +269,6 @@ def test_headline_plain_cooling_stays_mixed_but_heralding_purifies():
         assert ground_marginal < 1.0 - 1e-6, f"qubit {qubit} looks pure under plain cooling"
     config = SchemeConfig(scheme=HBAC_ICO, n=n, epsilon=0.5)
     plus, _minus = run_round(fixed_point(n, params), config)
-    pure = pi_pulse_correct(plus.state.normalized(), "g")
+    pure = pi_pulse_correct(plus.normalized(), "g")
     assert pure.populations[0] == 1.0
     print("ACCEPTANCE headline (pure output beyond the plain-cooling limit): PASS")

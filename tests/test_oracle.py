@@ -186,9 +186,9 @@ class TestDiagonalHelpers:
         vec = np.array([0.3, 0.25, 0.2, 0.1, 0.05, 0.05, 0.03, 0.02])
         state = DiagonalState.from_vector(vec)
         plus, minus = switch_branches(state, spec)
-        for outcome in (plus, minus):
-            dense = switch_channel(np.diag(vec).astype(complex), spec, spec, outcome.sign)
-            assert np.abs(np.diag(dense).real - outcome.state.populations).max() < 1e-14
+        for sign, branch in ((PLUS, plus), (MINUS, minus)):
+            dense = switch_channel(np.diag(vec).astype(complex), spec, spec, sign)
+            assert np.abs(np.diag(dense).real - branch.populations).max() < 1e-14
 
     def test_k_and_tree_specs_cover_expected_scalars(self):
         assert int(k_pair(3, 2).one_mask.sum()) == 4

@@ -1,0 +1,45 @@
+"""Package hygiene: the public export list and every module's imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ico_hbac
+
+MODULES = sorted(Path(ico_hbac.__file__).parent.glob("*.py"))
+
+
+def test_exports_resolve_sorted_and_unique():
+    names = ico_hbac.__all__
+    assert names == sorted(names)
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(ico_hbac, name)] == []
+
+
+def _top_level_imports(tree: ast.Module):
+    """Every name bound by an import statement in the module body."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_top_level_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    assert [name for name in _top_level_imports(tree) if name not in used] == []

@@ -36,7 +36,7 @@ from ico_hbac.schemes import (
     scheme_spec,
     success_probability,
 )
-from ico_hbac.switch import MINUS, PLUS, branch_transfer, ideal_pair, k_pair, standard_pair
+from ico_hbac.switch import MINUS, PLUS, branch_transfer, k_pair, standard_pair
 
 
 class TestConfigValidation:
@@ -71,9 +71,14 @@ class TestConfigValidation:
 
     def test_scheme_specs(self):
         assert scheme_spec(SchemeConfig(scheme=HBAC, n=2, epsilon=0.5)) is None
-        assert scheme_spec(SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5)).blocks == standard_pair(2).blocks
-        assert scheme_spec(SchemeConfig(scheme=HBAC_KICO, n=3, epsilon=0.5, k=2)).blocks == k_pair(3, 2).blocks
-        assert scheme_spec(SchemeConfig(scheme=ICO_ALONE, n=2, pair="ideal")).blocks == ideal_pair(2).blocks
+        standard = scheme_spec(SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5))
+        assert standard.one_mask.tolist() == [True] + [False] * 6 + [True]
+        k_switch = scheme_spec(SchemeConfig(scheme=HBAC_KICO, n=3, epsilon=0.5, k=2))
+        assert k_switch.one_mask.tolist() == [True] * 4 + [False] * 12
+        ideal = scheme_spec(SchemeConfig(scheme=ICO_ALONE, n=2, pair="ideal"))
+        assert ideal.one_mask.tolist() == [True] * 2 + [False] * 6
+        tree = scheme_spec(SchemeConfig(scheme=ICO_TREE_SORT, n=2, epsilon=0.5))
+        assert tree.one_mask.tolist() == [True] * 4 + [False] * 4
 
 
 class TestSuccessProbability:
@@ -87,7 +92,7 @@ class TestSuccessProbability:
             for n in range(1, 9):
                 config = SchemeConfig(scheme=HBAC_ICO, n=n, epsilon=eps)
                 plus, _ = run_round(fixed_point(n, make_thermal_params(eps)), config)
-                assert success_probability(config) == pytest.approx(plus.probability, abs=1e-12)
+                assert success_probability(config) == pytest.approx(plus.norm, abs=1e-12)
 
     def test_k_switch_frozen_value(self):
         # frozen from (1 - e^-0.2) / (1 - e^-1.6), cross-checked against the
@@ -144,7 +149,7 @@ class TestSuccessProbability:
         expected = params.ground_population * 0.5 + params.excited_population * 0.05
         assert success_probability(config) == pytest.approx(expected, abs=1e-15)
         plus, _ = run_round(ReducedState.from_vector(vec), config)
-        assert plus.probability == pytest.approx(expected, abs=1e-15)
+        assert plus.norm == pytest.approx(expected, abs=1e-15)
 
 
 class TestExpectedTrials:
@@ -178,15 +183,15 @@ class TestRunRound:
     def test_plus_branch_support_after_cooling(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5)
         plus, _ = run_round(fixed_point(3, make_thermal_params(0.5)), config)
-        support = np.nonzero(plus.state.populations)[0]
+        support = np.nonzero(plus.populations)[0]
         assert set(support) <= {0, 15}
 
     def test_bath_free_round_skips_reset(self):
         state = DiagonalState.from_vector([0.4, 0.3, 0.2, 0.1])
         config = SchemeConfig(scheme=ICO_ALONE, n=1, initial=state)
         plus, minus = run_round(state, config)
-        assert plus.probability == pytest.approx(0.5)
-        assert np.allclose(minus.state.populations, [0.0, 0.2, 0.3, 0.0])
+        assert plus.norm == pytest.approx(0.5)
+        assert np.allclose(minus.populations, [0.0, 0.2, 0.3, 0.0])
 
     def test_plain_cooling_has_no_round(self):
         config = SchemeConfig(scheme=HBAC, n=2, epsilon=0.5)
@@ -205,7 +210,7 @@ class TestRunRound:
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5)
         full = DiagonalState.from_vector(np.full(8, 0.125))
         plus, minus = run_round(full, config)
-        assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-12)
+        assert plus.norm + minus.norm == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFailureUpdate:
@@ -266,7 +271,7 @@ class TestPiPulse:
         # typical use: an unnormalized plus branch straight from a round
         config = SchemeConfig(scheme=HBAC_ICO, n=4, epsilon=0.5)
         plus, _ = run_round(fixed_point(4, make_thermal_params(0.5)), config)
-        out = pi_pulse_correct(plus.state, "g")
+        out = pi_pulse_correct(plus, "g")
         assert out.n == 3
         assert out.populations[0] == 1.0
 
@@ -566,7 +571,7 @@ class TestSampler:
                 )
                 chosen = plus if sign == PLUS else minus
                 outcomes.append(sign)
-                state = chosen.state.populations / chosen.probability
+                state = chosen.populations / chosen.norm
             indices = np.arange(state.size)
             for qubit, sign in enumerate(outcomes):
                 bit = (indices // 2 ** (n - qubit)) % 2
@@ -675,7 +680,7 @@ class TestRunScheme:
         # the heralded branch itself collapses to the reported pure final state
         config = SchemeConfig(scheme=HBAC_ICO, n=4, epsilon=0.5)
         plus, _ = run_round(fixed_point(4, make_thermal_params(0.5)), config)
-        corrected = pi_pulse_correct(plus.state.normalized(), "e")
+        corrected = pi_pulse_correct(plus.normalized(), "e")
         report = run_scheme(config)
         assert corrected.n == report.final_state.n
         assert np.array_equal(corrected.populations, report.final_state.populations)
@@ -687,7 +692,7 @@ class TestRunScheme:
             for k in range(1, n + 1):
                 config = SchemeConfig(scheme=HBAC_KICO, n=n, epsilon=0.4, k=k)
                 plus, _ = run_round(fixed_point(n, make_thermal_params(0.4)), config)
-                populations = plus.state.normalized().populations
+                populations = plus.normalized().populations
                 assert float(populations[2**k :].sum()) == 0.0
                 report = run_scheme(config)
                 assert report.final_state.dim == 2 ** (n + 1 - k)

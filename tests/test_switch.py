@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ico_hbac.hbac_core import build_transfer
+from ico_hbac.oracle import switch_channel
 from ico_hbac.register import DiagonalState, ReducedState, make_thermal_params, reduce, reset
 from ico_hbac.switch import (
     MINUS,
-    ONE,
-    PAIR,
     PLUS,
+    SIGNS,
     BlockUnitarySpec,
-    BranchOutcome,
     branch_transfer,
     ideal_pair,
     k_pair,
@@ -29,26 +28,92 @@ ALL_FAMILIES = [
     ("tree", lambda n: tree_pair(n, 0)),
 ]
 
+T, F = True, False
+
+# Reference layouts: each family spelled out block by block, a 1x1 scalar
+# ("one") or a 2x2 Pauli pair ("pair"), independent of the mask builders.
+ONE, PAIR = "one", "pair"
+
+
+def reference_blocks(family: str, n: int, arg: int = 0) -> tuple[str, ...]:
+    if family == "standard":
+        return (ONE,) + (PAIR,) * (2**n - 1) + (ONE,)
+    if family == "ideal":
+        return (ONE, ONE) + (PAIR,) * (2**n - 1)
+    if family == "k":
+        return (ONE,) * 2**arg + (PAIR,) * (2**n - 2 ** (arg - 1))
+    ones, pairs = 2 ** (n - arg), 2 ** (n - arg - 1)
+    return ((ONE,) * ones + (PAIR,) * pairs) * 2**arg
+
+
+def reference_layout(blocks: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(scalar-entry mask, first index of every pair) of a block sequence."""
+    kinds = np.array([blk == ONE for blk in blocks])
+    sizes = np.where(kinds, 1, 2)
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return np.repeat(kinds, sizes), offsets[~kinds]
+
+
+def family_specs(n: int):
+    yield reference_blocks("standard", n), standard_pair(n)
+    yield reference_blocks("ideal", n), ideal_pair(n)
+    for k in range(1, n + 1):
+        yield reference_blocks("k", n, k), k_pair(n, k)
+    for level in range(n):
+        yield reference_blocks("tree", n, level), tree_pair(n, level)
+
+
+@st.composite
+def hand_built_masks(draw):
+    """A random scalar/pair block sequence filling 2**(n+1) entries, as a mask."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    dim = 2 ** (n + 1)
+    mask = []
+    while len(mask) < dim:
+        if len(mask) == dim - 1 or draw(st.booleans()):
+            mask.append(True)
+        else:
+            mask.extend([False, False])
+    return np.array(mask)
+
+
+def assert_branches_restore_the_input(spec, vec):
+    """Branch norms partition the input; plus plus un-swapped minus restores it."""
+    state = DiagonalState.from_vector(vec)
+    plus, minus = switch_branches(state, spec)
+    assert plus.norm + minus.norm == pytest.approx(state.norm, abs=1e-12)
+    unswapped = minus.populations.copy()
+    starts = spec.pair_starts
+    unswapped[starts], unswapped[starts + 1] = (
+        minus.populations[starts + 1],
+        minus.populations[starts],
+    )
+    assert np.abs(plus.populations + unswapped - vec).max() < 1e-15
+    return plus, minus
+
 
 class TestSpecFamilies:
     def test_standard_structure(self):
-        assert standard_pair(1).blocks == (ONE, PAIR, ONE)
+        assert standard_pair(1).one_mask.tolist() == [T, F, F, T]
         assert standard_pair(1).dim == 4
-        assert standard_pair(2).blocks == (ONE, PAIR, PAIR, PAIR, ONE)
+        assert standard_pair(2).one_mask.tolist() == [T, F, F, F, F, F, F, T]
+        assert standard_pair(2).pair_starts.tolist() == [1, 3, 5]
         assert standard_pair(2).dim == 8
 
     def test_ideal_structure(self):
-        assert ideal_pair(1).blocks == (ONE, ONE, PAIR)
-        assert ideal_pair(2).blocks == (ONE, ONE, PAIR, PAIR, PAIR)
+        assert ideal_pair(1).one_mask.tolist() == [T, T, F, F]
+        assert ideal_pair(2).one_mask.tolist() == [T, T, F, F, F, F, F, F]
+        assert ideal_pair(2).pair_starts.tolist() == [2, 4, 6]
 
     def test_k_structure(self):
         spec = k_pair(3, 2)
-        assert spec.blocks == (ONE,) * 4 + (PAIR,) * 6
+        assert spec.one_mask.tolist() == [T] * 4 + [F] * 12
+        assert spec.pair_starts.tolist() == [4, 6, 8, 10, 12, 14]
         assert spec.dim == 16
 
     def test_k1_equals_ideal(self):
         for n in range(1, 5):
-            assert k_pair(n, 1).blocks == ideal_pair(n).blocks
+            assert np.array_equal(k_pair(n, 1).one_mask, ideal_pair(n).one_mask)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_dimensions_always_match_register(self, n):
@@ -58,12 +123,27 @@ class TestSpecFamilies:
             assert tree_pair(n, level).dim == 2 ** (n + 1)
 
     def test_tree_structure(self):
-        assert tree_pair(2, 0).blocks == (ONE,) * 4 + (PAIR,) * 2
-        assert tree_pair(2, 1).blocks == (ONE, ONE, PAIR, ONE, ONE, PAIR)
+        assert tree_pair(2, 0).one_mask.tolist() == [T, T, T, T, F, F, F, F]
+        assert tree_pair(2, 0).pair_starts.tolist() == [4, 6]
+        assert tree_pair(2, 1).one_mask.tolist() == [T, T, F, F, T, T, F, F]
+        assert tree_pair(2, 1).pair_starts.tolist() == [2, 6]
 
     def test_tree_pair_count(self):
         for n in range(1, 6):
-            assert tree_pair(n, 0).blocks.count(PAIR) == 2 ** (n - 1)
+            assert tree_pair(n, 0).pair_starts.size == 2 ** (n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_masks_match_reference_blocks(self, n):
+        for blocks, spec in family_specs(n):
+            mask, starts = reference_layout(blocks)
+            assert spec.one_mask.dtype == mask.dtype == np.bool_
+            assert np.array_equal(spec.one_mask, mask)
+            assert spec.pair_starts.dtype == starts.dtype == np.intp
+            assert np.array_equal(spec.pair_starts, starts)
+            assert not spec.one_mask.flags.writeable
+            assert not spec.pair_starts.flags.writeable
+            assert spec.dim == mask.size == 2 ** (n + 1)
+            assert spec.n == n
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -75,23 +155,41 @@ class TestSpecFamilies:
         with pytest.raises(ValueError):
             tree_pair(3, -1)
 
-    def test_malformed_manual_spec(self):
+    def test_malformed_manual_spec(self, monkeypatch):
+        malformed = [
+            np.array([T, F, T, F]),  # the pair entries 1 and 3 are not adjacent
+            np.array([T, F, F, F]),  # three pair entries
+            np.array([1, 0, 0, 1]),  # not bool
+            np.array([[T, F], [F, T]]),  # not one-dimensional
+            np.zeros(0, dtype=bool),
+            np.array([F, F]),  # size 2
+            np.array([T, T, T, F, F, T]),  # size 6
+        ]
+        for mask in malformed:
+            with pytest.raises(ValueError):
+                BlockUnitarySpec(mask)
+        monkeypatch.setenv("ICO_HBAC_MAX_N", "3")
+        assert BlockUnitarySpec(np.ones(16, dtype=bool)).n == 3
         with pytest.raises(ValueError):
-            BlockUnitarySpec((ONE, PAIR))  # dimension 3
-        with pytest.raises(ValueError):
-            BlockUnitarySpec((ONE, "sigma_w", ONE))
-        with pytest.raises(ValueError):
-            BlockUnitarySpec(())
+            BlockUnitarySpec(np.ones(32, dtype=bool))
+
+    def test_manual_spec_keeps_a_read_only_copy(self):
+        mask = np.array([T, F, F, T])
+        spec = BlockUnitarySpec(mask)
+        mask[:] = True
+        assert spec.one_mask.tolist() == [T, F, F, T]
+        assert not spec.one_mask.flags.writeable
+        assert spec.pair_starts.tolist() == [1]
 
 
 class TestSwitchBranches:
     def test_standard_pair_example(self):
         state = DiagonalState.from_vector([0.4, 0.3, 0.2, 0.1])
         plus, minus = switch_branches(state, standard_pair(1))
-        assert np.allclose(plus.state.populations, [0.4, 0.0, 0.0, 0.1])
-        assert plus.probability == pytest.approx(0.5, abs=1e-15)
-        assert np.allclose(minus.state.populations, [0.0, 0.2, 0.3, 0.0])
-        assert minus.probability == pytest.approx(0.5, abs=1e-15)
+        assert np.allclose(plus.populations, [0.4, 0.0, 0.0, 0.1])
+        assert plus.norm == pytest.approx(0.5, abs=1e-15)
+        assert np.allclose(minus.populations, [0.0, 0.2, 0.3, 0.0])
+        assert minus.norm == pytest.approx(0.5, abs=1e-15)
 
     def test_ground_state_in_leading_scalar_block(self):
         vec = np.zeros(8)
@@ -99,9 +197,9 @@ class TestSwitchBranches:
         state = DiagonalState.from_vector(vec)
         for spec in (standard_pair(2), ideal_pair(2), k_pair(2, 2), tree_pair(2, 0)):
             plus, minus = switch_branches(state, spec)
-            assert plus.probability == pytest.approx(1.0)
-            assert minus.probability == 0.0
-            assert np.array_equal(plus.state.populations, vec)
+            assert plus.norm == pytest.approx(1.0)
+            assert minus.norm == 0.0
+            assert np.array_equal(plus.populations, vec)
 
     def test_dimension_mismatch(self):
         state = DiagonalState.from_vector([0.5, 0.5, 0.0, 0.0])
@@ -120,24 +218,20 @@ class TestSwitchBranches:
         rng = np.random.default_rng(seed)
         vec = rng.random(2 ** (n + 1))
         vec /= vec.sum()
-        state = DiagonalState.from_vector(vec)
-        plus, minus = switch_branches(state, spec)
-        assert plus.probability + minus.probability == pytest.approx(state.norm, abs=1e-12)
-        # un-swapping the minus branch and adding the plus branch restores the input
-        unswapped = minus.state.populations.copy()
-        starts = spec.pair_starts
-        unswapped[starts], unswapped[starts + 1] = (
-            minus.state.populations[starts + 1],
-            minus.state.populations[starts],
-        )
-        assert np.abs(plus.state.populations + unswapped - vec).max() < 1e-15
+        assert_branches_restore_the_input(spec, vec)
 
-    def test_branch_outcome_validation(self):
-        state = DiagonalState.from_vector([0.5, 0.5, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            BranchOutcome("?", state, 1.0)
-        with pytest.raises(ValueError):
-            BranchOutcome(PLUS, state, 0.25)
+    @settings(deadline=None, max_examples=60)
+    @given(hand_built_masks(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_hand_built_spec_matches_the_dense_switch(self, mask, seed):
+        spec = BlockUnitarySpec(mask)
+        rng = np.random.default_rng(seed)
+        vec = rng.random(spec.dim)
+        vec /= vec.sum()
+        plus, minus = assert_branches_restore_the_input(spec, vec)
+        rho = np.diag(vec).astype(complex)
+        for sign, branch in zip(SIGNS, (plus, minus)):
+            dense = switch_channel(rho, spec, spec, sign)
+            assert np.abs(np.diag(dense).real - branch.populations).max() < 1e-14
 
 
 class TestBranchTransfer:
@@ -173,7 +267,7 @@ class TestBranchTransfer:
         plus, minus = switch_branches(reset(state, params), spec)
         for sign, outcome in ((PLUS, plus), (MINUS, minus)):
             matrix = branch_transfer(n, params, spec, sign)
-            composed = reduce(outcome.state)
+            composed = reduce(outcome)
             assert np.abs(matrix.entries @ vec - composed.populations).max() < 1e-14
 
     def test_post_reset_plus_support_is_extremal(self):
@@ -183,7 +277,7 @@ class TestBranchTransfer:
             vec = rng.random(2**n)
             vec /= vec.sum()
             plus, _ = switch_branches(reset(ReducedState.from_vector(vec), params), standard_pair(n))
-            support = np.nonzero(plus.state.populations)[0]
+            support = np.nonzero(plus.populations)[0]
             assert set(support) <= {0, 2 ** (n + 1) - 1}
 
     def test_spec_size_mismatch(self):
@@ -200,9 +294,9 @@ class TestPopulationMatrices:
         for n in range(1, 6):
             vec = rng.random(2 ** (n + 1)) + 0.1
             plus, _minus = switch_branches(DiagonalState.from_vector(vec), standard_pair(n))
-            kept = np.nonzero(plus.state.populations)[0]
+            kept = np.nonzero(plus.populations)[0]
             assert list(kept) == [0, 2 ** (n + 1) - 1]
-            assert np.array_equal(plus.state.populations[kept], vec[kept])
+            assert np.array_equal(plus.populations[kept], vec[kept])
 
     def test_standard_plus_extremal_eigenvectors(self):
         dim = 2 ** (3 + 1)
@@ -210,7 +304,7 @@ class TestPopulationMatrices:
             basis = np.zeros(dim)
             basis[index] = 1.0
             plus, _minus = switch_branches(DiagonalState.from_vector(basis), standard_pair(3))
-            assert np.array_equal(plus.state.populations, basis)
+            assert np.array_equal(plus.populations, basis)
 
     def test_minus_matches_interior_swap(self):
         # the minus action equals the sorting permutation with both ends zeroed
@@ -224,7 +318,7 @@ class TestPopulationMatrices:
             sorted_vec = two_sort(state).populations.copy()
             sorted_vec[0] = 0.0
             sorted_vec[-1] = 0.0
-            assert np.abs(minus.state.populations - sorted_vec).max() < 1e-15
+            assert np.abs(minus.populations - sorted_vec).max() < 1e-15
 
     def test_tree_level0_projects_first_half(self):
         rng = np.random.default_rng(13)
@@ -233,4 +327,4 @@ class TestPopulationMatrices:
             plus, _minus = switch_branches(DiagonalState.from_vector(vec), tree_pair(n, 0))
             half = 2**n
             expected = np.concatenate([vec[:half], np.zeros(half)])
-            assert np.array_equal(plus.state.populations, expected)
+            assert np.array_equal(plus.populations, expected)
