@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
 import sys
 import types
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,62 +242,76 @@ def _emit(lines, obj, fmt: str, output: str | None) -> None:
 # run specifications
 # ---------------------------------------------------------------------------
 
-_RUNSPEC_TYPES = {
-    "scheme": str,
-    "n": int,
-    "k": int,
-    "epsilon": (int, float),
-    "initial": (str, list),
-    "trials": int,
-    "seed": int,
-    "output": str,
-    "format": str,
-    "pair": str,
-    "level": int,
-    "nondemolition": bool,
-    "repump_rounds": int,
-    "max_attempts": int,
-    "desired_success": (int, float),
-    "workers": int,
-}
 
-_RUNSPEC_DEFAULTS = {
-    "trials": 1,
-    "seed": 0,
-    "format": "csv",
-    "pair": "standard",
-    "level": 0,
-    "nondemolition": False,
-    "repump_rounds": 0,
-    "max_attempts": 100_000,
-    "workers": 1,
+class _Key(NamedTuple):
+    """One run-spec key: its config-file types, allowed strings, lower bound and default.
+
+    A ``default`` is given only where ``SchemeConfig`` has none; the others
+    come from its fields.
+    """
+
+    types: type | tuple
+    choices: tuple | None = None
+    minimum: int | None = None
+    default: object = None
+
+
+# every run-spec key, in the order of its flag
+_RUNSPEC = {
+    "scheme": _Key(str, SCHEMES),
+    "n": _Key(int),
+    "k": _Key(int),
+    "epsilon": _Key((int, float)),
+    "initial": _Key((str, list), INITIAL_SELECTORS),
+    "seed": _Key(int),
+    "desired_success": _Key((int, float)),
+    "pair": _Key(str, PAIR_CHOICES),
+    "level": _Key(int),
+    "nondemolition": _Key(bool),
+    "repump_rounds": _Key(int),
+    "max_attempts": _Key(int),
+    "trials": _Key(int, minimum=1, default=1),
+    "workers": _Key(int, minimum=1, default=1),
+    "format": _Key(str, FORMATS, default="csv"),
+    "output": _Key(str),
 }
+_SAMPLE_ONLY = ("trials", "workers")  # keys that only ``sample`` has flags for
+
+# every SchemeConfig field but ``initial``, which the spec holds as a selector or vector
+_CONFIG_FIELDS = [field for field in dataclasses.fields(SchemeConfig) if field.name != "initial"]
+_DEFAULTS = {
+    field.name: field.default
+    for field in _CONFIG_FIELDS
+    if field.default not in (None, dataclasses.MISSING)
+} | {name: key.default for name, key in _RUNSPEC.items() if key.default is not None}
 
 
 def validate_runspec(raw: dict) -> dict:
-    """Check key names and value types of a run specification."""
+    """Check the key names, value types, allowed strings and bounds of a run specification."""
     if not isinstance(raw, dict):
         raise UsageError("run specification must be a JSON object")
-    unknown = sorted(set(raw) - set(_RUNSPEC_TYPES))
+    unknown = sorted(set(raw) - set(_RUNSPEC))
     if unknown:
         raise UsageError(f"unknown run specification keys: {unknown}")
-    for key, value in raw.items():
-        expected = _RUNSPEC_TYPES[key]
-        if isinstance(value, bool) and expected is not bool:
-            raise UsageError(f"run specification key {key!r} has wrong type bool")
-        if not isinstance(value, expected):
+    for name, value in raw.items():
+        key = _RUNSPEC[name]
+        if isinstance(value, bool) and key.types is not bool:
+            raise UsageError(f"run specification key {name!r} has wrong type bool")
+        if not isinstance(value, key.types):
             raise UsageError(
-                f"run specification key {key!r} expects {expected}, got {type(value).__name__}"
+                f"run specification key {name!r} expects {key.types}, got {type(value).__name__}"
             )
-    if "format" in raw and raw["format"] not in FORMATS:
-        raise UsageError(f"format must be one of {FORMATS}, got {raw['format']!r}")
-    if "scheme" in raw and raw["scheme"] not in SCHEMES:
-        raise UsageError(f"scheme must be one of {SCHEMES}, got {raw['scheme']!r}")
-    if "initial" in raw and isinstance(raw["initial"], str):
-        if raw["initial"] not in INITIAL_SELECTORS:
-            raise UsageError(
-                f"initial selector must be one of {INITIAL_SELECTORS} or an explicit vector"
-            )
+        if isinstance(value, list):
+            for entry in value:
+                if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                    raise UsageError(
+                        f"run specification key {name!r} expects a list of numbers, "
+                        f"got {type(entry).__name__} {entry!r}"
+                    )
+        elif key.choices and value not in key.choices:
+            raise UsageError(f"{name} must be one of {key.choices}, got {value!r}")
+        if key.minimum is not None and value < key.minimum:
+            raise UsageError(f"{name} must be >= {key.minimum}, got {value}")
     return dict(raw)
 
 
@@ -309,10 +325,10 @@ def load_runspec(path: str) -> dict:
 
 
 def _merge_runspec(args) -> dict:
-    spec = dict(_RUNSPEC_DEFAULTS)
+    spec = dict(_DEFAULTS)
     if getattr(args, "config", None):
         spec.update(load_runspec(args.config))
-    for key in _RUNSPEC_TYPES:
+    for key in _RUNSPEC:
         value = getattr(args, key, None)
         if value is not None:
             spec[key] = value
@@ -334,12 +350,11 @@ def _resolve_initial(selector, scheme: str, n: int, params):
             if params is None:
                 raise UsageError("a thermal initial state needs epsilon")
             return thermal_reduced(n, params) if bath else thermal_full(n, params)
-        if selector == "fixed-point":
-            if params is None:
-                raise UsageError("a fixed-point initial state needs epsilon")
-            profile = fixed_point(n, params)
-            return profile if bath else reset(profile, params)
-        raise UsageError(f"unknown initial selector {selector!r}")
+        # "fixed-point", the last selector validate_runspec admits
+        if params is None:
+            raise UsageError("a fixed-point initial state needs epsilon")
+        profile = fixed_point(n, params)
+        return profile if bath else reset(profile, params)
     vector = np.asarray(selector, dtype=float)
     expected = 2**n if bath else 2 ** (n + 1)
     if vector.size != expected:
@@ -353,20 +368,8 @@ def _config_from_runspec(spec: dict) -> SchemeConfig:
     epsilon = spec.get("epsilon")
     params = make_thermal_params(epsilon) if epsilon is not None else None
     initial = _resolve_initial(spec.get("initial"), spec["scheme"], spec["n"], params)
-    return SchemeConfig(
-        scheme=spec["scheme"],
-        n=spec["n"],
-        epsilon=epsilon,
-        k=spec.get("k"),
-        initial=initial,
-        desired_success=spec.get("desired_success"),
-        seed=spec["seed"],
-        pair=spec["pair"],
-        level=spec["level"],
-        nondemolition=spec["nondemolition"],
-        repump_rounds=spec["repump_rounds"],
-        max_attempts=spec["max_attempts"],
-    )
+    fields = {field.name: spec[field.name] for field in _CONFIG_FIELDS if field.name in spec}
+    return SchemeConfig(**fields, initial=initial)
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +497,10 @@ _SAMPLE_STATE_DEPTH = 5
 def cmd_sample(args) -> int:
     spec = _merge_runspec(args)
     config = _config_from_runspec(spec)
-    trials = spec["trials"]
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    # still accepted so existing run specs load; every worker count draws the
-    # same trajectories, so one process draws them all
-    workers = spec["workers"]
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
     chain = AttemptChain(config)
-    # every draw happens before the output is opened, so a failed run writes nothing
-    runs = sample_batch(chain, trials)
+    # every draw happens before the output is opened, so a failed run writes nothing;
+    # ``workers`` is not read: every worker count draws the same trajectories
+    runs = sample_batch(chain, spec["trials"])
     tree = config.scheme == ICO_TREE_SORT
     trials_used = [1] * len(runs) if tree else runs.tolist()
     head = _head(config.scheme, config.n, config.k, config.epsilon)
@@ -687,27 +683,20 @@ def cmd_validate(args) -> int:
 
 def _add_runspec_flags(parser, include_trials: bool) -> None:
     parser.add_argument("--config", help="JSON run specification; flags override its keys")
-    parser.add_argument("--scheme", choices=SCHEMES)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--eps", "--epsilon", dest="epsilon", type=float)
-    parser.add_argument(
-        "--initial",
-        choices=INITIAL_SELECTORS,
-        help="initial-state selector; explicit vectors go in the config file",
-    )
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--desired-success", dest="desired_success", type=float)
-    parser.add_argument("--pair", choices=PAIR_CHOICES)
-    parser.add_argument("--level", type=int)
-    parser.add_argument("--nondemolition", action="store_const", const=True, default=None)
-    parser.add_argument("--repump-rounds", dest="repump_rounds", type=int)
-    parser.add_argument("--max-attempts", dest="max_attempts", type=int)
-    if include_trials:
-        parser.add_argument("--trials", type=int)
-        parser.add_argument("--workers", type=int)
-    parser.add_argument("--format", choices=FORMATS)
-    parser.add_argument("--output")
+    for name, key in _RUNSPEC.items():
+        if name in _SAMPLE_ONLY and not include_trials:
+            continue
+        flags = ("--eps",) if name == "epsilon" else ()
+        flags += ("--" + name.replace("_", "-"),)
+        if key.types is bool:
+            options = {"action": "store_const", "const": True, "default": None}
+        elif key.choices:
+            options = {"choices": key.choices}
+        else:
+            options = {"type": float if key.types == (int, float) else key.types}
+        if name == "initial":
+            options["help"] = "initial-state selector; explicit vectors go in the config file"
+        parser.add_argument(*flags, dest=name, **options)
 
 
 def build_parser() -> _Parser:
@@ -759,7 +748,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, TypeError, MaxAttemptsError) as exc:
+    except (ValueError, TypeError, MaxAttemptsError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -832,3 +832,149 @@ class TestOutputSink:
         assert "attempts" in err
         assert out == ""
         assert not target.exists()
+
+
+# One value for every run-spec key.  ``initial`` is a selector here so that it
+# can also be given as a flag; _ALL_KEYS_CONFIG swaps in an explicit vector.
+_RUNSPEC_VALUES = {
+    "scheme": "hbac-kico",
+    "n": 3,
+    "k": 2,
+    "epsilon": 0.5,
+    "initial": "thermal",
+    "trials": 4,
+    "seed": 5,
+    "output": "out.json",
+    "format": "json",
+    "pair": "ideal",
+    "level": 2,
+    "nondemolition": True,
+    "repump_rounds": 1,
+    "max_attempts": 1000,
+    "desired_success": 0.9,
+    "workers": 2,
+}
+
+# the flag that sets each key to its value in _RUNSPEC_VALUES
+_RUNSPEC_FLAGS = {
+    "scheme": ["--scheme", "hbac-kico"],
+    "n": ["--n", "3"],
+    "k": ["--k", "2"],
+    "epsilon": ["--eps", "0.5"],
+    "initial": ["--initial", "thermal"],
+    "trials": ["--trials", "4"],
+    "seed": ["--seed", "5"],
+    "output": ["--output", "out.json"],
+    "format": ["--format", "json"],
+    "pair": ["--pair", "ideal"],
+    "level": ["--level", "2"],
+    "nondemolition": ["--nondemolition"],
+    "repump_rounds": ["--repump-rounds", "1"],
+    "max_attempts": ["--max-attempts", "1000"],
+    "desired_success": ["--desired-success", "0.9"],
+    "workers": ["--workers", "2"],
+}
+
+_ALL_KEYS_CONFIG = {
+    **_RUNSPEC_VALUES,
+    "initial": [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05],
+}
+
+# SHA-256 of the file written by a config that sets all 16 run-spec keys,
+# recorded before the run-spec keys were declared in one table
+_PINNED_RUNSPEC_ECHO = (
+    ("run", "b9b9af10b9f7ba9c7760a04924af830e1cfca49a5a5c1875e2756f988f727695"),
+    ("sample", "de0868a61601d0a75a0821553ba05b0fd1ee77554497a609acc95fa17f2cc7bd"),
+)
+
+
+def _run_in(capsys, directory, config, *argv):
+    """Exit code, stdout and the bytes of ``out.json`` (or None) of one command in ``directory``."""
+    (directory / "spec.json").write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *argv, "--config", "spec.json")
+    written = directory / "out.json"
+    data = written.read_bytes() if written.exists() else None
+    if data is not None:
+        written.unlink()
+    return code, out, err, data
+
+
+class TestRunSpecKeys:
+    @pytest.mark.parametrize("command,digest", _PINNED_RUNSPEC_ECHO, ids=[c for c, _ in _PINNED_RUNSPEC_ECHO])
+    def test_all_keys_config_digest(self, capsys, tmp_path, monkeypatch, command, digest):
+        monkeypatch.chdir(tmp_path)
+        code, out, err, data = _run_in(capsys, tmp_path, _ALL_KEYS_CONFIG, command)
+        assert (code, out, err) == (0, "", "")
+        assert json.loads(data)["runspec"] == _ALL_KEYS_CONFIG
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("run", key) for key in _RUNSPEC_FLAGS if key not in ("trials", "workers")]
+        + [("sample", key) for key in _RUNSPEC_FLAGS],
+    )
+    def test_flag_and_config_give_the_same_bytes(self, capsys, tmp_path, monkeypatch, command, key):
+        monkeypatch.chdir(tmp_path)
+        base = {name: value for name, value in _RUNSPEC_VALUES.items() if name != "output"}
+        if command == "run":
+            del base["trials"], base["workers"]
+        by_config = _run_in(capsys, tmp_path, {**base, key: _RUNSPEC_VALUES[key]}, command)
+        without = {name: value for name, value in base.items() if name != key}
+        by_flag = _run_in(capsys, tmp_path, without, command, *_RUNSPEC_FLAGS[key])
+        assert by_config[0] == 0
+        assert by_flag == by_config
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("trials", 0, "trials must be >= 1, got 0"),
+            ("workers", -1, "workers must be >= 1, got -1"),
+            ("pair", "other", "pair must be one of ('standard', 'ideal'), got 'other'"),
+            (
+                "initial",
+                "bogus",
+                "initial must be one of ('uniform', 'thermal', 'fixed-point'), got 'bogus'",
+            ),
+        ],
+    )
+    def test_run_and_sample_reject_the_same_specs(self, capsys, tmp_path, command, key, value, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"scheme": "hbac-ico", "n": 2, "epsilon": 0.5, key: value}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "entries,bad",
+        [
+            (["0.25", "0.25", "0.25", "0.25"], "str '0.25'"),
+            ([0.25, 0.25, 0.25, "0.25"], "str '0.25'"),
+            ([True, False, False, False], "bool True"),
+            ([0.5, None, 0.5, 0.0], "NoneType None"),
+            ([[0.5, 0.5], [0.0, 0.0]], "list [0.5, 0.5]"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    def test_initial_vector_entries_must_be_numbers(self, capsys, tmp_path, command, entries, bad):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"scheme": "ico-alone", "n": 1, "initial": entries}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: run specification key 'initial' expects a list of numbers, got {bad}\n"
+
+    def test_integer_initial_entries_are_numbers(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"scheme": "ico-alone", "n": 1, "initial": [2, 1, 1, 0], "format": "json"}))
+        code, out, _err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["report"]["success_probability"] == 0.5
+
+    @pytest.mark.parametrize("scheme", ["hbac-ico", "hbac"])
+    def test_unallocatable_trials_is_one_line_error(self, capsys, scheme):
+        # 2**59 int64 trial counts are 4 EiB, beyond any 64-bit address space
+        code, out, err = run_cli(
+            capsys, "sample", "--scheme", scheme, "--n", "3", "--eps", "0.5", "--trials", str(2**59)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -43,3 +43,40 @@ def test_no_unused_top_level_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= _exported(tree)
     assert [name for name in _top_level_imports(tree) if name not in used] == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Every ``_``-prefixed, non-dunder name a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _names_read(tree: ast.Module):
+    """Every name the module loads, reads as an attribute, or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_module_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    read = {name for tree in trees.values() for name in _names_read(tree)}
+    unread = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert unread == []
