@@ -54,6 +54,7 @@ from .schemes import (
     AttemptChain,
     MaxAttemptsError,
     SchemeConfig,
+    final_state,
     run_round,
     run_scheme,
     sample_batch,
@@ -404,8 +405,7 @@ def cmd_fixed_point(args) -> int:
 
 def cmd_table1(args) -> int:
     make_thermal_params(args.epsilon)
-    # every scheme is evaluated before the output opens; only lines are kept, not
-    # the reports and their 2**n-entry final states
+    # every scheme is evaluated before the output opens; only lines are kept
     lines = []
     json_rows = []
     for scheme in SCHEMES:
@@ -453,6 +453,7 @@ def cmd_run(args) -> int:
     spec = _merge_runspec(args)
     config = _config_from_runspec(spec)
     report = run_scheme(config)
+    final = final_state(config)
     head = _head(config.scheme, config.n, config.k, config.epsilon)
     quantities = [
         ("success-probability", report.success_probability),
@@ -467,7 +468,7 @@ def cmd_run(args) -> int:
     def lines():
         for name, value in quantities:
             yield _line(head, None, name, report.success_probability, None, value)
-        yield from _vector_lines(head, "final-state", report.final_state.populations)
+        yield from _vector_lines(head, "final-state", final.populations)
 
     obj = None
     if spec["format"] == "json":
@@ -481,8 +482,8 @@ def cmd_run(args) -> int:
                 "output_pure_qubits": report.output_pure_qubits,
                 "bath_used": report.bath_used,
                 "trials_for_desired": report.trials_for_desired,
-                "final_state_qubits": report.final_state.n + 1,
-                "final_state": report.final_state.populations,
+                "final_state_qubits": final.n + 1,
+                "final_state": final.populations,
             },
         }
     _emit(lines(), obj, spec["format"], spec.get("output"))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -125,13 +126,15 @@ def _check_norm(total: float, norm: float, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class DiagonalState:
-    """Computational-basis populations of the full ``n + 1``-qubit register.
+class _Populations:
+    """Populations of ``n`` storage qubits plus ``RESET_SLOTS`` reset slots.
 
     ``norm`` is the total probability carried: 1 for normalized states and
     less for unnormalized post-measurement branches.
     """
 
+    RESET_SLOTS: ClassVar[int]
+
     n: int
     populations: np.ndarray
     norm: float = 1.0
@@ -141,71 +144,52 @@ class DiagonalState:
         cap = max_register_exponent()
         if not 0 <= self.n <= cap:
             raise ValueError(f"n={self.n} outside [0, {cap}]")
-        if arr.size != 2 ** (self.n + 1):
-            raise ValueError(f"expected 2**{self.n + 1} populations, got {arr.size}")
-        _check_norm(float(arr.sum()), self.norm, "DiagonalState")
+        qubits = self.n + self.RESET_SLOTS
+        if arr.size != 2**qubits:
+            raise ValueError(f"expected 2**{qubits} populations, got {arr.size}")
+        _check_norm(float(arr.sum()), self.norm, type(self).__name__)
         arr.setflags(write=False)
         object.__setattr__(self, "populations", arr)
         object.__setattr__(self, "norm", float(self.norm))
 
     @classmethod
-    def from_vector(cls, values, norm: float | None = None) -> "DiagonalState":
-        """Build a state from a raw vector, inferring ``n`` from the length."""
+    def from_vector(cls, values, norm: float | None = None):
+        """Build a state of this kind from a raw vector, inferring ``n`` from the length."""
         arr = _population_vector(values, "populations")
-        size = arr.size
-        if size < 2 or size & (size - 1):
-            raise ValueError(f"population length must be a power of two >= 2, got {size}")
-        n = size.bit_length() - 2
+        size, minimum = arr.size, 2**cls.RESET_SLOTS
+        if size < minimum or size & (size - 1):
+            raise ValueError(
+                f"population length must be a power of two >= {minimum}, got {size}"
+            )
+        n = size.bit_length() - 1 - cls.RESET_SLOTS
         return cls(n=n, populations=arr, norm=float(arr.sum()) if norm is None else norm)
 
     @property
     def dim(self) -> int:
         return self.populations.size
 
-    def normalized(self) -> "DiagonalState":
+    def normalized(self):
         if self.norm <= 0.0:
             raise ValueError("cannot normalize a zero-norm state")
-        return DiagonalState(self.n, self.populations / self.norm, 1.0)
+        return type(self)(self.n, self.populations / self.norm, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedState:
+class DiagonalState(_Populations):
+    """Computational-basis populations of the full ``n + 1``-qubit register."""
+
+    RESET_SLOTS = 1
+    # bound here, not only inherited: bench/tracer.py wraps each kind's own
+    # __post_init__, and the register.* span metrics are read from those spans
+    __post_init__ = _Populations.__post_init__
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedState(_Populations):
     """Populations of the ``n`` storage qubits after tracing out the reset slot."""
 
-    n: int
-    populations: np.ndarray
-    norm: float = 1.0
-
-    def __post_init__(self):
-        arr = _population_vector(self.populations, "populations")
-        cap = max_register_exponent()
-        if not 0 <= self.n <= cap:
-            raise ValueError(f"n={self.n} outside [0, {cap}]")
-        if arr.size != 2**self.n:
-            raise ValueError(f"expected 2**{self.n} populations, got {arr.size}")
-        _check_norm(float(arr.sum()), self.norm, "ReducedState")
-        arr.setflags(write=False)
-        object.__setattr__(self, "populations", arr)
-        object.__setattr__(self, "norm", float(self.norm))
-
-    @classmethod
-    def from_vector(cls, values, norm: float | None = None) -> "ReducedState":
-        """Build a state from a raw vector, inferring ``n`` from the length."""
-        arr = _population_vector(values, "populations")
-        size = arr.size
-        if size < 1 or size & (size - 1):
-            raise ValueError(f"population length must be a power of two >= 1, got {size}")
-        n = size.bit_length() - 1
-        return cls(n=n, populations=arr, norm=float(arr.sum()) if norm is None else norm)
-
-    @property
-    def dim(self) -> int:
-        return self.populations.size
-
-    def normalized(self) -> "ReducedState":
-        if self.norm <= 0.0:
-            raise ValueError("cannot normalize a zero-norm state")
-        return ReducedState(self.n, self.populations / self.norm, 1.0)
+    RESET_SLOTS = 0
+    __post_init__ = _Populations.__post_init__  # bound here as in DiagonalState
 
 
 def ground_state(n: int) -> DiagonalState:

@@ -168,7 +168,6 @@ class SchemeReport:
     input_pure_qubits: int
     bath_used: bool
     expected_trials: float
-    final_state: DiagonalState
     trials_for_desired: int | None = None
 
 
@@ -194,26 +193,21 @@ def scheme_spec(config: SchemeConfig) -> BlockUnitarySpec | None:
     return tree_pair(config.n, config.level)
 
 
-def initial_reduced(config: SchemeConfig) -> ReducedState:
-    """Evaluation state for bath schemes: explicit initial or the scheme default."""
-    if config.scheme not in BATH_SCHEMES:
-        raise ValueError(f"{config.scheme} does not act on reduced states")
+def initial_state(config: SchemeConfig) -> DiagonalState | ReducedState:
+    """Evaluation state: the explicit initial, else the scheme default.
+
+    Bath schemes act on reduced states and default to a thermal product (plain
+    cooling) or the stationary profile; bath-free schemes act on the full
+    register and default to a thermal product, or uniform without a bath.
+    """
     if config.initial is not None:
         return config.initial
+    params = config.params
     if config.scheme == HBAC:
-        return thermal_reduced(config.n, config.params)
-    return fixed_point(config.n, config.params)
-
-
-def initial_full(config: SchemeConfig) -> DiagonalState:
-    """Evaluation state for bath-free schemes: explicit, thermal, or uniform."""
+        return thermal_reduced(config.n, params)
     if config.scheme in BATH_SCHEMES:
-        raise ValueError(f"{config.scheme} acts on reduced states")
-    if config.initial is not None:
-        return config.initial
-    if config.epsilon is not None:
-        return thermal_full(config.n, config.params)
-    return uniform_full(config.n)
+        return fixed_point(config.n, params)
+    return uniform_full(config.n) if params is None else thermal_full(config.n, params)
 
 
 def plus_weight_vector(config: SchemeConfig) -> np.ndarray:
@@ -244,12 +238,18 @@ def success_probability(config: SchemeConfig) -> float:
     scheme = config.scheme
     if scheme in (HBAC, ICO_TREE_SORT):
         return 1.0
+    params = config.params
     if scheme == ICO_ALONE:
-        lam = initial_full(config)
+        if config.initial is None and params is not None:
+            # entries 0 and -1 (standard) or 1 (ideal) of thermal_full, each a
+            # product of n + 1 weights in the Kronecker order
+            g, e, n = params.ground_population, params.excited_population, config.n
+            last = (e,) * (n + 1) if config.pair == STANDARD else (g,) * n + (e,)
+            return math.prod((g,) * (n + 1)) + math.prod(last)
+        lam = initial_state(config)
         vec = lam.populations
         weight = vec[0] + (vec[-1] if config.pair == STANDARD else vec[1])
         return float(weight / lam.norm)
-    params = config.params
     eps = params.epsilon
     if scheme == HBAC_ICO:
         if config.initial is None:
@@ -381,18 +381,13 @@ class AttemptChain:
             self._tree: dict[str, tuple[DiagonalState, DiagonalState, DiagonalState]] = {}
             return
         if config.scheme == HBAC:
-            # the stationary profile is unique and iterated rounds keep the norm
-            initial = initial_reduced(config)
-            profile = fixed_point(config.n, config.params).populations
-            self._states = [ReducedState(config.n, profile * initial.norm, initial.norm)]
+            # the stationary profile is unique: every initial converges to it
+            self._states = [fixed_point(config.n, config.params)]
             self._probabilities = [1.0]
             return
         self._spec = scheme_spec(config)
         self._weights = plus_weight_vector(config)
-        if config.scheme in BATH_SCHEMES:
-            first = initial_reduced(config).normalized()
-        else:
-            first = initial_full(config).normalized()
+        first = initial_state(config).normalized()
         self._states = [first]
         self._probabilities = [self._plus_probability(first)]
 
@@ -435,7 +430,7 @@ class AttemptChain:
                 _parent, plus, minus = self._tree_node(prefix[:-1])
                 state = (plus if prefix[-1] == PLUS else minus).normalized()
             else:
-                state = initial_full(self.config).normalized()
+                state = initial_state(self.config).normalized()
             node = (state, *switch_branches(state, self._level_specs[len(prefix)]))
             self._tree[prefix] = node
         return node
@@ -576,36 +571,45 @@ def sample_batch(
     return runs
 
 
-def run_scheme(config: SchemeConfig) -> SchemeReport:
-    """Evaluate the scheme's resource row, success law, and final state."""
-    probability = success_probability(config)
+def _pure_qubits(config: SchemeConfig) -> tuple[int, int]:
+    """(input, output) counts of exactly pure qubits."""
     n = config.n
-    scheme = config.scheme
-    if scheme == HBAC:
-        input_pure, output_pure = 0, 0
-    elif scheme == ICO_TREE_SORT:
-        input_pure, output_pure = (1 if config.nondemolition else n), n
-    elif scheme == HBAC_KICO:
-        input_pure, output_pure = 1, n + 1 - config.k
-    else:
-        input_pure, output_pure = 1, n
-    bath_used = scheme in BATH_SCHEMES
+    if config.scheme == HBAC:
+        return 0, 0
+    if config.scheme == ICO_TREE_SORT:
+        return (1 if config.nondemolition else n), n
+    if config.scheme == HBAC_KICO:
+        return 1, n + 1 - config.k
+    return 1, n
+
+
+def run_scheme(config: SchemeConfig) -> SchemeReport:
+    """Evaluate the scheme's resource row and success law."""
+    probability = success_probability(config)
+    input_pure, output_pure = _pure_qubits(config)
     expected = math.inf if probability == 0.0 else 1.0 / probability
     trials_for_desired = (
         None
         if config.desired_success is None
         else expected_trials(probability, config.desired_success)
     )
-    if scheme == HBAC:
-        final = two_sort(reset(fixed_point(n, config.params), config.params))
-    else:
-        final = ground_state(output_pure - 1)
     return SchemeReport(
         success_probability=probability,
         output_pure_qubits=output_pure,
         input_pure_qubits=input_pure,
-        bath_used=bath_used,
+        bath_used=config.scheme in BATH_SCHEMES,
         expected_trials=expected,
-        final_state=final,
         trials_for_desired=trials_for_desired,
     )
+
+
+def final_state(config: SchemeConfig) -> DiagonalState:
+    """Register state after the scheme runs.
+
+    Plain cooling leaves the sorted, freshly reset stationary profile; every
+    other scheme leaves its exactly pure output qubits, all in ``|g>``.
+    """
+    if config.scheme == HBAC:
+        params = config.params
+        return two_sort(reset(fixed_point(config.n, params), params))
+    return ground_state(_pure_qubits(config)[1] - 1)

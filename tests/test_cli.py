@@ -256,6 +256,20 @@ class TestRunCommand:
 
 
 class TestSampleCommand:
+    @pytest.mark.parametrize("initial", [[0.4, 0.3, 0.2, 0.1], [3, 1]])
+    def test_plain_cooling_prints_the_profile_whatever_the_initial(self, capsys, tmp_path, initial):
+        # [0.4, 0.3, 0.2, 0.1] sums to 0.9999999999999999 in floats, [3, 1] to 4
+        n = len(initial).bit_length() - 1
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"scheme": "hbac", "n": n, "epsilon": 0.5, "initial": initial}))
+        code, out, _ = run_cli(capsys, "sample", "--config", str(path), "--trials", "3")
+        assert code == 0
+        cells = {row["value"] for row in parse_csv(out) if row["outcome"] == "+"}
+        code, out, _ = run_cli(capsys, "fixed-point", "--n", str(n), "--eps", "0.5")
+        assert code == 0
+        profile = [row["value"] for row in parse_csv(out) if row["outcome"] == "fixed-point"]
+        assert cells == {"|".join(profile)}
+
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -685,7 +699,160 @@ _PINNED_STDOUT = (
         "fixed-point --n 12 --eps 0.01 --format json",
         "70c6fb66f7ff0943689c824606d417a97a8ec737ecc7a32cd30038cff0106390",
     ),
+    # recorded before both state kinds shared one body: every initial selector
+    # and an explicit vector from a config file in _PINNED_CONFIGS
+    (
+        "run --scheme hbac-ico --n 2 --eps 0.5 --initial uniform --format csv",
+        "ac7a11985da1f5bba3f67dbb8a3e792f4e9da8b34b094d8916591edc3b62265e",
+    ),
+    (
+        "run --scheme hbac-ico --n 2 --eps 0.5 --initial uniform --format json",
+        "8bb51a5c097ef8b3a62b46e8586d5e1c74bb9063cc19b22ac559bebd7de89c01",
+    ),
+    (
+        "sample --scheme hbac-ico --n 2 --eps 0.5 --initial uniform --trials 25 --seed 5 --format csv",
+        "01b440fa542f2877f6d90e1332a61786104970bc087c0d72ef4e698c3990f3f8",
+    ),
+    (
+        "sample --scheme hbac-ico --n 2 --eps 0.5 --initial uniform --trials 25 --seed 5 --format json",
+        "6747f4f5a48191a79fc7ed3d18bdaca6ada77e0e6ef68d98b2ed2d8a0a030d21",
+    ),
+    (
+        "run --scheme hbac-ico --n 2 --eps 0.5 --initial thermal --format csv",
+        "32e26f6b6a0b826f4c808c3ed1b10af864ac0e299224a2323f1ecc09a0e3d6f7",
+    ),
+    (
+        "run --scheme hbac-ico --n 2 --eps 0.5 --initial thermal --format json",
+        "62ebd1ed0318b76fc8f7ab65a3373164ef3b773f5b3789da8dbc48a478a06178",
+    ),
+    (
+        "sample --scheme hbac-ico --n 2 --eps 0.5 --initial thermal --trials 25 --seed 5 --format csv",
+        "79dd79162eebc55c0e81fe24ebfb886b232e2e292239caadad30e948546891bd",
+    ),
+    (
+        "sample --scheme hbac-ico --n 2 --eps 0.5 --initial thermal --trials 25 --seed 5 --format json",
+        "e6ffd2f4dceeebc3d9560b3eeb5cdbbf36d27a1f4f1d261e43a6e9a31c44c2ea",
+    ),
+    (
+        "run --scheme hbac-ico --n 2 --eps 0.5 --initial fixed-point --format csv",
+        "da2f83cfbebff92b8d295781ab3c00013795db032899124e299aa0c308949dc9",
+    ),
+    (
+        "run --scheme hbac-ico --n 2 --eps 0.5 --initial fixed-point --format json",
+        "1c53e7d3610ffb50685f446c9afc8ed86f9d3cefcd8bdd71382807798aff5eaf",
+    ),
+    (
+        "sample --scheme hbac-ico --n 2 --eps 0.5 --initial fixed-point --trials 25 --seed 5 --format csv",
+        "753eb0e142a5e6dfdbebce4b56f432ef6ac794986ecb6d51961e140ba2f5588a",
+    ),
+    (
+        "sample --scheme hbac-ico --n 2 --eps 0.5 --initial fixed-point --trials 25 --seed 5 --format json",
+        "4cfc6c3e07dbf38d9f51f4aa19560b378791f92faab805001f5009799bc5a7e1",
+    ),
+    (
+        "run --config hbac-ico-initial.json --format csv",
+        "59bc857299fdf1e9e4fa3a949c485f7b4006937d9e79e9839853a7ce58b49f71",
+    ),
+    (
+        "run --config hbac-ico-initial.json --format json",
+        "2d7699aa6d6431429e60b9dff8a51f597bea04c2e757840795cb3c9dc8865137",
+    ),
+    (
+        "sample --config hbac-ico-initial.json --trials 25 --seed 5 --format csv",
+        "0a644c4224591eedfeaba6abdc4c9752f2e263b057734f1ca83ca18e180e1918",
+    ),
+    (
+        "sample --config hbac-ico-initial.json --trials 25 --seed 5 --format json",
+        "f60e2ebe188df54e63ae0e6a4135681ae21bd252fdb17f20dfec652b576f44da",
+    ),
+    (
+        "run --scheme ico-alone --n 2 --eps 0.5 --initial uniform --format csv",
+        "1283d4f7b456d71033ae0bafd8e924234b2b243ed017121ffa7f21b81f4b2e81",
+    ),
+    (
+        "run --scheme ico-alone --n 2 --eps 0.5 --initial uniform --format json",
+        "6d5b096fe56e746335ce19d279119644c31845c47dd82c37252ed7e939098d11",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --eps 0.5 --initial uniform --trials 25 --seed 5 --format csv",
+        "438d00f5cd68d8abda56304aaea23d065e5d239c09a716b01d568a21b54e07e3",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --eps 0.5 --initial uniform --trials 25 --seed 5 --format json",
+        "782ab6e74ce1fc999813467d15ab3234edc240a65744535a8c2ffcde244b25dd",
+    ),
+    (
+        "run --scheme ico-alone --n 2 --eps 0.5 --initial thermal --format csv",
+        "4608d5bdf39a6fada64a17d84d53b9154697e20fcb03d628270d3275e72c9e01",
+    ),
+    (
+        "run --scheme ico-alone --n 2 --eps 0.5 --initial thermal --format json",
+        "1e6378801e7cdb9a6713674fec5c8ace6faf04c3b4aac09c70bbe71d886531b6",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --eps 0.5 --initial thermal --trials 25 --seed 5 --format csv",
+        "1847e4539841c44e51fd3b253aa2e8ea8ccc9d287f66ab03a9f728e89f270b3a",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --eps 0.5 --initial thermal --trials 25 --seed 5 --format json",
+        "92c985c579085876ab2eeac35974272798f8b3d5b5a66f6d0602c1c1f03a12f9",
+    ),
+    (
+        "run --scheme ico-alone --n 2 --eps 0.5 --initial fixed-point --format csv",
+        "0853d0c0b4fa95842ed5f19d68d046dee4ba9fd22b0f3a88b7c78657a0ad94bc",
+    ),
+    (
+        "run --scheme ico-alone --n 2 --eps 0.5 --initial fixed-point --format json",
+        "8372dc0bb692196f9b700a46f56d18832eb37ec0e1b066e9f18298a062dad781",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --eps 0.5 --initial fixed-point --trials 25 --seed 5 --format csv",
+        "e681902cd2d17df2067230340aafd3a984a1f609e21e2dbce741265b920b9b25",
+    ),
+    (
+        "sample --scheme ico-alone --n 2 --eps 0.5 --initial fixed-point --trials 25 --seed 5 --format json",
+        "8d18ebe94dcfbd25796da2357d02243c1f974f21934cb3dccd76997f7311377e",
+    ),
+    (
+        "run --config ico-alone-initial.json --format csv",
+        "49c150ae07a19171ec8a2bc99fb2472d6ce5a9c98978f3ded1d3a63eea71ce19",
+    ),
+    (
+        "run --config ico-alone-initial.json --format json",
+        "25a897ef694e1a28d879be4ff2c8e96b89db9fbb5a6d47545de54c1aea64befb",
+    ),
+    (
+        "sample --config ico-alone-initial.json --trials 25 --seed 5 --format csv",
+        "2a4bc4435fb3a9e9429f39602850b559948e06def8ea47b1fd0a2e5b8aac5a02",
+    ),
+    (
+        "sample --config ico-alone-initial.json --trials 25 --seed 5 --format json",
+        "9c17917378a2f384d922b5289f74b02ffcafc4d9af6afd7af99698b84afaeed3",
+    ),
 )
+
+# explicit initial vectors, written to the working directory of each pinned command
+_PINNED_CONFIGS = {
+    "hbac-ico-initial.json": {
+        "scheme": "hbac-ico",
+        "n": 2,
+        "epsilon": 0.5,
+        "initial": [0.4, 0.3, 0.2, 0.1],
+    },
+    "ico-alone-initial.json": {
+        "scheme": "ico-alone",
+        "n": 2,
+        "epsilon": 0.5,
+        "initial": [0.3, 0.05, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
+    },
+}
+
+
+@pytest.fixture
+def pinned_configs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, config in _PINNED_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
 
 
 def _dumps(obj) -> str:
@@ -732,15 +899,15 @@ _JSON_TREES = st.recursive(
 
 class TestByteGuard:
     @pytest.mark.parametrize("argv,digest", _PINNED_STDOUT, ids=[argv for argv, _ in _PINNED_STDOUT])
-    def test_stdout_digest(self, capsys, argv, digest):
+    def test_stdout_digest(self, capsys, pinned_configs, argv, digest):
         code, out, _err = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "argv", [argv for argv, _ in _PINNED_STDOUT if "json" not in argv]
+        "argv", [argv for argv, _ in _PINNED_STDOUT if "--format json" not in argv]
     )
-    def test_csv_module_writes_the_same_bytes(self, capsys, argv):
+    def test_csv_module_writes_the_same_bytes(self, capsys, pinned_configs, argv):
         # the csv module is the reference: no cell the commands write needs quoting
         code, out, _err = run_cli(capsys, *argv.split())
         assert code == 0
@@ -749,8 +916,8 @@ class TestByteGuard:
         csv.writer(rewritten, lineterminator="\r\n").writerows(rows)
         assert rewritten.getvalue() == out
 
-    @pytest.mark.parametrize("argv", [argv for argv, _ in _PINNED_STDOUT if "json" in argv])
-    def test_json_module_writes_the_same_bytes(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _PINNED_STDOUT if "--format json" in argv])
+    def test_json_module_writes_the_same_bytes(self, capsys, pinned_configs, argv):
         # the json module is the reference for the streaming encoder
         code, out, _err = run_cli(capsys, *argv.split())
         assert code == 0

@@ -17,6 +17,13 @@ def test_exports_resolve_sorted_and_unique():
     assert [name for name in names if not hasattr(ico_hbac, name)] == []
 
 
+@pytest.mark.parametrize("name", ["DiagonalState", "ReducedState"])
+def test_state_kinds_bind_their_own_post_init(name):
+    # bench/tracer.py wraps the __post_init__ in each state class's own namespace;
+    # one only inherited would go unrecorded in the register.* span metrics
+    assert "__post_init__" in vars(getattr(ico_hbac, name))
+
+
 def _top_level_imports(tree: ast.Module):
     """Every name bound by an import statement in the module body."""
     for node in tree.body:

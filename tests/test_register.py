@@ -92,6 +92,23 @@ class TestStates:
         with pytest.raises(ValueError):
             DiagonalState.from_vector([0.5, 0.5, 0.0, 0.0], norm=0.7)
 
+    @pytest.mark.parametrize("cls,minimum", [(DiagonalState, 2), (ReducedState, 1)])
+    def test_each_kind_keeps_its_messages(self, cls, minimum):
+        name = cls.__name__
+        with pytest.raises(ValueError, match=f"^{name} entries sum to 1.0, expected norm 0.5$"):
+            cls.from_vector([0.25, 0.25, 0.25, 0.25], norm=0.5)
+        for size in range(minimum):
+            with pytest.raises(
+                ValueError,
+                match=f"^population length must be a power of two >= {minimum}, got {size}$",
+            ):
+                cls.from_vector([1.0] * size)
+        smallest = cls.from_vector([1.0] * minimum)
+        assert (smallest.n, smallest.dim) == (0, minimum)
+        assert type(smallest.normalized()) is cls
+        with pytest.raises(ValueError, match=r"^expected 2\*\*2 populations, got 2$"):
+            cls(2 - minimum // 2, np.array([0.5, 0.5]))
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             ReducedState.from_vector([0.5, math.nan])

@@ -10,6 +10,7 @@ from ico_hbac.hbac_core import fixed_point, hbac_round
 from ico_hbac.register import (
     DiagonalState,
     ReducedState,
+    _thermal_product,
     ground_state,
     make_thermal_params,
     thermal_full,
@@ -21,13 +22,16 @@ from ico_hbac.schemes import (
     HBAC_KICO,
     ICO_ALONE,
     ICO_TREE_SORT,
+    IDEAL,
+    STANDARD,
     AttemptChain,
     MaxAttemptsError,
     SchemeConfig,
     _philox_uniforms,
     expected_trials,
     failure_update,
-    initial_full,
+    final_state,
+    initial_state,
     pi_pulse_correct,
     plus_weight_vector,
     run_round,
@@ -561,7 +565,7 @@ class TestSampler:
         chain = AttemptChain(config)
         for index in range(20):
             trajectory = sample_batch(AttemptChain(config), 1, start_index=index)[0]
-            state = initial_full(config).normalized().populations
+            state = initial_state(config).normalized().populations
             outcomes = []
             for level, sign in enumerate(trajectory):
                 pre, _probability = chain.at(trajectory[:level])
@@ -611,7 +615,7 @@ class TestSampler:
         assert abs(mean - 1.0 / probability) < 5 * sigma
         for attempt in range(1, int(batch.max()) + 1):
             state, _probability = chain.at(attempt)
-            assert np.array_equal(state.populations, initial_full(config).populations)
+            assert np.array_equal(state.populations, initial_state(config).populations)
 
     def test_repump_rounds_change_the_chain(self):
         base = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, seed=1)
@@ -660,13 +664,12 @@ class TestRunScheme:
         assert run_scheme(config).input_pure_qubits == 1
 
     def test_final_states(self):
-        config = SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5)
-        report = run_scheme(config)
-        assert report.final_state.n == 2  # three pure output qubits
-        assert report.final_state.populations[0] == 1.0
-        cooled = run_scheme(SchemeConfig(scheme=HBAC, n=3, epsilon=0.5))
-        assert cooled.final_state.n == 3
-        assert cooled.final_state.populations[0] < 1.0  # never exactly pure
+        final = final_state(SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5))
+        assert final.n == 2  # three pure output qubits
+        assert final.populations[0] == 1.0
+        cooled = final_state(SchemeConfig(scheme=HBAC, n=3, epsilon=0.5))
+        assert cooled.n == 3
+        assert cooled.populations[0] < 1.0  # never exactly pure
 
     def test_desired_success_trials(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=8, epsilon=0.5, desired_success=0.99)
@@ -681,9 +684,9 @@ class TestRunScheme:
         config = SchemeConfig(scheme=HBAC_ICO, n=4, epsilon=0.5)
         plus, _ = run_round(fixed_point(4, make_thermal_params(0.5)), config)
         corrected = pi_pulse_correct(plus.normalized(), "e")
-        report = run_scheme(config)
-        assert corrected.n == report.final_state.n
-        assert np.array_equal(corrected.populations, report.final_state.populations)
+        final = final_state(config)
+        assert corrected.n == final.n
+        assert np.array_equal(corrected.populations, final.populations)
 
     def test_k_switch_heralded_qubits_are_ground(self):
         # conditioned on plus, all support sits in the first 2**k labels, so
@@ -694,9 +697,27 @@ class TestRunScheme:
                 plus, _ = run_round(fixed_point(n, make_thermal_params(0.4)), config)
                 populations = plus.normalized().populations
                 assert float(populations[2**k :].sum()) == 0.0
-                report = run_scheme(config)
-                assert report.final_state.dim == 2 ** (n + 1 - k)
-                assert report.final_state.populations[0] == 1.0
+                final = final_state(config)
+                assert final.dim == 2 ** (n + 1 - k)
+                assert final.populations[0] == 1.0
+
+
+# bath gaps from the smallest normal scale up to the largest with a finite 2*cosh
+_ICO_ALONE_GAPS = (
+    1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 50.0, 300.0, 709.7
+)
+
+
+class TestIcoAloneDefaultSuccess:
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_equals_the_thermal_vector_entries(self, n):
+        # bit for bit what the dense thermal product of thermal_full gives: its
+        # first entry plus the last (standard pair) or the second (ideal pair)
+        for eps in _ICO_ALONE_GAPS:
+            vec = _thermal_product(n + 1, make_thermal_params(eps))
+            for pair, other in ((STANDARD, vec[-1]), (IDEAL, vec[1])):
+                config = SchemeConfig(scheme=ICO_ALONE, n=n, epsilon=eps, pair=pair)
+                assert success_probability(config) == float(vec[0] + other)
 
 
 class TestPlusWeights:
