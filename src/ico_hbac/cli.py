@@ -11,7 +11,12 @@ sort_keys=True, allow_nan=False)`` plus a newline; ``_json_chunks`` streams it,
 numpy vectors a slice at a time, and ``sample`` encodes each distinct chain
 state once.  Output of either format leaves in chunks of about 64 KiB.  CSV
 floats are written with 17 significant digits and JSON floats with ``repr``,
-so identical seeds reproduce identical bytes.
+so identical seeds reproduce identical bytes.  A CSV float is the bytes of
+``format(x, ".17g")``; vectors of them are rendered by one numpy kernel,
+``_float_rows``, which takes an entry's digits from ``'%.16e' % x`` only where
+its 128-bit product cannot decide them (a fraction within the product's error
+of one half, an exponent estimate one off, or a carry: 0.34% of the floats
+of the sample-wide benchmark).
 
 Exit codes: 0 success, 2 usage or domain error, 3 validation failure, 4 I/O.
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -97,9 +103,198 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@functools.lru_cache(maxsize=None)
+def _power_of_ten(exponent: int) -> tuple[int, int, bool]:
+    """``(p, s, exact)``: ``10**exponent`` is ``p * 2**s`` rounded to nearest, ``2**63 <= p < 2**64``.
+
+    ``exact`` says the rounding lost nothing (``0 <= exponent <= 27``).  The
+    table stays Python ints, built per exponent on first use: numpy arrays
+    built at import cost every command about 0.2 MB of RSS.
+    """
+    if exponent >= 0:
+        power = 10**exponent
+        shift = power.bit_length() - 64
+        if shift <= 0:
+            return power << -shift, shift, True
+        rounded = (power + (1 << (shift - 1))) >> shift
+        return rounded, shift, rounded << shift == power
+    power = 10**-exponent
+    shift = -(63 + power.bit_length())
+    return ((1 << (1 - shift)) // power + 1) >> 1, shift, False
+
+
+_FLOAT_SLICE = 4096  # floats per call of the CSV float kernel: bounds its temporaries (~1 MB)
+
+
+def _decimal_digits(values):
+    """``(N, X)``: ``|x|`` is ``N * 10**(X - 16)`` to 17 significant digits, ties to even.
+
+    Zero and non-finite entries get ``N = X = 0``.  A finite nonzero ``|x|``
+    is ``m * 2**(e - 64)`` with ``2**63 <= m < 2**64``.  ``X`` is estimated as
+    ``floor(log10|x|)``, and ``N`` is read from the high word of the 128-bit
+    product of ``m`` and ``_power_of_ten(16 - X)``, formed from 32-bit
+    halves.  That word is within half a unit of the exact product, and exact
+    when the power is.  An entry this cannot decide takes ``N`` and ``X`` from
+    ``'%.16e' % |x|``, the same correctly rounded digits: its fraction lies
+    within that error of one half, or ``N`` before rounding is outside
+    ``[10**16, 10**17)`` (the estimate of ``X`` was one off), or rounding
+    carried it to ``10**17``.
+    """
+    magnitude = np.abs(values)
+    nonzero = np.isfinite(magnitude) & (magnitude != 0.0)
+    safe = np.where(nonzero, magnitude, 1.0)
+    fraction, binary = np.frexp(safe)
+    mantissa = np.ldexp(fraction, 64).astype(np.uint64)
+    decimal = np.floor(np.log10(safe)).astype(np.int64)
+
+    # 10**(16 - X) ~ power * 2**shift, looked up over the span of exponents present
+    scale = 16 - decimal
+    lowest = int(scale.min())
+    table = [_power_of_ten(exponent) for exponent in range(lowest, int(scale.max()) + 1)]
+    scale -= lowest
+    power = np.array([entry[0] for entry in table], dtype=np.uint64)[scale]
+    drop = (-binary - np.array([entry[1] for entry in table])[scale]).astype(np.uint64)
+    exact = np.array([entry[2] for entry in table])[scale]
+
+    # the 128-bit product mantissa * power, as a high and a low word
+    low32, shift32, one = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1)
+    m_low, m_high = mantissa & low32, mantissa >> shift32
+    p_low, p_high = power & low32, power >> shift32
+    low_low = m_low * p_low
+    high_low = m_high * p_low
+    cross = (low_low >> shift32) + (high_low & low32) + m_low * p_high
+    high = m_high * p_high + (high_low >> shift32) + (cross >> shift32)
+    low = (cross << shift32) | (low_low & low32)
+
+    # N before rounding is ``high >> drop``; ``rest`` is the fraction in units of ``high``
+    truncated = high >> drop
+    rest = high & ((one << drop) - one)
+    half = one << (drop - one)
+    up = (rest > half) | ((rest == half) & ((low != 0) | ((truncated & one) == one)))
+    digits = truncated + up
+    # an inexact power leaves the product within half a unit of ``high`` of the
+    # truth: undecided when ``rest + low / 2**64`` is within 1/2 of ``half``
+    low_top = (low >> np.uint64(63)) == one
+    undecided = ~exact & np.where(low_top, rest + one == half, rest == half)
+    fallback = nonzero & (
+        (truncated < np.uint64(10**16)) | (digits >= np.uint64(10**17)) | undecided
+    )
+    digits[~nonzero] = 0
+    decimal[~nonzero] = 0
+    for index in np.flatnonzero(fallback).tolist():
+        text = "%.16e" % magnitude[index]  # d.dddddddddddddddde±XX[X]
+        digits[index] = int(text[0] + text[2:18])
+        decimal[index] = int(text[19:])
+    return digits, decimal
+
+
+def _ascii_digits(digits):
+    """``(text, keep)``: the 17 digits of each ``N`` in ASCII, and how many to keep.
+
+    ``text`` holds the digits, first to last, in rows 1 to 17 between two
+    padding rows, one column per entry.  ``keep`` counts the digits up to the
+    last nonzero one.
+    """
+    count = digits.size
+    text = np.zeros((19, count), dtype=np.uint8)
+    leading = (digits // np.uint64(10**9)).astype(np.uint32)
+    trailing = (digits - leading.astype(np.uint64) * np.uint64(10**9)).astype(np.uint32)
+    ten = np.uint32(10)
+    keep = np.full(count, 17)
+    zeros = np.ones(count, dtype=bool)  # every digit after this one is 0
+    row = 17
+    for part, width in ((trailing, 9), (leading, 8)):
+        for _ in range(width):
+            quotient = part // ten
+            digit = part - quotient * ten
+            text[row] = digit + 48
+            zeros &= digit == 0
+            keep -= zeros
+            part = quotient
+            row -= 1
+    return text, keep
+
+
+def _float_rows(block) -> list[str]:
+    """Each row of the 2-D float array ``block`` as ``"|".join(format(x, ".17g") for x in row)``."""
+    # the rows are decoded once the kernel's temporaries are freed, so these
+    # long-lived strings reuse the memory the temporaries leave instead of
+    # growing the heap past it
+    return str(_float_text(block), "ascii").split("\n")[:-1]
+
+
+def _float_text(block):
+    """The ASCII text of ``_float_rows(block)``, each row ended by a newline, as a uint8 array.
+
+    Every step is elementwise numpy over the block.  ``_decimal_digits``
+    gives each entry's 17 digits and decimal exponent ``X``; each entry then
+    becomes a fixed-width record padded with NULs: a sign; ``0.000`` up to the
+    first digit when ``-4 <= X < 0``; the digits, with the dot after ``X + 1``
+    of them (after one in exponent form) and without trailing zeros or a bare
+    dot; ``e±XX[X]`` when ``X < -4`` or ``X >= 17``; ``nan`` or ``inf``
+    instead of the digits; then a ``|``, or a newline at the end of a row.
+    The NULs are then dropped.
+    """
+    values = block.ravel()
+    digits, decimal = _decimal_digits(values)
+    ascii_digits, keep = _ascii_digits(digits)
+    finite = np.isfinite(values)
+    exponent_form = (decimal < -4) | (decimal >= 17)
+    before_dot = np.where(exponent_form, 1, decimal + 1)  # <= 0 for 0.000ddd
+    np.maximum(keep, before_dot, out=keep)
+    keep[~finite] = 0
+    has_dot = (keep > before_dot) & (before_dot > 0)
+    dot = np.where(has_dot, before_dot, 17)
+
+    # rows: sign, "0.000", 18 body columns (17 digits and a dot), "e±XXX", separator
+    record = np.empty((30, values.size), dtype=np.uint8)
+    record[0] = np.where(np.signbit(values) & (values == values), ord("-"), 0)
+    prefix = np.where((decimal < 0) & ~exponent_form, 1 - decimal, 0)  # length of 0.000
+    record[1:6] = np.where(
+        np.arange(5)[:, None] < prefix, np.frombuffer(b"0.000", dtype=np.uint8)[:, None], 0
+    )
+    # body column c holds digit c before the dot and digit c - 1 after it
+    column = np.arange(18)[:, None]
+    body = record[6:24]
+    np.copyto(body, np.where(column < dot, ascii_digits[1:], ascii_digits[:-1]))
+    np.put_along_axis(body, dot[None, :], ord("."), axis=0)
+    body *= column < keep + has_dot
+    size = np.abs(decimal)
+    record[24] = ord("e")
+    record[25] = np.where(decimal < 0, ord("-"), ord("+"))
+    record[26] = (size // 100 + 48) * (size >= 100)
+    record[27] = size // 10 % 10 + 48
+    record[28] = size % 10 + 48
+    record[24:29] *= exponent_form
+    if not finite.all():
+        nan = np.isnan(values)
+        for offset, (in_nan, in_inf) in enumerate(zip(b"nan", b"inf")):
+            record[1 + offset] = np.where(nan, in_nan, np.where(finite, record[1 + offset], in_inf))
+    record[29] = ord("|")
+    record[29, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
+    text = record.T.ravel()
+    return text[text != 0]
+
+
 def _join_state(vector) -> str:
-    """The floats of ``vector`` with 17 significant digits, pipe-joined: one ``%`` for all."""
-    return "|".join(["%.17g"] * vector.size) % tuple(vector.tolist())
+    """The floats of 1-D ``vector`` with 17 significant digits, pipe-joined."""
+    return "|".join(
+        row
+        for start in range(0, vector.size, _FLOAT_SLICE)
+        for row in _float_rows(vector[None, start : start + _FLOAT_SLICE])
+    )
+
+
+def _join_states(vectors: list) -> list[str]:
+    """``_join_state`` of each of ``vectors`` (1-D, one length), several per kernel call."""
+    if vectors[0].size > _FLOAT_SLICE:
+        return [_join_state(vector) for vector in vectors]
+    per_call = _FLOAT_SLICE // vectors[0].size
+    return [
+        row
+        for start in range(0, len(vectors), per_call)
+        for row in _float_rows(np.stack(vectors[start : start + per_call]))
+    ]
 
 
 def _json_float(value):
@@ -117,14 +312,16 @@ def _line(head: str, *cells) -> str:
     return ",".join((head, *map(_fmt, cells))) + "\r\n"
 
 
-_JSON_SLICE = 2048  # floats of a numpy vector converted per piece (JSON text, CSV lines)
+_JSON_SLICE = 2048  # floats of a numpy vector encoded per piece of JSON text
 
 
 def _vector_lines(head: str, outcome: str, vector):
     """One ``head,i,outcome,,,value`` line per entry of ``vector``, ``i`` counting from 1."""
-    for start in range(0, vector.size, _JSON_SLICE):
-        for i, value in enumerate(vector[start : start + _JSON_SLICE].tolist(), start + 1):
-            yield "%s,%d,%s,,,%.17g\r\n" % (head, i, outcome, value)
+    for start in range(0, vector.size, _FLOAT_SLICE):
+        # one row per entry: the kernel's rows are the values' texts
+        texts = _float_rows(vector[start : start + _FLOAT_SLICE, None])
+        for i, text in enumerate(texts, start + 1):
+            yield f"{head},{i},{outcome},,,{text}\r\n"
 
 
 class _JsonText(str):
@@ -507,8 +704,18 @@ def cmd_sample(args) -> int:
     head = _head(config.scheme, config.n, config.k, config.epsilon)
     want_json = spec["format"] == "json"
     # trajectories share chain positions, so each position is rendered once:
-    # for CSV its cells, for JSON its probability and its state's encoded text
+    # for CSV its cells, all before the output opens and several states per
+    # kernel call; for JSON its probability and its state's encoded text, on first use
     rendered: dict = {}
+    if not want_json:
+        # outcomes whose attempts reach every position any run reaches: each
+        # distinct tree-sort outcome, or the longest heralded run
+        covering = set(runs) if tree else {MINUS * (max(trials_used) - 1) + PLUS}
+        positions = list(dict.fromkeys(p for outcomes in covering for p in chain.positions(outcomes)))
+        visits = [chain.at(position) for position in positions]
+        texts = _join_states([state.populations for state, _probability in visits])
+        for position, (_state, probability), text in zip(positions, visits, texts):
+            rendered[position] = (_fmt(probability), text)
 
     def trajectories():
         """(index, trials used, outcomes) of every run, counting from 1.
@@ -525,11 +732,7 @@ def cmd_sample(args) -> int:
             cells = rendered.get(position)
             if cells is None:
                 state, probability = chain.at(position)
-                vector = state.populations
-                if want_json:
-                    cells = (probability, _json_text(vector, _SAMPLE_STATE_DEPTH))
-                else:
-                    cells = (_fmt(probability), _join_state(vector))
+                cells = (probability, _json_text(state.populations, _SAMPLE_STATE_DEPTH))
                 rendered[position] = cells
             yield number, outcome, *cells
 

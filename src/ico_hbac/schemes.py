@@ -240,7 +240,10 @@ def success_probability(config: SchemeConfig) -> float:
         return 1.0
     params = config.params
     if scheme == ICO_ALONE:
-        if config.initial is None and params is not None:
+        if config.initial is None and params is None:
+            # two entries of uniform_full, each exactly 2**-(n + 1), over its exact sum 1
+            return 2.0**-config.n
+        if config.initial is None:
             # entries 0 and -1 (standard) or 1 (ideal) of thermal_full, each a
             # product of n + 1 weights in the Kronecker order
             g, e, n = params.ground_population, params.excited_population, config.n

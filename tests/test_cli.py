@@ -829,6 +829,33 @@ _PINNED_STDOUT = (
         "sample --config ico-alone-initial.json --trials 25 --seed 5 --format json",
         "9c17917378a2f384d922b5289f74b02ffcafc4d9af6afd7af99698b84afaeed3",
     ),
+    # recorded before CSV floats were rendered by the vectorized kernel: an
+    # exact 1, a subnormal and exact zeros; two- and three-digit exponents;
+    # 0.0... fixed forms over several chain states; each distinct tree prefix
+    (
+        "fixed-point --n 3 --eps 357",
+        "c355da7f233ec0b7f867079db57207c82f51c43df1c95cb36ab8fb865ff3ffd5",
+    ),
+    (
+        "sample --scheme hbac-ico --n 10 --eps 0.05 --trials 3 --seed 1",
+        "44adb30eb417b382fe54e415ad41c2b86e4b82191f6a06ff2fc69e3d57b5c83a",
+    ),
+    (
+        "fixed-point --n 3 --eps 300",
+        "d14bf101345a046c4f898b6f946f68023b3cb9eeae805d0eb75c02f82b15b62f",
+    ),
+    (
+        "run --scheme hbac --n 3 --eps 300",
+        "aee5f1e340cf2fa24e72ec2d306dee12f2c5d98c6f3af805e16b1d92d9e0f53a",
+    ),
+    (
+        "run --scheme ico-tree-sort --n 2 --eps 0.5",
+        "c1334a4332fc180204fc7fe06c8380a9fcc86c1800c92903426dca648b88eca5",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 5 --eps 0.5 --trials 30 --seed 2",
+        "0dc909d47aaa307b39c294c5ecf2abbafb3c4092dc1627098cc26dc7e34a66bd",
+    ),
 )
 
 # explicit initial vectors, written to the working directory of each pinned command
@@ -955,6 +982,73 @@ class TestByteGuard:
         assert lines == [
             f"hbac,2,,0.5,{i},final-state,,,{text}\r\n" for i, text in enumerate(reference, 1)
         ]
+
+
+def _texts(values) -> list[str]:
+    """The reference: ``format(x, ".17g")`` of each float."""
+    return [format(float(x), ".17g") for x in values]
+
+
+def _edge_floats():
+    """Floats at every layout and rounding edge of the ``.17g`` kernel."""
+    edges = [
+        5e-324,
+        1.7976931348623157e308,
+        1e-5,
+        1e-4,
+        1e16,
+        1e17,
+        1e15 + 0.25,  # exact decimal ties: ...0.2 and ...0.8 to even
+        1e15 + 0.75,
+        -0.0,
+        0.0,
+        math.nan,
+        math.inf,
+        -math.inf,
+    ]
+    for exponent in range(-323, 309):  # powers of ten and their neighbours
+        power = float(f"1e{exponent}")
+        edges += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+    edges += [2.0**exponent for exponent in range(-1074, 1024)]
+    edges += [count * 5e-324 for count in (2, 3, 1000, 2**51, 2**52 - 1)]  # subnormals
+    return np.array(edges)
+
+
+class TestFloatKernel:
+    """``cli._float_rows`` against ``format(x, ".17g")``, byte for byte."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=80))
+    def test_bit_patterns_match_format_17g(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert cli._float_rows(values[None, :]) == ["|".join(_texts(values))]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(), min_size=1, max_size=80))
+    def test_floats_match_format_17g(self, floats):
+        values = np.array(floats)
+        assert cli._float_rows(values[None, :]) == ["|".join(_texts(values))]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edge_table(self, sign):
+        values = sign * _edge_floats()
+        assert cli._float_rows(values[:, None]) == _texts(values)
+
+    def test_exact_ties_round_to_even(self):
+        block = np.array([[1e15 + 0.25, 1e15 + 0.75, 2.5, 0.125]])
+        assert cli._float_rows(block) == ["1000000000000000.2|1000000000000000.8|2.5|0.125"]
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_rows_split(self, rows, cols, seed):
+        block = _vector(rows * cols, seed).reshape(rows, cols)
+        expected = ["|".join(_texts(row)) for row in block]
+        assert cli._float_rows(block) == expected
+        assert cli._join_states(list(block)) == expected
+
+    def test_states_longer_than_a_slice(self):
+        vectors = [_vector(cli._FLOAT_SLICE + 5, seed) for seed in range(3)]
+        assert cli._join_states(vectors) == ["|".join(_texts(vector)) for vector in vectors]
 
 
 class TestOutputSink:

@@ -720,6 +720,18 @@ class TestIcoAloneDefaultSuccess:
                 assert success_probability(config) == float(vec[0] + other)
 
 
+class TestIcoAloneBathFreeSuccess:
+    @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.parametrize("pair", [STANDARD, IDEAL])
+    def test_equals_the_uniform_vector_entries(self, n, pair):
+        # bit for bit what reading the two entries of uniform_full(n) gave
+        lam = uniform_full(n)
+        vec = lam.populations
+        weight = vec[0] + (vec[-1] if pair == STANDARD else vec[1])
+        config = SchemeConfig(scheme=ICO_ALONE, n=n, pair=pair)
+        assert success_probability(config) == float(weight / lam.norm)
+
+
 class TestPlusWeights:
     def test_weights_reproduce_probability(self):
         for scheme, kwargs in (
