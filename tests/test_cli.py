@@ -856,6 +856,28 @@ _PINNED_STDOUT = (
         "sample --scheme ico-tree-sort --n 5 --eps 0.5 --trials 30 --seed 2",
         "0dc909d47aaa307b39c294c5ecf2abbafb3c4092dc1627098cc26dc7e34a66bd",
     ),
+    # recorded before the chain held each distinct state once: one re-prepared
+    # ico-alone input over 101 chain positions, both pairs; distinct tree prefixes
+    (
+        "sample --scheme ico-alone --n 6 --eps 0.2 --trials 10 --seed 1 --format csv",
+        "786a81c8b34aef862677766e983d47f12ab2f204a49ee90ce9de783b5813e841",
+    ),
+    (
+        "sample --scheme ico-alone --n 6 --eps 0.2 --trials 10 --seed 1 --format json",
+        "0a9d05833a6af1958fb354af75330348b86a41bc5be2ef18889b3936312725c3",
+    ),
+    (
+        "sample --scheme ico-alone --n 6 --eps 0.2 --trials 10 --seed 1 --pair ideal --format csv",
+        "e4a8ad8da59c968fe741737885ecf3ea1ce4e4ebb4f30cb01b151e6d811d7fec",
+    ),
+    (
+        "sample --scheme ico-alone --n 6 --eps 0.2 --trials 10 --seed 1 --pair ideal --format json",
+        "b8776f5015d196c433798b19f1ca931b3a00b42b35938a0bf0d12907e7dedf44",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 5 --eps 0.5 --trials 40 --seed 2",
+        "78b4266a5c299525ebba808c9df29315f6f2d52352250d641f55af1784079110",
+    ),
 )
 
 # explicit initial vectors, written to the working directory of each pinned command
