@@ -8,10 +8,11 @@ literals, every other cell is a number or a pipe-joined list of numbers), so a
 line is its cells joined by commas.  JSON mirrors the same data as structured
 objects with stable key order, with the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline; ``_json_chunks`` streams it,
-numpy vectors a slice at a time, and ``sample`` encodes each distinct chain
-state once.  Output of either format leaves in chunks of about 64 KiB.  CSV
-floats are written with 17 significant digits and JSON floats with ``repr``,
-so identical seeds reproduce identical bytes.  A CSV float is the bytes of
+numpy vectors a slice at a time.  ``sample`` renders each distinct chain
+state once, before the output opens, in either format.  Output of either
+format leaves in chunks of about 64 KiB.  CSV floats are written with 17
+significant digits and JSON floats with ``repr``, so identical seeds
+reproduce identical bytes.  A CSV float is the bytes of
 ``format(x, ".17g")``; vectors of them are rendered by one numpy kernel,
 ``_float_rows``, which takes an entry's digits from ``'%.16e' % x`` only where
 its 128-bit product cannot decide them (a fraction within the product's error
@@ -276,20 +277,13 @@ def _float_text(block):
     return text[text != 0]
 
 
-def _join_state(vector) -> str:
-    """The floats of 1-D ``vector`` with 17 significant digits, pipe-joined."""
-    return "|".join(
-        row
-        for start in range(0, vector.size, _FLOAT_SLICE)
-        for row in _float_rows(vector[None, start : start + _FLOAT_SLICE])
-    )
-
-
 def _join_states(vectors: list) -> list[str]:
-    """``_join_state`` of each of ``vectors`` (1-D, one length), several per kernel call."""
-    if vectors[0].size > _FLOAT_SLICE:
-        return [_join_state(vector) for vector in vectors]
-    per_call = _FLOAT_SLICE // vectors[0].size
+    """Each 1-D vector of one length as its ``.17g`` floats pipe-joined, several per kernel call."""
+    size = vectors[0].size
+    if size > _FLOAT_SLICE:  # one kernel call per slice of each state
+        cuts = [slice(start, start + _FLOAT_SLICE) for start in range(0, size, _FLOAT_SLICE)]
+        return ["|".join(_float_rows(state[None, cut])[0] for cut in cuts) for state in vectors]
+    per_call = _FLOAT_SLICE // size
     return [
         row
         for start in range(0, len(vectors), per_call)
@@ -703,19 +697,15 @@ def cmd_sample(args) -> int:
     trials_used = [1] * len(runs) if tree else runs.tolist()
     head = _head(config.scheme, config.n, config.k, config.epsilon)
     want_json = spec["format"] == "json"
-    # trajectories share chain positions, so each position is rendered once:
-    # for CSV its cells, all before the output opens and several states per
-    # kernel call; for JSON its probability and its state's encoded text, on first use
-    rendered: dict = {}
-    if not want_json:
-        # outcomes whose attempts reach every position any run reaches: each
-        # distinct tree-sort outcome, or the longest heralded run
-        covering = set(runs) if tree else {MINUS * (max(trials_used) - 1) + PLUS}
-        positions = list(dict.fromkeys(p for outcomes in covering for p in chain.positions(outcomes)))
-        visits = [chain.at(position) for position in positions]
-        texts = _join_states([state.populations for state, _probability in visits])
-        for position, (_state, probability), text in zip(positions, visits, texts):
-            rendered[position] = (_fmt(probability), text)
+    # trajectories share the chain's states, so each is rendered once, before
+    # the output opens: its probability and its state's text (for CSV several
+    # states per kernel call)
+    vectors = [state.populations for state in chain.states]
+    if want_json:
+        texts = [_json_text(vector, _SAMPLE_STATE_DEPTH) for vector in vectors]
+        cells = list(zip(chain.probabilities, texts))
+    else:
+        cells = list(zip(map(_fmt, chain.probabilities), _join_states(vectors)))
 
     def trajectories():
         """(index, trials used, outcomes) of every run, counting from 1.
@@ -728,13 +718,8 @@ def cmd_sample(args) -> int:
 
     def attempts(outcomes):
         """(round, outcome, probability, state) of every attempt in ``outcomes``."""
-        for number, (outcome, position) in enumerate(zip(outcomes, chain.positions(outcomes)), 1):
-            cells = rendered.get(position)
-            if cells is None:
-                state, probability = chain.at(position)
-                cells = (probability, _json_text(state.populations, _SAMPLE_STATE_DEPTH))
-                rendered[position] = cells
-            yield number, outcome, *cells
+        for number, (outcome, node) in enumerate(zip(outcomes, chain.nodes(outcomes)), 1):
+            yield number, outcome, *cells[node]
 
     mean_trials = sum(trials_used) / len(trials_used)
     analytic = success_probability(config)

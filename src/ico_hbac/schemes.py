@@ -288,16 +288,24 @@ def expected_trials(success_probability: float, desired: float) -> int:
     if success_probability == 1.0:
         return 1
     failure_log = math.log1p(-success_probability)
+    estimate = math.log1p(-desired) / failure_log
+    if math.isinf(2.0 * estimate):
+        raise ValueError(
+            f"success probability {success_probability!r} is too small to count attempts"
+        )
 
     def reached(count: int) -> bool:
         return -math.expm1(count * failure_log) >= desired
 
-    m = max(1, math.ceil(math.log1p(-desired) / failure_log))
-    while not reached(m):
-        m += 1
-    while m > 1 and reached(m - 1):
-        m -= 1
-    return m
+    # bisect between a count that falls short and one that reaches: past 2**53
+    # neighbouring counts share a float, so a walk of one count per step stalls
+    short, enough = 0, max(1, math.ceil(estimate))
+    while not reached(enough):
+        short, enough = enough, 2 * enough
+    while enough - short > 1:
+        middle = (short + enough) // 2
+        short, enough = (short, middle) if reached(middle) else (middle, enough)
+    return enough
 
 
 def run_round(
@@ -359,12 +367,13 @@ def pi_pulse_correct(state: DiagonalState, measured_qubit_outcome: str) -> Diago
 class AttemptChain:
     """Pre-measurement states and plus probabilities shared by a batch of runs.
 
-    The state an attempt sees depends only on the outcomes before it, so every
-    state and its plus probability are computed once, on first use, and all
-    trajectories read them from here.  A position in the chain is
+    The state an attempt sees depends only on the outcomes before it, so each
+    distinct state is computed once, on first use, and kept once in
+    ``states`` (its plus probability in ``probabilities``).  A position is
 
     * for heralded schemes, the 1-based attempt number along the
-      deterministic failure chain (every earlier outcome was a minus);
+      deterministic failure chain (every earlier outcome was a minus); the
+      bath-free retry re-prepares the input, so its positions share a state;
     * for tree sort, the string of earlier outcomes: each prefix is split
       once, one level of the cascade per character;
     * for plain cooling, attempt 1 only: the stationary profile, which
@@ -379,63 +388,67 @@ class AttemptChain:
         self.absorbing = config.scheme == ICO_ALONE or (
             config.scheme == HBAC_KICO and config.repump_rounds == 0
         )
+        self.states: list[DiagonalState | ReducedState] = []
+        self.probabilities: list[float] = []
         if config.scheme == ICO_TREE_SORT:
             self._level_specs = [tree_pair(config.n, level) for level in range(config.n)]
-            self._tree: dict[str, tuple[DiagonalState, DiagonalState, DiagonalState]] = {}
+            self._tree: dict[str, tuple[int, DiagonalState, DiagonalState]] = {}
             return
         if config.scheme == HBAC:
             # the stationary profile is unique: every initial converges to it
-            self._states = [fixed_point(config.n, config.params)]
-            self._probabilities = [1.0]
+            self.states.append(fixed_point(config.n, config.params))
+            self.probabilities.append(1.0)
             return
         self._spec = scheme_spec(config)
         self._weights = plus_weight_vector(config)
         first = initial_state(config).normalized()
-        self._states = [first]
-        self._probabilities = [self._plus_probability(first)]
+        self.states.append(first)
+        self.probabilities.append(float(self._weights @ first.populations))
 
     def __len__(self) -> int:
         """Number of distinct states computed so far."""
-        return len(self._tree) if self.config.scheme == ICO_TREE_SORT else len(self._states)
+        return len(self.states)
 
     def at(self, position) -> tuple[DiagonalState | ReducedState, float]:
         """(pre-measurement state, plus probability) at a chain position."""
+        index = self._node(position)
+        return self.states[index], self.probabilities[index]
+
+    def nodes(self, outcomes: str):
+        """Index into ``states`` of every attempt recorded in ``outcomes``, in order."""
         if self.config.scheme == ICO_TREE_SORT:
-            state, plus, _minus = self._tree_node(position)
-            return state, plus.norm
-        while len(self._states) < position:
-            nxt = self._next_state(self._states[-1])
-            self._states.append(nxt)
-            self._probabilities.append(self._plus_probability(nxt))
-        return self._states[position - 1], self._probabilities[position - 1]
-
-    def positions(self, outcomes: str):
-        """Chain position of every attempt recorded in ``outcomes``, in order."""
-        if self.config.scheme == ICO_TREE_SORT:
-            return [outcomes[:level] for level in range(len(outcomes))]
-        return range(1, len(outcomes) + 1)
-
-    def _plus_probability(self, state) -> float:
-        return float(self._weights @ state.populations)
-
-    def _next_state(self, state):
+            return [self._node(outcomes[:level]) for level in range(len(outcomes))]
         if self.config.scheme == ICO_ALONE:
-            return self._states[0]  # retry re-prepares the input
-        nxt = failure_update(state, self.config.params, self._spec)
-        for _ in range(self.config.repump_rounds):
-            nxt = hbac_round(nxt, self.config.params)
-        return nxt
+            return [0] * len(outcomes)
+        return range(self._node(len(outcomes)) + 1)
+
+    def _node(self, position) -> int:
+        """Index into ``states`` of the state at a chain position, computed on first use."""
+        if self.config.scheme == ICO_TREE_SORT:
+            return self._tree_node(position)[0]
+        if self.config.scheme == ICO_ALONE:
+            return 0  # every retry re-prepares the input
+        while len(self.states) < position:
+            state = failure_update(self.states[-1], self.config.params, self._spec)
+            for _ in range(self.config.repump_rounds):
+                state = hbac_round(state, self.config.params)
+            self.states.append(state)
+            self.probabilities.append(float(self._weights @ state.populations))
+        return position - 1
 
     def _tree_node(self, prefix: str):
         node = self._tree.get(prefix)
         if node is None:
             if prefix:
-                _parent, plus, minus = self._tree_node(prefix[:-1])
+                _index, plus, minus = self._tree_node(prefix[:-1])
                 state = (plus if prefix[-1] == PLUS else minus).normalized()
             else:
                 state = initial_state(self.config).normalized()
-            node = (state, *switch_branches(state, self._level_specs[len(prefix)]))
+            plus, minus = switch_branches(state, self._level_specs[len(prefix)])
+            node = (len(self.states), plus, minus)
             self._tree[prefix] = node
+            self.states.append(state)
+            self.probabilities.append(plus.norm)
         return node
 
 

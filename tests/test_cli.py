@@ -254,6 +254,23 @@ class TestRunCommand:
         m = report["trials_for_desired"]
         assert 1.0 - (1.0 - p) ** m >= 0.99
 
+    def test_desired_success_beyond_float_counts_is_a_domain_error(self, capsys, tmp_path):
+        # subnormal heralding weights: no float attempt count reaches the target
+        path = tmp_path / "spec.json"
+        spec = {
+            "scheme": "hbac-ico",
+            "n": 2,
+            "epsilon": 0.5,
+            "initial": [1e-320, 1, 1, 1e-320],
+            "desired_success": 0.9,
+        }
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: success probability ")
+        assert err.count("\n") == 1
+
 
 class TestSampleCommand:
     @pytest.mark.parametrize("initial", [[0.4, 0.3, 0.2, 0.1], [3, 1]])
@@ -463,6 +480,36 @@ class TestSampleCommand:
         p = 1.0 / summary["expected_trials"]
         sigma = math.sqrt((1 - p) / p**2 / summary["trajectories"])
         assert abs(summary["mean_trials"] - summary["expected_trials"]) < 5 * sigma
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reprepared_input_is_rendered_once(self, capsys, monkeypatch, fmt):
+        # every ico-alone retry re-prepares its input, so the render step sees
+        # one state however many attempts the runs made
+        rendered = []
+        if fmt == "csv":
+            float_rows = cli._float_rows
+
+            def counting(block):
+                rendered.extend(block)
+                return float_rows(block)
+
+            monkeypatch.setattr(cli, "_float_rows", counting)
+        else:
+            json_text = cli._json_text
+
+            def counting(obj, depth):
+                rendered.append(obj)
+                return json_text(obj, depth)
+
+            monkeypatch.setattr(cli, "_json_text", counting)
+        argv = "sample --scheme ico-alone --n 8 --eps 0.2 --trials 20 --seed 1 --format " + fmt
+        code, out, _err = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert len(rendered) == 1
+        assert rendered[0].size == 2**9
+        attempts = out.count(",-,") if fmt == "csv" else out.count('"outcome": "-"')
+        assert attempts > 100
 
 
 class TestValidateCommand:
@@ -999,7 +1046,7 @@ class TestByteGuard:
         # one %-format per vector (or line) writes what format(x, ".17g") writes per float
         vector = np.concatenate([vector, specials])
         reference = [format(float(x), ".17g") for x in vector]
-        assert cli._join_state(vector) == "|".join(reference)
+        assert cli._join_states([vector])[0] == "|".join(reference)
         lines = list(cli._vector_lines("hbac,2,,0.5", "final-state", vector))
         assert lines == [
             f"hbac,2,,0.5,{i},final-state,,,{text}\r\n" for i, text in enumerate(reference, 1)

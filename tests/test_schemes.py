@@ -176,6 +176,21 @@ class TestExpectedTrials:
         m = expected_trials(2 * eps, desired)
         assert abs(m * 2 * eps - 1.0) < 0.01
 
+    @pytest.mark.parametrize("probability", [1e-300, 1e-20, 1e-17])
+    def test_counts_past_float_precision(self, probability):
+        # neighbouring counts share a float product here: the smallest count
+        # that reaches is still found, without walking the ones that share it
+        failure_log = math.log1p(-probability)
+        m = expected_trials(probability, 0.9)
+        assert -math.expm1(m * failure_log) >= 0.9
+        assert -math.expm1((m - 1) * failure_log) < 0.9
+        assert m * probability == pytest.approx(-math.log(0.1), rel=1e-12)
+
+    @pytest.mark.parametrize("probability", [1e-320, 5e-324, 2.3e-308])
+    def test_count_outside_the_float_range_is_a_domain_error(self, probability):
+        with pytest.raises(ValueError, match="too small"):
+            expected_trials(probability, 0.9)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             expected_trials(1.5, 0.9)
@@ -543,6 +558,36 @@ class TestSampler:
             assert excinfo.value.trajectory == max_attempts
             assert excinfo.value.index == 25
             assert len(chain) <= 2
+
+    @pytest.mark.parametrize(
+        "case", _REFERENCE_CASES, ids=lambda case: "-".join(f"{v}" for v in case.values())
+    )
+    def test_nodes_index_the_states_runs_reached(self, case):
+        config = SchemeConfig(n=3, seed=2, **case)
+        chain, runs = _sampled(config, 60)
+        reached = set()
+        for _trials_used, outcomes in runs:
+            nodes = list(chain.nodes(outcomes))
+            assert len(nodes) == len(outcomes)
+            for attempt, node in enumerate(nodes):
+                position = outcomes[:attempt] if config.scheme == ICO_TREE_SORT else attempt + 1
+                state, probability = chain.at(position)
+                assert chain.states[node] is state
+                assert chain.probabilities[node] == probability
+            reached.update(nodes)
+        # each distinct state is held once, and only if some run reached it
+        assert reached == set(range(len(chain)))
+        assert len(chain.states) == len(chain.probabilities) == len(chain)
+        assert len({id(state) for state in chain.states}) == len(chain)
+
+    def test_reprepared_input_is_held_once(self):
+        config = SchemeConfig(scheme=ICO_ALONE, n=8, epsilon=0.2, seed=1)
+        chain = AttemptChain(config)
+        batch = sample_batch(chain, 20)
+        assert batch.max() > 100
+        assert len(chain) == 1
+        longest = MINUS * (int(batch.max()) - 1) + PLUS
+        assert list(chain.nodes(longest)) == [0] * len(longest)
 
     def test_tree_sort_always_one_trial(self):
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=3, seed=5)
