@@ -458,16 +458,13 @@ _RUNSPEC = {
     "seed": _Key(int),
     "desired_success": _Key((int, float)),
     "pair": _Key(str, PAIR_CHOICES),
-    "level": _Key(int),
     "nondemolition": _Key(bool),
     "repump_rounds": _Key(int),
     "max_attempts": _Key(int),
     "trials": _Key(int, minimum=1, default=1),
-    "workers": _Key(int, minimum=1, default=1),
     "format": _Key(str, FORMATS, default="csv"),
     "output": _Key(str),
 }
-_SAMPLE_ONLY = ("trials", "workers")  # keys that only ``sample`` has flags for
 
 # every SchemeConfig field but ``initial``, which the spec holds as a selector or vector
 _CONFIG_FIELDS = [field for field in dataclasses.fields(SchemeConfig) if field.name != "initial"]
@@ -690,8 +687,7 @@ def cmd_sample(args) -> int:
     spec = _merge_runspec(args)
     config = _config_from_runspec(spec)
     chain = AttemptChain(config)
-    # every draw happens before the output is opened, so a failed run writes nothing;
-    # ``workers`` is not read: every worker count draws the same trajectories
+    # every draw happens before the output is opened, so a failed run writes nothing
     runs = sample_batch(chain, spec["trials"])
     tree = config.scheme == ICO_TREE_SORT
     trials_used = [1] * len(runs) if tree else runs.tolist()
@@ -873,7 +869,7 @@ def cmd_validate(args) -> int:
 def _add_runspec_flags(parser, include_trials: bool) -> None:
     parser.add_argument("--config", help="JSON run specification; flags override its keys")
     for name, key in _RUNSPEC.items():
-        if name in _SAMPLE_ONLY and not include_trials:
+        if name == "trials" and not include_trials:  # only ``sample`` has a flag for it
             continue
         flags = ("--eps",) if name == "epsilon" else ()
         flags += ("--" + name.replace("_", "-"),)

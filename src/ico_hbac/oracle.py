@@ -164,6 +164,8 @@ def compare(
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if nmax > max_exponent:
         raise ValueError(f"nmax={nmax} exceeds the dense cap {max_exponent}")
     rng = np.random.default_rng(seed)

@@ -45,7 +45,6 @@ from .register import (
     reduce,
     reset,
     thermal_full,
-    thermal_reduced,
     uniform_full,
 )
 from .switch import (
@@ -94,9 +93,9 @@ class SchemeConfig:
 
     ``epsilon`` is required for bath schemes and optional otherwise (used only
     to build thermal default initial states).  ``k`` is required exactly for
-    the k-switch scheme.  ``initial`` overrides the scheme default evaluation
-    state: the stationary profile for bath switch schemes, a thermal product
-    for the bath-free ones.
+    the k-switch scheme.  ``initial`` overrides the default evaluation state
+    of a switch scheme (plain cooling takes none): the stationary profile with
+    a bath, a thermal product without one.
     """
 
     scheme: str
@@ -107,7 +106,6 @@ class SchemeConfig:
     desired_success: float | None = None
     seed: int = 0
     pair: str = STANDARD
-    level: int = 0
     nondemolition: bool = False
     repump_rounds: int = 0
     max_attempts: int = 100_000
@@ -123,6 +121,8 @@ class SchemeConfig:
                 raise ValueError(f"k must be in [1, {self.n}], got {self.k}")
         elif self.k is not None:
             raise ValueError(f"k is only meaningful for {HBAC_KICO}")
+        if self.scheme == HBAC and self.initial is not None:
+            raise ValueError(f"{HBAC} takes no initial state: it converges from any start")
         if self.scheme in BATH_SCHEMES and self.epsilon is None:
             raise ValueError(f"{self.scheme} needs epsilon")
         if self.epsilon is not None:
@@ -131,8 +131,6 @@ class SchemeConfig:
             raise ValueError(f"desired_success must be in (0, 1), got {self.desired_success}")
         if self.pair not in PAIR_CHOICES:
             raise ValueError(f"pair must be one of {PAIR_CHOICES}, got {self.pair!r}")
-        if not 0 <= self.level <= self.n - 1:
-            raise ValueError(f"level must be in [0, {self.n - 1}], got {self.level}")
         if self.repump_rounds < 0:
             raise ValueError(f"repump_rounds must be >= 0, got {self.repump_rounds}")
         if self.max_attempts < 1:
@@ -190,21 +188,19 @@ def scheme_spec(config: SchemeConfig) -> BlockUnitarySpec | None:
         return k_pair(config.n, config.k)
     if config.scheme == ICO_ALONE:
         return standard_pair(config.n) if config.pair == STANDARD else ideal_pair(config.n)
-    return tree_pair(config.n, config.level)
+    return tree_pair(config.n)
 
 
 def initial_state(config: SchemeConfig) -> DiagonalState | ReducedState:
     """Evaluation state: the explicit initial, else the scheme default.
 
-    Bath schemes act on reduced states and default to a thermal product (plain
-    cooling) or the stationary profile; bath-free schemes act on the full
-    register and default to a thermal product, or uniform without a bath.
+    Bath schemes act on reduced states and default to the stationary profile;
+    bath-free schemes act on the full register and default to a thermal
+    product, or uniform without a bath.
     """
     if config.initial is not None:
         return config.initial
     params = config.params
-    if config.scheme == HBAC:
-        return thermal_reduced(config.n, params)
     if config.scheme in BATH_SCHEMES:
         return fixed_point(config.n, params)
     return uniform_full(config.n) if params is None else thermal_full(config.n, params)
@@ -374,8 +370,8 @@ class AttemptChain:
     * for heralded schemes, the 1-based attempt number along the
       deterministic failure chain (every earlier outcome was a minus); the
       bath-free retry re-prepares the input, so its positions share a state;
-    * for tree sort, the string of earlier outcomes: each prefix is split
-      once, one level of the cascade per character;
+    * for tree sort, the string of earlier outcomes, one level of the cascade
+      per character; a prefix's state is a branch of its parent's, split again;
     * for plain cooling, attempt 1 only: the stationary profile, which
       always heralds.
     """
@@ -391,11 +387,10 @@ class AttemptChain:
         self.states: list[DiagonalState | ReducedState] = []
         self.probabilities: list[float] = []
         if config.scheme == ICO_TREE_SORT:
-            self._level_specs = [tree_pair(config.n, level) for level in range(config.n)]
-            self._tree: dict[str, tuple[int, DiagonalState, DiagonalState]] = {}
+            self._level_specs: dict[int, BlockUnitarySpec] = {}
+            self._tree: dict[str, int] = {}  # outcome prefix -> index into states
             return
         if config.scheme == HBAC:
-            # the stationary profile is unique: every initial converges to it
             self.states.append(fixed_point(config.n, config.params))
             self.probabilities.append(1.0)
             return
@@ -425,7 +420,7 @@ class AttemptChain:
     def _node(self, position) -> int:
         """Index into ``states`` of the state at a chain position, computed on first use."""
         if self.config.scheme == ICO_TREE_SORT:
-            return self._tree_node(position)[0]
+            return self._tree_node(position)
         if self.config.scheme == ICO_ALONE:
             return 0  # every retry re-prepares the input
         while len(self.states) < position:
@@ -436,20 +431,26 @@ class AttemptChain:
             self.probabilities.append(float(self._weights @ state.populations))
         return position - 1
 
-    def _tree_node(self, prefix: str):
-        node = self._tree.get(prefix)
-        if node is None:
+    def _tree_node(self, prefix: str) -> int:
+        index = self._tree.get(prefix)
+        if index is None:
             if prefix:
-                _index, plus, minus = self._tree_node(prefix[:-1])
+                parent = self.states[self._tree_node(prefix[:-1])]
+                plus, minus = self._split(parent, len(prefix) - 1)
                 state = (plus if prefix[-1] == PLUS else minus).normalized()
             else:
                 state = initial_state(self.config).normalized()
-            plus, minus = switch_branches(state, self._level_specs[len(prefix)])
-            node = (len(self.states), plus, minus)
-            self._tree[prefix] = node
+            index = len(self.states)
+            self._tree[prefix] = index
             self.states.append(state)
-            self.probabilities.append(plus.norm)
-        return node
+            self.probabilities.append(self._split(state, len(prefix))[0].norm)
+        return index
+
+    def _split(self, state: DiagonalState, level: int) -> tuple[DiagonalState, DiagonalState]:
+        """Unnormalized (plus, minus) branches at a cascade level, its spec built on first use."""
+        if level not in self._level_specs:
+            self._level_specs[level] = tree_pair(self.config.n, level)
+        return switch_branches(state, self._level_specs[level])
 
 
 # Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11), as

@@ -273,19 +273,25 @@ class TestRunCommand:
 
 
 class TestSampleCommand:
-    @pytest.mark.parametrize("initial", [[0.4, 0.3, 0.2, 0.1], [3, 1]])
-    def test_plain_cooling_prints_the_profile_whatever_the_initial(self, capsys, tmp_path, initial):
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize(
+        "initial,flags",
         # [0.4, 0.3, 0.2, 0.1] sums to 0.9999999999999999 in floats, [3, 1] to 4
-        n = len(initial).bit_length() - 1
+        [([0.4, 0.3, 0.2, 0.1], []), ([3, 1], []), (None, ["--initial", "thermal"])],
+    )
+    def test_plain_cooling_takes_no_initial(self, capsys, tmp_path, command, initial, flags):
+        spec = {"scheme": "hbac", "n": 2, "epsilon": 0.5}
+        if initial is not None:
+            spec.update(n=len(initial).bit_length() - 1, initial=initial)
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"scheme": "hbac", "n": n, "epsilon": 0.5, "initial": initial}))
-        code, out, _ = run_cli(capsys, "sample", "--config", str(path), "--trials", "3")
-        assert code == 0
-        cells = {row["value"] for row in parse_csv(out) if row["outcome"] == "+"}
-        code, out, _ = run_cli(capsys, "fixed-point", "--n", str(n), "--eps", "0.5")
-        assert code == 0
-        profile = [row["value"] for row in parse_csv(out) if row["outcome"] == "fixed-point"]
-        assert cells == {"|".join(profile)}
+        path.write_text(json.dumps(spec))
+        target = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--config", str(path), *flags, "--output", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: hbac takes no initial state: it converges from any start\n"
+        assert not target.exists()
 
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
@@ -371,32 +377,6 @@ class TestSampleCommand:
         state = np.array(attempt_rows[0]["value"].split("|"), dtype=float)
         expected = fixed_point(10, make_thermal_params(0.01)).populations
         assert np.abs(state - expected).sum() < 1e-10
-
-    def test_workers_do_not_change_bytes(self, capsys, tmp_path):
-        outputs = []
-        for workers, name in (("1", "a.csv"), ("2", "b.csv")):
-            target = tmp_path / name
-            code, _out, _err = run_cli(
-                capsys,
-                "sample",
-                "--scheme",
-                "hbac-ico",
-                "--n",
-                "2",
-                "--eps",
-                "0.5",
-                "--trials",
-                "101",
-                "--seed",
-                "9",
-                "--workers",
-                workers,
-                "--output",
-                str(target),
-            )
-            assert code == 0
-            outputs.append(target.read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
@@ -537,12 +517,19 @@ class TestValidateCommand:
         assert code == 3
         assert "FAIL" in out
 
-    @pytest.mark.parametrize("flag", ["--nmax", "--trials"])
-    def test_empty_run_is_usage_error(self, capsys, flag):
-        code, out, err = run_cli(capsys, "validate", flag, "0")
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--nmax", "0", "nmax must be >= 1, got 0"),
+            ("--trials", "0", "trials must be >= 1, got 0"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_empty_run_is_usage_error(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "validate", flag, value)
         assert code == 2
         assert out == ""
-        assert err == f"error: {flag[2:]} must be >= 1, got 0\n"
+        assert err == f"error: {message}\n"
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
@@ -596,7 +583,10 @@ class TestParsing:
 
 
 # SHA-256 of stdout, recorded before the output path was rewritten to stream:
-# any change to these bytes is a change to the output format
+# any change to these bytes is a change to the output format.  The JSON ``run``
+# and ``sample`` digests were re-recorded when ``level`` and ``workers`` left
+# the run specification: each document is the one written before, re-encoded
+# without those two runspec keys.
 _PINNED_STDOUT = (
     (
         "sample --scheme hbac --n 2 --eps 0.5 --trials 25 --seed 5 --format csv",
@@ -604,7 +594,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac --n 2 --eps 0.5 --trials 25 --seed 5 --format json",
-        "9cf38c6b40656d39c1838435b00a34ba6c440564a1cbe0a7fb13a8b7825cf70d",
+        "c2bc1485926c9b529b877d8d77dffd2f99afeadeb0f24207bc3d3e4cdb51bdbe",
     ),
     (
         "sample --scheme hbac --n 3 --eps 0.5 --trials 25 --seed 5 --format csv",
@@ -612,7 +602,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac --n 3 --eps 0.5 --trials 25 --seed 5 --format json",
-        "9eb8c60d8e6422a05116623c75f53665a3c91e3c8fd138a8407025cd86f67f7b",
+        "7a813f4e41bbe418f74f49e86fa23ac6504704a5eda7fa6004ec62b11111b023",
     ),
     (
         "sample --scheme hbac-ico --n 2 --eps 0.5 --trials 25 --seed 5 --format csv",
@@ -620,7 +610,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac-ico --n 2 --eps 0.5 --trials 25 --seed 5 --format json",
-        "a5e4ec49177816d21a4ed5f8ba7fc389f62c2cf05ba4014528d08ea7fe49ad72",
+        "deede3b4d6ee0ad605e59755d67d88d011e61ede8a35f6e016dae32280b705c0",
     ),
     (
         "sample --scheme hbac-ico --n 3 --eps 0.5 --trials 25 --seed 5 --format csv",
@@ -628,7 +618,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac-ico --n 3 --eps 0.5 --trials 25 --seed 5 --format json",
-        "66c8c1754ce9218bebd9a5cdb6bffc97e8ce7f2c3cecb50b10fc1192440fce26",
+        "ee32ab291cdd6666aa7919889c4a92865f4b718afbc4331123c9dbaadc42462f",
     ),
     (
         "sample --scheme ico-alone --n 2 --eps 0.5 --trials 25 --seed 5 --format csv",
@@ -636,7 +626,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-alone --n 2 --eps 0.5 --trials 25 --seed 5 --format json",
-        "f9baef2c6f2688faf14bce768716fb5e97c09e54fd5e328e6e23c7402cdee27b",
+        "858adccbdbe6d0c6b7d2387c4a43459ca3a2ae67d95d6d6bee773110cf62f338",
     ),
     (
         "sample --scheme ico-alone --n 3 --eps 0.5 --trials 25 --seed 5 --format csv",
@@ -644,7 +634,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-alone --n 3 --eps 0.5 --trials 25 --seed 5 --format json",
-        "cbc8df5643947709ca80313374b35f50ecb0f1a98950f15adf30c37dc446ff0f",
+        "a6a43066b3f42b65ac1639a0ec0fb874dac36ed12e11f53d3b78f34009b5ad68",
     ),
     (
         "sample --scheme ico-tree-sort --n 2 --eps 0.5 --trials 25 --seed 5 --format csv",
@@ -652,7 +642,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-tree-sort --n 2 --eps 0.5 --trials 25 --seed 5 --format json",
-        "1be37f6c52b76aaae56268513c998df2c42f49e1c832947b2c4d4f95d2157768",
+        "6cc5d6e8eab48c2d15590e3323926498d282da64552750efb917bc437c732dc9",
     ),
     (
         "sample --scheme ico-tree-sort --n 3 --eps 0.5 --trials 25 --seed 5 --format csv",
@@ -660,7 +650,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-tree-sort --n 3 --eps 0.5 --trials 25 --seed 5 --format json",
-        "0f165f07cc9123d3cb062ab92a36ffb28e4e12bd19a9ed0f33c12e418d6867c3",
+        "537a6b9cfec4a3a658f49fa7c331620dc45a86b28743022888685a2674e7e459",
     ),
     (
         "sample --scheme hbac-kico --n 2 --eps 0.5 --trials 25 --seed 5 --format csv --k 1 --repump-rounds 1",
@@ -668,7 +658,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac-kico --n 2 --eps 0.5 --trials 25 --seed 5 --format json --k 1 --repump-rounds 1",
-        "866428126ce5fbe9e368d0522ec86361bec02874c4275b836de57de7d327ef7d",
+        "0dc0b4b128a6146d0f1b68cfc8ad7efaa9047ddd10945cd17413ec54d6fbf43d",
     ),
     (
         "sample --scheme hbac-kico --n 3 --eps 0.5 --trials 25 --seed 5 --format csv --k 1 --repump-rounds 1",
@@ -676,7 +666,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac-kico --n 3 --eps 0.5 --trials 25 --seed 5 --format json --k 1 --repump-rounds 1",
-        "a9d2ccfbc4619a0126bf50c45b83738c9a02336785d645a43d61ea1a855c122c",
+        "b846c3c28f996554f7177dd02e28a43234f1242bca9ed77e174544ea9963cc63",
     ),
     (
         "run --scheme hbac-kico --n 3 --k 2 --eps 0.3 --desired-success 0.9",
@@ -684,7 +674,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --scheme ico-tree-sort --n 3 --eps 0.3 --format json",
-        "625e14bfbf35312172623ea997a9fdef26ff4449784ddeb9257a585d14613a58",
+        "b79406439d9025529724cf69b1938428c149a33c1fe09ff29d0a8e56035fce01",
     ),
     (
         "table1 --n 4 --eps 0.2 --k 2",
@@ -732,15 +722,15 @@ _PINNED_STDOUT = (
     # and the run and fixed-point vectors are longer than one encoded slice
     (
         "sample --scheme ico-tree-sort --n 6 --eps 0.5 --trials 40 --seed 3 --format json",
-        "641a27c164abf4042f83db70cda8b8938760622528829e085f0f55edc175f328",
+        "cf7ca3853b419cf97a48992707bf4deaac9aedc22b9f5eca46724e3bfe467c00",
     ),
     (
         "sample --scheme hbac-ico --n 5 --eps 0.3 --trials 50 --seed 2 --format json",
-        "4285d029c9ecb235e84a295ba2208925cbb5aba801da55dbaada5037bec3dece",
+        "de5b8c6f19bfa1f6b765044e0a21badca61c0846033d21387cde37bc07d911e3",
     ),
     (
         "run --scheme hbac --n 12 --eps 0.1 --format json",
-        "06221e402abf1013ce3d6b10ac885429b7ccc304fad5a9c2ced1c82e09a54ca9",
+        "7bbc0f2cee90512d81290397195282a8b22dd1fea9349c323eb644dbfed14986",
     ),
     (
         "fixed-point --n 12 --eps 0.01 --format json",
@@ -754,7 +744,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --scheme hbac-ico --n 2 --eps 0.5 --initial uniform --format json",
-        "8bb51a5c097ef8b3a62b46e8586d5e1c74bb9063cc19b22ac559bebd7de89c01",
+        "4066cbcf998b04e8ddb485bf927aaa708a764170ced451409d3fbe88a9051915",
     ),
     (
         "sample --scheme hbac-ico --n 2 --eps 0.5 --initial uniform --trials 25 --seed 5 --format csv",
@@ -762,7 +752,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac-ico --n 2 --eps 0.5 --initial uniform --trials 25 --seed 5 --format json",
-        "6747f4f5a48191a79fc7ed3d18bdaca6ada77e0e6ef68d98b2ed2d8a0a030d21",
+        "ba35cef0d3a19bd80ae7d6a0960360fa2b02a843f40bd9b2cc658207faa6834d",
     ),
     (
         "run --scheme hbac-ico --n 2 --eps 0.5 --initial thermal --format csv",
@@ -770,7 +760,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --scheme hbac-ico --n 2 --eps 0.5 --initial thermal --format json",
-        "62ebd1ed0318b76fc8f7ab65a3373164ef3b773f5b3789da8dbc48a478a06178",
+        "edcc8a98021d701dd45566c840bfaf2fa44994a072d1d46abbc8037f1cfb8447",
     ),
     (
         "sample --scheme hbac-ico --n 2 --eps 0.5 --initial thermal --trials 25 --seed 5 --format csv",
@@ -778,7 +768,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac-ico --n 2 --eps 0.5 --initial thermal --trials 25 --seed 5 --format json",
-        "e6ffd2f4dceeebc3d9560b3eeb5cdbbf36d27a1f4f1d261e43a6e9a31c44c2ea",
+        "2b8f3ec5088e9fc624eb366465b3891ccd4aee05afa1dec761a17a3d04706b0a",
     ),
     (
         "run --scheme hbac-ico --n 2 --eps 0.5 --initial fixed-point --format csv",
@@ -786,7 +776,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --scheme hbac-ico --n 2 --eps 0.5 --initial fixed-point --format json",
-        "1c53e7d3610ffb50685f446c9afc8ed86f9d3cefcd8bdd71382807798aff5eaf",
+        "889e14016e55384b99ccc4a2d2e548433577ed3f6b6d272906b0f8d778055d19",
     ),
     (
         "sample --scheme hbac-ico --n 2 --eps 0.5 --initial fixed-point --trials 25 --seed 5 --format csv",
@@ -794,7 +784,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme hbac-ico --n 2 --eps 0.5 --initial fixed-point --trials 25 --seed 5 --format json",
-        "4cfc6c3e07dbf38d9f51f4aa19560b378791f92faab805001f5009799bc5a7e1",
+        "4a110484adff7197ac7afbbea388857d73dd80158f916b33ab2c418e859d8be7",
     ),
     (
         "run --config hbac-ico-initial.json --format csv",
@@ -802,7 +792,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --config hbac-ico-initial.json --format json",
-        "2d7699aa6d6431429e60b9dff8a51f597bea04c2e757840795cb3c9dc8865137",
+        "a30dd87ad3d391bfd186b57c9428b51ffedb62854ebb7f8230ee9391b036f916",
     ),
     (
         "sample --config hbac-ico-initial.json --trials 25 --seed 5 --format csv",
@@ -810,7 +800,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --config hbac-ico-initial.json --trials 25 --seed 5 --format json",
-        "f60e2ebe188df54e63ae0e6a4135681ae21bd252fdb17f20dfec652b576f44da",
+        "3924aad104c7ac17e532bd71c90c10dce353150a17ad31e63b6ad777fae0072f",
     ),
     (
         "run --scheme ico-alone --n 2 --eps 0.5 --initial uniform --format csv",
@@ -818,7 +808,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --scheme ico-alone --n 2 --eps 0.5 --initial uniform --format json",
-        "6d5b096fe56e746335ce19d279119644c31845c47dd82c37252ed7e939098d11",
+        "b24886995a9d386ef0b944fe563a314f03bd73520b13e1c8845ab605c1f37388",
     ),
     (
         "sample --scheme ico-alone --n 2 --eps 0.5 --initial uniform --trials 25 --seed 5 --format csv",
@@ -826,7 +816,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-alone --n 2 --eps 0.5 --initial uniform --trials 25 --seed 5 --format json",
-        "782ab6e74ce1fc999813467d15ab3234edc240a65744535a8c2ffcde244b25dd",
+        "9333baa74eae212457f9d32997b7b2bf721d7f2d68cd4425ec69d53a17264a71",
     ),
     (
         "run --scheme ico-alone --n 2 --eps 0.5 --initial thermal --format csv",
@@ -834,7 +824,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --scheme ico-alone --n 2 --eps 0.5 --initial thermal --format json",
-        "1e6378801e7cdb9a6713674fec5c8ace6faf04c3b4aac09c70bbe71d886531b6",
+        "1b7ea57cac27cd0aefdcbf09cd4976723d1b11ee466a4845de1547b9378810c2",
     ),
     (
         "sample --scheme ico-alone --n 2 --eps 0.5 --initial thermal --trials 25 --seed 5 --format csv",
@@ -842,7 +832,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-alone --n 2 --eps 0.5 --initial thermal --trials 25 --seed 5 --format json",
-        "92c985c579085876ab2eeac35974272798f8b3d5b5a66f6d0602c1c1f03a12f9",
+        "3e7a6639e05c933695831bccc1088195e1999bd732588fc2c6728989f7cafddc",
     ),
     (
         "run --scheme ico-alone --n 2 --eps 0.5 --initial fixed-point --format csv",
@@ -850,7 +840,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --scheme ico-alone --n 2 --eps 0.5 --initial fixed-point --format json",
-        "8372dc0bb692196f9b700a46f56d18832eb37ec0e1b066e9f18298a062dad781",
+        "e265a6d85877b7aae1f29f40295777577c77e12895df6a3964cc49e1c3dc425b",
     ),
     (
         "sample --scheme ico-alone --n 2 --eps 0.5 --initial fixed-point --trials 25 --seed 5 --format csv",
@@ -858,7 +848,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-alone --n 2 --eps 0.5 --initial fixed-point --trials 25 --seed 5 --format json",
-        "8d18ebe94dcfbd25796da2357d02243c1f974f21934cb3dccd76997f7311377e",
+        "952844ae39357373648ef2f58603ad031420961018cc935ebac2dd22c0fa647b",
     ),
     (
         "run --config ico-alone-initial.json --format csv",
@@ -866,7 +856,7 @@ _PINNED_STDOUT = (
     ),
     (
         "run --config ico-alone-initial.json --format json",
-        "25a897ef694e1a28d879be4ff2c8e96b89db9fbb5a6d47545de54c1aea64befb",
+        "4304f48cd43bde06ad2d1a3dd0de366b4918ceea3c09f792091303be4fafbd17",
     ),
     (
         "sample --config ico-alone-initial.json --trials 25 --seed 5 --format csv",
@@ -874,7 +864,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --config ico-alone-initial.json --trials 25 --seed 5 --format json",
-        "9c17917378a2f384d922b5289f74b02ffcafc4d9af6afd7af99698b84afaeed3",
+        "943689c16cd5ede89b1c4400892adbeefc58052ffc9da28e2a4452d9275777de",
     ),
     # recorded before CSV floats were rendered by the vectorized kernel: an
     # exact 1, a subnormal and exact zeros; two- and three-digit exponents;
@@ -911,7 +901,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-alone --n 6 --eps 0.2 --trials 10 --seed 1 --format json",
-        "0a9d05833a6af1958fb354af75330348b86a41bc5be2ef18889b3936312725c3",
+        "208d8601a45d859eb5e410e92987f71a6c1711ca70a9e5281f47b726d16140e3",
     ),
     (
         "sample --scheme ico-alone --n 6 --eps 0.2 --trials 10 --seed 1 --pair ideal --format csv",
@@ -919,7 +909,7 @@ _PINNED_STDOUT = (
     ),
     (
         "sample --scheme ico-alone --n 6 --eps 0.2 --trials 10 --seed 1 --pair ideal --format json",
-        "b8776f5015d196c433798b19f1ca931b3a00b42b35938a0bf0d12907e7dedf44",
+        "80049014c0f38fd326aea88e3ea2c612d97f30a470050414bb287aa15587c547",
     ),
     (
         "sample --scheme ico-tree-sort --n 5 --eps 0.5 --trials 40 --seed 2",
@@ -1177,12 +1167,10 @@ _RUNSPEC_VALUES = {
     "output": "out.json",
     "format": "json",
     "pair": "ideal",
-    "level": 2,
     "nondemolition": True,
     "repump_rounds": 1,
     "max_attempts": 1000,
     "desired_success": 0.9,
-    "workers": 2,
 }
 
 # the flag that sets each key to its value in _RUNSPEC_VALUES
@@ -1197,12 +1185,10 @@ _RUNSPEC_FLAGS = {
     "output": ["--output", "out.json"],
     "format": ["--format", "json"],
     "pair": ["--pair", "ideal"],
-    "level": ["--level", "2"],
     "nondemolition": ["--nondemolition"],
     "repump_rounds": ["--repump-rounds", "1"],
     "max_attempts": ["--max-attempts", "1000"],
     "desired_success": ["--desired-success", "0.9"],
-    "workers": ["--workers", "2"],
 }
 
 _ALL_KEYS_CONFIG = {
@@ -1210,12 +1196,37 @@ _ALL_KEYS_CONFIG = {
     "initial": [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05],
 }
 
-# SHA-256 of the file written by a config that sets all 16 run-spec keys,
-# recorded before the run-spec keys were declared in one table
+# SHA-256 of the file written by a config that sets all 14 run-spec keys,
+# re-recorded when ``level`` and ``workers`` were retired: each file is the one
+# written before, re-encoded without those two runspec keys
 _PINNED_RUNSPEC_ECHO = (
-    ("run", "b9b9af10b9f7ba9c7760a04924af830e1cfca49a5a5c1875e2756f988f727695"),
-    ("sample", "de0868a61601d0a75a0821553ba05b0fd1ee77554497a609acc95fa17f2cc7bd"),
+    ("run", "4e558b5ec782f3f9de32551fee29b1246fb2d9443886e98a95ca02161ffcca72"),
+    ("sample", "ef20bd9b8b688b20d43fabd4b7b8268c04ac077157b73b42d45cab890c56e7b7"),
 )
+
+
+_HERALDED = {"scheme": "hbac-ico", "n": 2, "epsilon": 0.5}
+_SAMPLED = {**_HERALDED, "trials": 20}
+
+# For every run-spec key: a command, a spec, and a second value of the key that
+# changes the command's exit code, stdout or ``--output`` bytes.  A key no
+# output reads has no such value, so it cannot be added to the table.
+_LIVE_KEYS = {
+    "scheme": ("run", _HERALDED, "hbac"),
+    "n": ("run", _HERALDED, 3),
+    "k": ("run", {"scheme": "hbac-kico", "n": 3, "k": 1, "epsilon": 0.5}, 2),
+    "epsilon": ("run", _HERALDED, 0.3),
+    "initial": ("run", _HERALDED, "uniform"),
+    "seed": ("sample", _SAMPLED, 1),
+    "desired_success": ("run", _HERALDED, 0.9),
+    "pair": ("run", {"scheme": "ico-alone", "n": 2, "epsilon": 0.5}, "ideal"),
+    "nondemolition": ("run", {"scheme": "ico-tree-sort", "n": 2}, True),
+    "repump_rounds": ("sample", _SAMPLED, 1),
+    "max_attempts": ("sample", _SAMPLED, 1),
+    "trials": ("sample", _SAMPLED, 21),
+    "format": ("run", _HERALDED, "json"),
+    "output": ("run", _HERALDED, "out.json"),
+}
 
 
 def _run_in(capsys, directory, config, *argv):
@@ -1240,26 +1251,46 @@ class TestRunSpecKeys:
 
     @pytest.mark.parametrize(
         "command,key",
-        [("run", key) for key in _RUNSPEC_FLAGS if key not in ("trials", "workers")]
+        [("run", key) for key in _RUNSPEC_FLAGS if key != "trials"]
         + [("sample", key) for key in _RUNSPEC_FLAGS],
     )
     def test_flag_and_config_give_the_same_bytes(self, capsys, tmp_path, monkeypatch, command, key):
         monkeypatch.chdir(tmp_path)
         base = {name: value for name, value in _RUNSPEC_VALUES.items() if name != "output"}
         if command == "run":
-            del base["trials"], base["workers"]
+            del base["trials"]
         by_config = _run_in(capsys, tmp_path, {**base, key: _RUNSPEC_VALUES[key]}, command)
         without = {name: value for name, value in base.items() if name != key}
         by_flag = _run_in(capsys, tmp_path, without, command, *_RUNSPEC_FLAGS[key])
         assert by_config[0] == 0
         assert by_flag == by_config
 
+    def test_liveness_table_covers_the_runspec(self):
+        assert set(_LIVE_KEYS) == set(cli._RUNSPEC)
+
+    @pytest.mark.parametrize("key", sorted(_LIVE_KEYS))
+    def test_every_key_changes_some_output(self, capsys, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        command, spec, other = _LIVE_KEYS[key]
+        code, out, _err, data = _run_in(capsys, tmp_path, spec, command)
+        assert code == 0
+        changed = _run_in(capsys, tmp_path, {**spec, key: other}, command)
+        assert (changed[0], changed[1], changed[3]) != (code, out, data)
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize("flag", ["--level", "--workers"])
+    def test_retired_flags_are_usage_errors(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, "--scheme", "hbac-ico", "--n", "2", flag, "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: unrecognized arguments: {flag} 1\n"
+
     @pytest.mark.parametrize("command", ["run", "sample"])
     @pytest.mark.parametrize(
         "key,value,message",
         [
             ("trials", 0, "trials must be >= 1, got 0"),
-            ("workers", -1, "workers must be >= 1, got -1"),
+            ("level", 0, "unknown run specification keys: ['level']"),
+            ("workers", 1, "unknown run specification keys: ['workers']"),
             ("pair", "other", "pair must be one of ('standard', 'ideal'), got 'other'"),
             (
                 "initial",

@@ -68,6 +68,8 @@ class TestConfigValidation:
             SchemeConfig(scheme=ICO_ALONE, n=3, initial=reduced)
         with pytest.raises(ValueError):
             SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, initial=reduced)
+        with pytest.raises(ValueError, match="hbac takes no initial state"):
+            SchemeConfig(scheme=HBAC, n=3, epsilon=0.5, initial=reduced)
 
     def test_desired_success_range(self):
         with pytest.raises(ValueError):
@@ -346,7 +348,6 @@ _REFERENCE_CASES = [
     dict(scheme=ICO_ALONE, epsilon=0.5, pair="ideal"),
     dict(scheme=ICO_ALONE),
     dict(scheme=ICO_TREE_SORT, epsilon=0.5),
-    dict(scheme=ICO_TREE_SORT, epsilon=0.5, level=1),
     dict(scheme=HBAC_KICO, epsilon=0.5, k=1, repump_rounds=1),
     dict(scheme=HBAC_KICO, epsilon=0.5, k=2, repump_rounds=1),
     dict(scheme=HBAC_KICO, epsilon=0.5, k=2, repump_rounds=2),
