@@ -40,22 +40,13 @@ import numpy as np
 
 from . import oracle
 from .hbac_core import build_transfer, fixed_point, hbac_round
-from .register import (
-    DiagonalState,
-    ReducedState,
-    make_thermal_params,
-    reset,
-    thermal_full,
-    thermal_reduced,
-    uniform_full,
-    uniform_reduced,
-)
+from .register import ReducedState, make_thermal_params
 from .schemes import (
-    BATH_SCHEMES,
     HBAC,
     HBAC_ICO,
     HBAC_KICO,
     ICO_TREE_SORT,
+    INITIAL_SELECTORS,
     PAIR_CHOICES,
     SCHEMES,
     AttemptChain,
@@ -75,7 +66,6 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 
 FORMATS = ("csv", "json")
-INITIAL_SELECTORS = ("uniform", "thermal", "fixed-point")
 
 
 class UsageError(Exception):
@@ -310,12 +300,13 @@ _JSON_SLICE = 2048  # floats of a numpy vector encoded per piece of JSON text
 
 
 def _vector_lines(head: str, outcome: str, vector):
-    """One ``head,i,outcome,,,value`` line per entry of ``vector``, ``i`` counting from 1."""
+    """``head,i,outcome,,,value`` lines, one per entry (``i`` from 1), joined per kernel slice."""
     for start in range(0, vector.size, _FLOAT_SLICE):
         # one row per entry: the kernel's rows are the values' texts
         texts = _float_rows(vector[start : start + _FLOAT_SLICE, None])
-        for i, text in enumerate(texts, start + 1):
-            yield f"{head},{i},{outcome},,,{text}\r\n"
+        yield "".join(
+            f"{head},{i},{outcome},,,{text}\r\n" for i, text in enumerate(texts, start + 1)
+        )
 
 
 class _JsonText(str):
@@ -466,8 +457,7 @@ _RUNSPEC = {
     "output": _Key(str),
 }
 
-# every SchemeConfig field but ``initial``, which the spec holds as a selector or vector
-_CONFIG_FIELDS = [field for field in dataclasses.fields(SchemeConfig) if field.name != "initial"]
+_CONFIG_FIELDS = dataclasses.fields(SchemeConfig)
 _DEFAULTS = {
     field.name: field.default
     for field in _CONFIG_FIELDS
@@ -528,37 +518,11 @@ def _merge_runspec(args) -> dict:
     return validate_runspec(spec)
 
 
-def _resolve_initial(selector, scheme: str, n: int, params):
-    if selector is None:
-        return None
-    bath = scheme in BATH_SCHEMES
-    if isinstance(selector, str):
-        if selector == "uniform":
-            return uniform_reduced(n) if bath else uniform_full(n)
-        if selector == "thermal":
-            if params is None:
-                raise UsageError("a thermal initial state needs epsilon")
-            return thermal_reduced(n, params) if bath else thermal_full(n, params)
-        # "fixed-point", the last selector validate_runspec admits
-        if params is None:
-            raise UsageError("a fixed-point initial state needs epsilon")
-        profile = fixed_point(n, params)
-        return profile if bath else reset(profile, params)
-    vector = np.asarray(selector, dtype=float)
-    expected = 2**n if bath else 2 ** (n + 1)
-    if vector.size != expected:
-        raise UsageError(
-            f"explicit initial vector must have length {expected} for this scheme, got {vector.size}"
-        )
-    return ReducedState.from_vector(vector) if bath else DiagonalState.from_vector(vector)
-
-
 def _config_from_runspec(spec: dict) -> SchemeConfig:
-    epsilon = spec.get("epsilon")
-    params = make_thermal_params(epsilon) if epsilon is not None else None
-    initial = _resolve_initial(spec.get("initial"), spec["scheme"], spec["n"], params)
-    fields = {field.name: spec[field.name] for field in _CONFIG_FIELDS if field.name in spec}
-    return SchemeConfig(**fields, initial=initial)
+    """The spec's ``SchemeConfig`` fields as they are: ``schemes`` decides what they mean."""
+    return SchemeConfig(
+        **{field.name: spec[field.name] for field in _CONFIG_FIELDS if field.name in spec}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,9 @@ from .register import (
     reduce,
     reset,
     thermal_full,
+    thermal_reduced,
     uniform_full,
+    uniform_reduced,
 )
 from .switch import (
     MINUS,
@@ -71,6 +73,8 @@ STANDARD = "standard"
 IDEAL = "ideal"
 PAIR_CHOICES = (STANDARD, IDEAL)
 
+INITIAL_SELECTORS = ("uniform", "thermal", "fixed-point")
+
 SUPPORT_TOLERANCE = 1e-12
 
 
@@ -95,14 +99,15 @@ class SchemeConfig:
     to build thermal default initial states).  ``k`` is required exactly for
     the k-switch scheme.  ``initial`` overrides the default evaluation state
     of a switch scheme (plain cooling takes none): the stationary profile with
-    a bath, a thermal product without one.
+    a bath, a thermal product without one.  A selector from ``INITIAL_SELECTORS``
+    or a list of populations becomes a state once every other check has passed.
     """
 
     scheme: str
     n: int
     epsilon: float | None = None
     k: int | None = None
-    initial: DiagonalState | ReducedState | None = None
+    initial: DiagonalState | ReducedState | str | list | None = None
     desired_success: float | None = None
     seed: int = 0
     pair: str = STANDARD
@@ -137,6 +142,8 @@ class SchemeConfig:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if isinstance(self.initial, (str, list)):
+            object.__setattr__(self, "initial", _build_initial(self, self.initial))
         if self.initial is not None:
             if self.scheme in BATH_SCHEMES:
                 if not isinstance(self.initial, ReducedState):
@@ -191,19 +198,41 @@ def scheme_spec(config: SchemeConfig) -> BlockUnitarySpec | None:
     return tree_pair(config.n)
 
 
+def _build_initial(config: SchemeConfig, initial: str | list) -> DiagonalState | ReducedState:
+    """A selector's state, or a list of populations as a state, of the kind the scheme acts on."""
+    bath = config.scheme in BATH_SCHEMES
+    n, params = config.n, config.params
+    if isinstance(initial, list):
+        expected = 2**n if bath else 2 ** (n + 1)
+        if len(initial) != expected:
+            raise ValueError(
+                f"explicit initial vector must have length {expected} for this scheme, "
+                f"got {len(initial)}"
+            )
+        return (ReducedState if bath else DiagonalState).from_vector(initial)
+    if initial not in INITIAL_SELECTORS:
+        raise ValueError(f"initial must be one of {INITIAL_SELECTORS}, got {initial!r}")
+    if initial == "uniform":
+        return uniform_reduced(n) if bath else uniform_full(n)
+    if params is None:
+        raise ValueError(f"a {initial} initial state needs epsilon")
+    if initial == "thermal":
+        return thermal_reduced(n, params) if bath else thermal_full(n, params)
+    profile = fixed_point(n, params)
+    return profile if bath else reset(profile, params)
+
+
 def initial_state(config: SchemeConfig) -> DiagonalState | ReducedState:
     """Evaluation state: the explicit initial, else the scheme default.
 
-    Bath schemes act on reduced states and default to the stationary profile;
-    bath-free schemes act on the full register and default to a thermal
-    product, or uniform without a bath.
+    Bath schemes default to the stationary profile; bath-free schemes default
+    to a thermal product, or uniform without a bath.
     """
     if config.initial is not None:
         return config.initial
-    params = config.params
     if config.scheme in BATH_SCHEMES:
-        return fixed_point(config.n, params)
-    return uniform_full(config.n) if params is None else thermal_full(config.n, params)
+        return _build_initial(config, "fixed-point")
+    return _build_initial(config, "uniform" if config.epsilon is None else "thermal")
 
 
 def plus_weight_vector(config: SchemeConfig) -> np.ndarray:
@@ -371,7 +400,7 @@ class AttemptChain:
       deterministic failure chain (every earlier outcome was a minus); the
       bath-free retry re-prepares the input, so its positions share a state;
     * for tree sort, the string of earlier outcomes, one level of the cascade
-      per character; a prefix's state is a branch of its parent's, split again;
+      per character; a prefix's state is a normalized branch of its parent's;
     * for plain cooling, attempt 1 only: the stationary profile, which
       always heralds.
     """
@@ -436,21 +465,23 @@ class AttemptChain:
         if index is None:
             if prefix:
                 parent = self.states[self._tree_node(prefix[:-1])]
-                plus, minus = self._split(parent, len(prefix) - 1)
+                plus, minus = switch_branches(parent, self._level_spec(len(prefix) - 1))
                 state = (plus if prefix[-1] == PLUS else minus).normalized()
             else:
                 state = initial_state(self.config).normalized()
             index = len(self.states)
             self._tree[prefix] = index
             self.states.append(state)
-            self.probabilities.append(self._split(state, len(prefix))[0].norm)
+            # the plus branch's norm, by the same float operations, without the branches
+            mask = self._level_spec(len(prefix)).one_mask
+            self.probabilities.append(float(np.where(mask, state.populations, 0.0).sum()))
         return index
 
-    def _split(self, state: DiagonalState, level: int) -> tuple[DiagonalState, DiagonalState]:
-        """Unnormalized (plus, minus) branches at a cascade level, its spec built on first use."""
+    def _level_spec(self, level: int) -> BlockUnitarySpec:
+        """The cascade level's block spec, built on first use."""
         if level not in self._level_specs:
             self._level_specs[level] = tree_pair(self.config.n, level)
-        return switch_branches(state, self._level_specs[level])
+        return self._level_specs[level]
 
 
 # Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11), as

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,46 @@ class TestRunCommand:
         assert out == ""
         assert err.startswith("error: success probability ")
         assert err.count("\n") == 1
+
+
+def run_traced(capsys, *argv):
+    """``run_cli`` plus the peak of the memory traced while the command ran."""
+    tracemalloc.start()
+    try:
+        code = cli.main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, peak
+
+
+class TestRejectionBeforeAllocation:
+    """A rejected spec fails before its ``2**n`` initial state is built."""
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize("scheme", ["hbac-ico", "ico-alone", "ico-tree-sort", "hbac-kico"])
+    @pytest.mark.parametrize("selector", ["uniform", "thermal", "fixed-point"])
+    def test_over_cap_n_with_a_selector(self, capsys, monkeypatch, command, scheme, selector):
+        monkeypatch.setenv("ICO_HBAC_MAX_N", "20")
+        k = ["--k", "1"] if scheme == "hbac-kico" else []
+        argv = ["--scheme", scheme, "--n", "21", "--eps", "0.5", *k, "--initial", selector]
+        code, out, err, peak = run_traced(capsys, command, *argv)
+        assert (code, out, err) == (2, "", "error: n must be in [1, 20], got 21\n")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize("initial", ["uniform", "thermal", "fixed-point", [0.25] * 4])
+    def test_plain_cooling_rejects_initial_unbuilt(
+        self, capsys, monkeypatch, tmp_path, command, initial
+    ):
+        monkeypatch.setenv("ICO_HBAC_MAX_N", "20")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"scheme": "hbac", "n": 20, "epsilon": 0.5, "initial": initial}))
+        code, out, err, peak = run_traced(capsys, command, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: hbac takes no initial state: it converges from any start\n"
+        assert peak < 2**20
 
 
 class TestSampleCommand:
@@ -1037,10 +1078,10 @@ class TestByteGuard:
         vector = np.concatenate([vector, specials])
         reference = [format(float(x), ".17g") for x in vector]
         assert cli._join_states([vector])[0] == "|".join(reference)
-        lines = list(cli._vector_lines("hbac,2,,0.5", "final-state", vector))
-        assert lines == [
+        lines = cli._vector_lines("hbac,2,,0.5", "final-state", vector)
+        assert "".join(lines) == "".join(
             f"hbac,2,,0.5,{i},final-state,,,{text}\r\n" for i, text in enumerate(reference, 1)
-        ]
+        )
 
 
 def _texts(values) -> list[str]:

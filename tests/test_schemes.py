@@ -1,5 +1,6 @@
 """Unit tests for scheme configs, success laws, retries, and the sampler."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +14,11 @@ from ico_hbac.register import (
     _thermal_product,
     ground_state,
     make_thermal_params,
+    reset,
     thermal_full,
+    thermal_reduced,
     uniform_full,
+    uniform_reduced,
 )
 from ico_hbac.schemes import (
     HBAC,
@@ -40,7 +44,15 @@ from ico_hbac.schemes import (
     scheme_spec,
     success_probability,
 )
-from ico_hbac.switch import MINUS, PLUS, branch_transfer, k_pair, standard_pair
+from ico_hbac.switch import (
+    MINUS,
+    PLUS,
+    branch_transfer,
+    k_pair,
+    standard_pair,
+    switch_branches,
+    tree_pair,
+)
 
 
 class TestConfigValidation:
@@ -70,6 +82,32 @@ class TestConfigValidation:
             SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, initial=reduced)
         with pytest.raises(ValueError, match="hbac takes no initial state"):
             SchemeConfig(scheme=HBAC, n=3, epsilon=0.5, initial=reduced)
+        # selectors and population lists become the states the CLI once built from them
+        params = make_thermal_params(0.5)
+        profile = fixed_point(3, params)
+        populations = [0.4, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0]
+        rows = [
+            (HBAC_ICO, "uniform", uniform_reduced(3)),
+            (HBAC_ICO, "thermal", thermal_reduced(3, params)),
+            (HBAC_ICO, "fixed-point", profile),
+            (HBAC_ICO, populations, ReducedState.from_vector(np.asarray(populations))),
+            (ICO_ALONE, "uniform", uniform_full(3)),
+            (ICO_ALONE, "thermal", thermal_full(3, params)),
+            (ICO_ALONE, "fixed-point", reset(profile, params)),
+            (ICO_ALONE, populations * 2, DiagonalState.from_vector(np.asarray(populations * 2))),
+        ]
+        for scheme, initial, expected in rows:
+            state = initial_state(SchemeConfig(scheme=scheme, n=3, epsilon=0.5, initial=initial))
+            assert type(state) is type(expected)
+            assert np.array_equal(state.populations, expected.populations)
+        with pytest.raises(ValueError, match="initial must be one of"):
+            SchemeConfig(scheme=ICO_ALONE, n=3, initial="bogus")
+        with pytest.raises(ValueError, match="a thermal initial state needs epsilon"):
+            SchemeConfig(scheme=ICO_ALONE, n=3, initial="thermal")
+        with pytest.raises(ValueError, match="must have length 8 for this scheme, got 16"):
+            SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, initial=populations * 2)
+        with pytest.raises(ValueError, match="hbac takes no initial state"):
+            SchemeConfig(scheme=HBAC, n=3, epsilon=0.5, initial="uniform")
 
     def test_desired_success_range(self):
         with pytest.raises(ValueError):
@@ -600,12 +638,21 @@ class TestSampler:
         # each outcome prefix is split once, however many runs share it
         assert len(chain) <= 1 + 2 + 4
 
+    def test_tree_probability_is_the_plus_branch_norm(self):
+        # bit for bit, at every prefix of a random input
+        n = 5
+        initial = DiagonalState.from_vector(np.random.default_rng(3).random(2 ** (n + 1)))
+        chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=n, initial=initial))
+        for level in range(n):
+            for signs in itertools.product(PLUS + MINUS, repeat=level):
+                state, probability = chain.at("".join(signs))
+                plus, _minus = switch_branches(state, tree_pair(n, level))
+                assert probability == plus.norm
+
     def test_tree_cascade_purifies_every_storage_qubit(self):
         # replay each recorded cascade and check that afterwards all storage
         # qubits are deterministic (the outcome pattern tells which state),
         # leaving only the reset-slot qubit mixed
-        from ico_hbac.switch import switch_branches, tree_pair
-
         n = 3
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=n, epsilon=0.5, seed=21)
         chain = AttemptChain(config)
