@@ -4,6 +4,8 @@ Everything here builds literal complex matrices: the block-diagonal unitaries,
 the four-product switch channel, and the thermal reset as a partial trace
 followed by a tensor product.  Sizes are capped by default at ``n = 6``
 (128 x 128); this module exists for correctness checks, not scale.
+:func:`compare` runs its random trials as bounded stacks of density matrices
+through the same literal channel, since ``@`` broadcasts over leading axes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .switch import (
 )
 
 DENSE_EXPONENT_CAP = 6
+
+_STACK_BYTES = 1 << 16  # bytes of one stacked complex array in compare: bounds its temporaries
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -64,8 +68,10 @@ def density_defects(rho: np.ndarray, norm: float = 1.0) -> dict[str, float]:
 
 
 def offdiagonal_magnitude(rho: np.ndarray) -> float:
-    """Largest absolute off-diagonal element."""
-    stripped = rho - np.diag(np.diag(rho))
+    """Largest absolute off-diagonal element of a matrix or a stack ``(..., d, d)``."""
+    stripped = np.array(rho, copy=True)
+    diagonal = np.arange(rho.shape[-1])
+    stripped[..., diagonal, diagonal] -= rho[..., diagonal, diagonal]
     return float(np.abs(stripped).max())
 
 
@@ -106,19 +112,20 @@ def switch_channel(
 ) -> np.ndarray:
     """Dense two-order interference channel conditioned on one control outcome.
 
+    ``rho`` is one density matrix or a stack of them, shape ``(..., dim, dim)``.
     Returns the literal four-term combination
 
         (U_A U_B rho U_B' U_A' + U_B U_A rho U_A' U_B'
          +/- U_A U_B rho U_A' U_B' +/- U_B U_A rho U_B' U_A') / 4
 
     (primes denoting adjoints), unnormalized: its trace is the outcome
-    probability.
+    probability (per matrix of a stack).
     """
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     if spec_a.dim != spec_b.dim:
         raise ValueError(f"spec dimensions differ: {spec_a.dim} vs {spec_b.dim}")
-    if rho.shape != (spec_a.dim, spec_a.dim):
+    if rho.shape[-2:] != (spec_a.dim, spec_a.dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dimension {spec_a.dim}")
     u_a = materialize(spec_a, "A", max_exponent=max_exponent)
     u_b = materialize(spec_b, "B", max_exponent=max_exponent)
@@ -158,7 +165,11 @@ def compare(
     Runs every family at every ``n <= nmax`` on ``trials`` seeded random
     diagonal states, tracking the worst diagonal deviation per (family, sign)
     and the worst off-diagonal magnitude (which must vanish for diagonal
-    inputs under these block unitaries).  Deterministic for a fixed seed.
+    inputs under these block unitaries).  The fast path runs once per trial;
+    the dense channel runs once per sign on each chunk of trials, stacked up
+    to ``_STACK_BYTES`` per complex array, so memory is bounded by the
+    dimension and not by ``trials``.  The states, and every reported value,
+    are those of a per-trial loop.  Deterministic for a fixed seed.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
@@ -172,17 +183,27 @@ def compare(
     by_case: dict[tuple[str, str], float] = {}
     max_offdiagonal = 0.0
     for n in range(1, nmax + 1):
+        dim = 2 ** (n + 1)
+        chunk = max(1, _STACK_BYTES // (dim * dim * np.dtype(complex).itemsize))
+        diagonal = np.arange(dim)
         for label, spec in spec_families(n):
-            for _ in range(trials):
-                vec = rng.random(spec.dim)
-                vec /= vec.sum()
-                state = DiagonalState.from_vector(vec)
-                rho = np.diag(vec).astype(complex)
-                for sign, branch in zip(SIGNS, switch_branches(state, spec)):
+            for start in range(0, trials, chunk):
+                # one (m, dim) draw is the stream of m successive rng.random(dim)
+                vecs = rng.random((min(chunk, trials - start), dim))
+                branches = []
+                for vec in vecs:
+                    vec /= vec.sum()  # in place: the stack below holds the normalized rows
+                    branches.append(switch_branches(DiagonalState.from_vector(vec), spec))
+                rho = np.zeros((len(vecs), dim, dim), dtype=complex)
+                rho[:, diagonal, diagonal] = vecs
+                for sign, outputs in zip(SIGNS, zip(*branches)):
                     dense = switch_channel(rho, spec, spec, sign, max_exponent=max_exponent)
-                    diagonal = np.diag(dense).real
-                    deviation = float(np.abs(diagonal - branch.populations).max())
-                    deviation = max(deviation, abs(float(np.trace(dense).real) - branch.norm))
+                    populations = np.array([branch.populations for branch in outputs])
+                    norms = np.array([branch.norm for branch in outputs])
+                    deviation = max(
+                        float(np.abs(dense[:, diagonal, diagonal].real - populations).max()),
+                        float(np.abs(np.trace(dense, axis1=1, axis2=2).real - norms).max()),
+                    )
                     key = (label, sign)
                     by_case[key] = max(by_case.get(key, 0.0), deviation)
                     max_offdiagonal = max(max_offdiagonal, offdiagonal_magnitude(dense))

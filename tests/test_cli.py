@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import ico_hbac.cli as cli
 import ico_hbac.oracle as oracle
 from ico_hbac.hbac_core import fixed_point
-from ico_hbac.register import make_thermal_params
+from ico_hbac.register import DiagonalState, make_thermal_params
+from ico_hbac.switch import standard_pair
 
 
 def run_cli(capsys, *argv):
@@ -557,6 +558,26 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", "--nmax", "1", "--trials", "5")
         assert code == 3
         assert "FAIL" in out
+
+    def test_faulty_fast_path_fails_its_own_line(self, capsys, monkeypatch):
+        # a fast path that leaves the first standard pair unswapped in the
+        # minus branch: norms still partition, only the diagonal is wrong
+        real = oracle.switch_branches
+
+        def faulty(state, spec):
+            plus, minus = real(state, spec)
+            if not np.array_equal(spec.one_mask, standard_pair(spec.n).one_mask):
+                return plus, minus
+            start = spec.pair_starts[0]
+            vec = minus.populations.copy()
+            vec[[start, start + 1]] = state.populations[[start, start + 1]]
+            return plus, DiagonalState(minus.n, vec, minus.norm)
+
+        monkeypatch.setattr(oracle, "switch_branches", faulty)
+        code, out, _ = run_cli(capsys, "validate", "--nmax", "2", "--trials", "5")
+        assert code == 3
+        failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL oracle diagonal [standard -]", "FAIL overall"]
 
     @pytest.mark.parametrize(
         "flag,value,message",

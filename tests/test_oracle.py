@@ -1,9 +1,12 @@
 """Dense-oracle tests: literal unitaries, the four-product channel, and
 fast-path equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 
+import ico_hbac.oracle as oracle
 from ico_hbac.hbac_core import two_sort
 from ico_hbac.oracle import (
     SIGMA_X,
@@ -22,7 +25,45 @@ from ico_hbac.oracle import (
     unitarity_defect,
 )
 from ico_hbac.register import DiagonalState, ReducedState, make_thermal_params, reset
-from ico_hbac.switch import MINUS, PLUS, ideal_pair, k_pair, standard_pair, switch_branches, tree_pair
+from ico_hbac.switch import (
+    MINUS,
+    PLUS,
+    SIGNS,
+    ideal_pair,
+    k_pair,
+    standard_pair,
+    switch_branches,
+    tree_pair,
+)
+
+
+def chunk_size(dim: int) -> int:
+    """Trials per stack that ``compare`` uses at register dimension ``dim``."""
+    return max(1, oracle._STACK_BYTES // (dim * dim * np.dtype(complex).itemsize))
+
+
+def per_trial_compare(nmax: int, trials: int, seed: int):
+    """The one-trial-at-a-time loop ``compare`` replaced: its reference."""
+    rng = np.random.default_rng(seed)
+    by_case = {}
+    max_offdiagonal = 0.0
+    for n in range(1, nmax + 1):
+        for label, spec in spec_families(n):
+            for _ in range(trials):
+                vec = rng.random(spec.dim)
+                vec /= vec.sum()
+                state = DiagonalState.from_vector(vec)
+                rho = np.diag(vec).astype(complex)
+                for sign, branch in zip(SIGNS, switch_branches(state, spec)):
+                    dense = switch_channel(rho, spec, spec, sign)
+                    diagonal = np.diag(dense).real
+                    deviation = float(np.abs(diagonal - branch.populations).max())
+                    deviation = max(deviation, abs(float(np.trace(dense).real) - branch.norm))
+                    key = (label, sign)
+                    by_case[key] = max(by_case.get(key, 0.0), deviation)
+                    stripped = dense - np.diag(np.diag(dense))
+                    max_offdiagonal = max(max_offdiagonal, float(np.abs(stripped).max()))
+    return by_case, max_offdiagonal
 
 
 class TestPauliAlgebra:
@@ -125,6 +166,27 @@ class TestSwitchChannel:
             switch_channel(rho, standard_pair(2), standard_pair(2), PLUS)
         with pytest.raises(ValueError):
             switch_channel(np.eye(8, dtype=complex) / 8.0, standard_pair(2), standard_pair(1), PLUS)
+        with pytest.raises(ValueError):  # a stack of non-square matrices
+            switch_channel(np.zeros((3, 8, 9), dtype=complex), standard_pair(2), standard_pair(2), PLUS)
+        with pytest.raises(ValueError):  # a stack of the wrong dimension
+            switch_channel(np.zeros((3, 4, 4), dtype=complex), standard_pair(2), standard_pair(2), PLUS)
+        with pytest.raises(ValueError):
+            switch_channel(np.zeros(8, dtype=complex), standard_pair(2), standard_pair(2), PLUS)
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_stack_equals_single_calls(self, n):
+        # the channel is literal per matrix: stacking changes no bit, whether
+        # the inputs are diagonal density matrices or arbitrary complex ones
+        rng = np.random.default_rng(41 + n)
+        dim = 2 ** (n + 1)
+        diagonal = np.zeros((5, dim, dim), dtype=complex)
+        diagonal[:, np.arange(dim), np.arange(dim)] = rng.random((5, dim))
+        general = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+        for _label, spec in spec_families(n):
+            for sign in SIGNS:
+                for stack in (diagonal, general):
+                    singles = np.stack([switch_channel(rho, spec, spec, sign) for rho in stack])
+                    assert np.array_equal(switch_channel(stack, spec, spec, sign), singles)
 
     def test_bad_sign(self):
         rho = np.eye(4, dtype=complex) / 4.0
@@ -173,8 +235,56 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(nmax=7)
 
+    @pytest.mark.parametrize("seed", (3, 11))
+    @pytest.mark.parametrize("nmax", range(1, 5))
+    def test_equals_the_per_trial_loop(self, nmax, seed):
+        # chunk - 1 and chunk + 1 straddle a stack boundary at the largest n
+        chunk = chunk_size(2 ** (nmax + 1))
+        for trials in sorted({1, max(1, chunk - 1), chunk + 1, 100}):
+            report = compare(nmax=nmax, trials=trials, seed=seed)
+            by_case, max_offdiagonal = per_trial_compare(nmax, trials, seed)
+            assert report.by_case == by_case
+            assert report.max_offdiagonal == max_offdiagonal
+            assert report.max_abs_deviation == max(by_case.values())
+
+    @pytest.mark.parametrize("dim", (4, 32))
+    def test_one_stacked_draw_is_successive_single_draws(self, dim):
+        stacked = np.random.default_rng(5).random((7, dim))
+        rng = np.random.default_rng(5)
+        assert np.array_equal(stacked, np.stack([rng.random(dim) for _ in range(7)]))
+
+    @pytest.mark.parametrize("nmax,trials", [(4, 20), (5, 3)])
+    def test_stacks_stay_within_the_byte_cap(self, monkeypatch, nmax, trials):
+        # compare goes through the module-global name, once per stack and
+        # sign, so a wrapper there (as the benchmark tracer installs) sees
+        # every call
+        seen = []
+        real = oracle.switch_channel
+
+        def counting(rho, *args, **kwargs):
+            seen.append(rho.nbytes)
+            return real(rho, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "switch_channel", counting)
+        compare(nmax=nmax, trials=trials, seed=1)
+        assert max(seen) <= oracle._STACK_BYTES
+        stacks = sum(
+            len(spec_families(n)) * math.ceil(trials / chunk_size(2 ** (n + 1)))
+            for n in range(1, nmax + 1)
+        )
+        assert len(seen) == 2 * stacks
+
 
 class TestDiagonalHelpers:
+    def test_offdiagonal_magnitude_of_a_stack(self):
+        rng = np.random.default_rng(13)
+        stack = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
+        stack[:, np.arange(8), np.arange(8)] *= 100.0  # the diagonal never counts
+        singles = [offdiagonal_magnitude(rho) for rho in stack]
+        assert offdiagonal_magnitude(stack) == max(singles)
+        for rho, single in zip(stack, singles):
+            assert single == float(np.abs(rho - np.diag(np.diag(rho))).max())
+
     def test_dense_from_diagonal(self):
         state = DiagonalState.from_vector([0.4, 0.3, 0.2, 0.1])
         rho = dense_from_diagonal(state)
