@@ -977,6 +977,25 @@ _PINNED_STDOUT = (
         "sample --scheme ico-tree-sort --n 5 --eps 0.5 --trials 40 --seed 2",
         "78b4266a5c299525ebba808c9df29315f6f2d52352250d641f55af1784079110",
     ),
+    # recorded before the failure chain was held as array rows: re-pump rounds
+    # after each failure, a chain of 411 states, and a seven-level cascade
+    (
+        "sample --scheme hbac-kico --n 5 --k 3 --eps 0.3 --trials 60 --seed 1 --repump-rounds 2",
+        "51a58c7b972ad09dde8cbf804aba5a66e7e1a517de57fb46bed214bdcceed6ec",
+    ),
+    (
+        "sample --scheme hbac-kico --n 5 --k 3 --eps 0.3 --trials 60 --seed 1 --repump-rounds 2 "
+        "--format json",
+        "146346c258180d41e4e5f25dbe55126a261f3dee01c9d928755d9fd2edd416bd",
+    ),
+    (
+        "sample --scheme hbac-ico --n 6 --eps 0.1 --trials 20 --seed 3",
+        "4f9653d587942cce70fafe5cd1e5cf0ceeb3586d5e84393fd8f1f3e2f14e30ce",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 7 --eps 0.5 --trials 30 --seed 4",
+        "72bf4fc1fbf81d81d649b82ef09f75d6c7f8a0e2f2d8ff1a20348e16a9fec9d0",
+    ),
 )
 
 # explicit initial vectors, written to the working directory of each pinned command
