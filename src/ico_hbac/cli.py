@@ -660,12 +660,11 @@ def cmd_sample(args) -> int:
     # trajectories share the chain's states, so each is rendered once, before
     # the output opens: its probability and its state's text (for CSV several
     # states per kernel call)
-    vectors = [state.populations for state in chain.states]
     if want_json:
-        texts = [_json_text(vector, _SAMPLE_STATE_DEPTH) for vector in vectors]
+        texts = [_json_text(row, _SAMPLE_STATE_DEPTH) for row in chain.states]
         cells = list(zip(chain.probabilities, texts))
     else:
-        cells = list(zip(map(_fmt, chain.probabilities), _join_states(vectors)))
+        cells = list(zip(map(_fmt, chain.probabilities), _join_states(chain.states)))
 
     def trajectories():
         """(index, trials used, outcomes) of every run, counting from 1.

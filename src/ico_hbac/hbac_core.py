@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .register import DiagonalState, ReducedState, ThermalParams, _check_exponent
+from .register import (
+    DiagonalState,
+    ReducedState,
+    ThermalParams,
+    _check_exponent,
+    _reduce_raw,
+    _reset_raw,
+)
 
 DENSE_MATRIX_CAP = 12
 
@@ -85,11 +92,9 @@ def two_sort(state: DiagonalState) -> DiagonalState:
 
 
 def _round_raw(p: np.ndarray, ground: float, excited: float) -> np.ndarray:
-    lam = np.empty(2 * p.size)
-    lam[0::2] = p * ground
-    lam[1::2] = p * excited
+    lam = _reset_raw(p, ground, excited)
     _swap_interior(lam)
-    return lam[0::2] + lam[1::2]
+    return _reduce_raw(lam)
 
 
 def hbac_round(state: ReducedState, params: ThermalParams) -> ReducedState:

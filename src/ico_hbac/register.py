@@ -229,10 +229,20 @@ def thermal_reduced(n: int, params: ThermalParams) -> ReducedState:
     return ReducedState(n, _thermal_product(n, params), 1.0)
 
 
+def _reduce_raw(lam: np.ndarray) -> np.ndarray:
+    return lam[0::2] + lam[1::2]
+
+
 def reduce(state: DiagonalState) -> ReducedState:
     """Trace out the reset slot: pairwise sums of adjacent populations."""
-    lam = state.populations
-    return ReducedState(state.n, lam[0::2] + lam[1::2], state.norm)
+    return ReducedState(state.n, _reduce_raw(state.populations), state.norm)
+
+
+def _reset_raw(p: np.ndarray, ground: float, excited: float) -> np.ndarray:
+    out = np.empty(2 * p.size)
+    out[0::2] = p * ground
+    out[1::2] = p * excited
+    return out
 
 
 def reset(state: ReducedState, params: ThermalParams) -> DiagonalState:
@@ -241,8 +251,5 @@ def reset(state: ReducedState, params: ThermalParams) -> DiagonalState:
     Entry ``2k`` of the result is ``p_k * exp(epsilon)/z`` and entry ``2k+1``
     is ``p_k * exp(-epsilon)/z``; the carried norm is unchanged.
     """
-    p = state.populations
-    out = np.empty(2 * p.size)
-    out[0::2] = p * params.ground_population
-    out[1::2] = p * params.excited_population
+    out = _reset_raw(state.populations, params.ground_population, params.excited_population)
     return DiagonalState(state.n, out, state.norm)

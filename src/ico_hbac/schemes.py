@@ -34,12 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hbac_core import fixed_point, hbac_round, two_sort
+from .hbac_core import _round_raw, fixed_point, two_sort
 from .register import (
     DiagonalState,
     ReducedState,
     ThermalParams,
     _check_exponent,
+    _reduce_raw,
+    _reset_raw,
     ground_state,
     make_thermal_params,
     reduce,
@@ -53,6 +55,8 @@ from .switch import (
     MINUS,
     PLUS,
     BlockUnitarySpec,
+    _minus_branch,
+    _plus_branch,
     ideal_pair,
     k_pair,
     standard_pair,
@@ -354,15 +358,33 @@ def run_round(
     return switch_branches(lam, spec)
 
 
+def _minus_step(
+    p: np.ndarray, ground: float, excited: float, spec: BlockUnitarySpec, rounds: int
+) -> np.ndarray:
+    """Reduced populations after a minus outcome of reset-then-switch and ``rounds`` cooling rounds.
+
+    The floats of ``reduce(switch_branches(reset(p), spec)[1]).normalized()``
+    and of ``hbac_round`` after it, without building a state.
+    """
+    minus = _minus_branch(_reset_raw(p, ground, excited), spec)
+    norm = float(minus.sum())
+    if norm <= 0.0:
+        raise ValueError("minus branch carries zero probability; cannot condition on it")
+    out = _reduce_raw(minus)
+    out /= norm  # in place: one fewer temporary per step keeps the chain's rows packed
+    for _ in range(rounds):
+        out = _round_raw(out, ground, excited)
+    return out
+
+
 def failure_update(
     state: ReducedState, params: ThermalParams, spec: BlockUnitarySpec
 ) -> ReducedState:
     """Renormalized reduced state after a minus outcome of reset-then-switch."""
-    _plus, minus = switch_branches(reset(state, params), spec)
-    survivor = reduce(minus)
-    if survivor.norm <= 0.0:
-        raise ValueError("minus branch carries zero probability; cannot condition on it")
-    return survivor.normalized()
+    if 2 * state.dim != spec.dim:
+        raise ValueError(f"state dimension {2 * state.dim} != spec dimension {spec.dim}")
+    ground, excited = params.ground_population, params.excited_population
+    return ReducedState(state.n, _minus_step(state.populations, ground, excited, spec, 0))
 
 
 def pi_pulse_correct(state: DiagonalState, measured_qubit_outcome: str) -> DiagonalState:
@@ -394,13 +416,16 @@ class AttemptChain:
 
     The state an attempt sees depends only on the outcomes before it, so each
     distinct state is computed once, on first use, and kept once in
-    ``states`` (its plus probability in ``probabilities``).  A position is
+    ``states`` as a read-only float64 row of populations (its plus
+    probability in ``probabilities``).  A position is
 
     * for heralded schemes, the 1-based attempt number along the
-      deterministic failure chain (every earlier outcome was a minus); the
-      bath-free retry re-prepares the input, so its positions share a state;
+      deterministic failure chain (every earlier outcome was a minus); each
+      row is one minus step of the previous one; the bath-free retry
+      re-prepares the input, so its positions share a row;
     * for tree sort, the string of earlier outcomes, one level of the cascade
-      per character; a prefix's state is a normalized branch of its parent's;
+      per character; a prefix's row is the normalized branch of its parent's
+      that its last outcome selects;
     * for plain cooling, attempt 1 only: the stationary profile, which
       always heralds.
     """
@@ -413,28 +438,30 @@ class AttemptChain:
         self.absorbing = config.scheme == ICO_ALONE or (
             config.scheme == HBAC_KICO and config.repump_rounds == 0
         )
-        self.states: list[DiagonalState | ReducedState] = []
+        self.states: list[np.ndarray] = []
         self.probabilities: list[float] = []
         if config.scheme == ICO_TREE_SORT:
             self._level_specs: dict[int, BlockUnitarySpec] = {}
             self._tree: dict[str, int] = {}  # outcome prefix -> index into states
             return
         if config.scheme == HBAC:
-            self.states.append(fixed_point(config.n, config.params))
+            self.states.append(fixed_point(config.n, config.params).populations)
             self.probabilities.append(1.0)
             return
-        self._spec = scheme_spec(config)
         self._weights = plus_weight_vector(config)
-        first = initial_state(config).normalized()
-        self.states.append(first)
-        self.probabilities.append(float(self._weights @ first.populations))
+        if config.scheme != ICO_ALONE:
+            params = config.params
+            ground, excited = params.ground_population, params.excited_population
+            # _minus_step's arguments after the row
+            self._step = (ground, excited, scheme_spec(config), config.repump_rounds)
+        self._add(initial_state(config).normalized().populations)
 
     def __len__(self) -> int:
         """Number of distinct states computed so far."""
         return len(self.states)
 
-    def at(self, position) -> tuple[DiagonalState | ReducedState, float]:
-        """(pre-measurement state, plus probability) at a chain position."""
+    def at(self, position) -> tuple[np.ndarray, float]:
+        """(pre-measurement populations, plus probability) at a chain position."""
         index = self._node(position)
         return self.states[index], self.probabilities[index]
 
@@ -446,6 +473,11 @@ class AttemptChain:
             return [0] * len(outcomes)
         return range(self._node(len(outcomes)) + 1)
 
+    def _add(self, row: np.ndarray) -> None:
+        row.setflags(write=False)
+        self.states.append(row)
+        self.probabilities.append(float(self._weights @ row))
+
     def _node(self, position) -> int:
         """Index into ``states`` of the state at a chain position, computed on first use."""
         if self.config.scheme == ICO_TREE_SORT:
@@ -453,28 +485,30 @@ class AttemptChain:
         if self.config.scheme == ICO_ALONE:
             return 0  # every retry re-prepares the input
         while len(self.states) < position:
-            state = failure_update(self.states[-1], self.config.params, self._spec)
-            for _ in range(self.config.repump_rounds):
-                state = hbac_round(state, self.config.params)
-            self.states.append(state)
-            self.probabilities.append(float(self._weights @ state.populations))
+            self._add(_minus_step(self.states[-1], *self._step))
         return position - 1
 
     def _tree_node(self, prefix: str) -> int:
         index = self._tree.get(prefix)
         if index is None:
+            level = len(prefix)
             if prefix:
                 parent = self.states[self._tree_node(prefix[:-1])]
-                plus, minus = switch_branches(parent, self._level_spec(len(prefix) - 1))
-                state = (plus if prefix[-1] == PLUS else minus).normalized()
+                spec = self._level_spec(level - 1)
+                # only the branch the last outcome selects, normalized
+                row = (_plus_branch if prefix[-1] == PLUS else _minus_branch)(parent, spec)
+                norm = float(row.sum())
+                if norm <= 0.0:
+                    raise ValueError("cannot normalize a zero-norm state")
+                row /= norm
+                row.setflags(write=False)
             else:
-                state = initial_state(self.config).normalized()
+                row = initial_state(self.config).normalized().populations
             index = len(self.states)
             self._tree[prefix] = index
-            self.states.append(state)
-            # the plus branch's norm, by the same float operations, without the branches
-            mask = self._level_spec(len(prefix)).one_mask
-            self.probabilities.append(float(np.where(mask, state.populations, 0.0).sum()))
+            self.states.append(row)
+            # the plus branch's norm, by the same float operations
+            self.probabilities.append(float(_plus_branch(row, self._level_spec(level)).sum()))
         return index
 
     def _level_spec(self, level: int) -> BlockUnitarySpec:

@@ -120,6 +120,18 @@ def tree_pair(n: int, level: int = 0) -> BlockUnitarySpec:
     return BlockUnitarySpec(mask)
 
 
+def _plus_branch(lam: np.ndarray, spec: BlockUnitarySpec) -> np.ndarray:
+    return np.where(spec.one_mask, lam, 0.0)
+
+
+def _minus_branch(lam: np.ndarray, spec: BlockUnitarySpec) -> np.ndarray:
+    out = np.zeros_like(lam)
+    starts = spec.pair_starts
+    out[starts] = lam[starts + 1]
+    out[starts + 1] = lam[starts]
+    return out
+
+
 def switch_branches(
     state: DiagonalState, spec: BlockUnitarySpec
 ) -> tuple[DiagonalState, DiagonalState]:
@@ -130,11 +142,8 @@ def switch_branches(
     lam = state.populations
     if lam.size != spec.dim:
         raise ValueError(f"state dimension {lam.size} != spec dimension {spec.dim}")
-    plus_vec = np.where(spec.one_mask, lam, 0.0)
-    minus_vec = np.zeros_like(lam)
-    starts = spec.pair_starts
-    minus_vec[starts] = lam[starts + 1]
-    minus_vec[starts + 1] = lam[starts]
+    plus_vec = _plus_branch(lam, spec)
+    minus_vec = _minus_branch(lam, spec)
     plus = DiagonalState(state.n, plus_vec, float(plus_vec.sum()))
     minus = DiagonalState(state.n, minus_vec, float(minus_vec.sum()))
     return plus, minus

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ico_hbac.oracle as oracle
+from ico_hbac import schemes
 from ico_hbac.hbac_core import two_sort
 from ico_hbac.oracle import (
     SIGMA_X,
@@ -212,6 +213,35 @@ class TestDenseReset:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             dense_reset(np.ones((3, 3), dtype=complex), make_thermal_params(0.5))
+
+
+class TestMinusStep:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_step_matches_the_dense_channel(self, n):
+        # the chain's array step against the literal path: reset, the minus
+        # branch of the switch channel, normalize, then the re-pump rounds as
+        # reset and the two-sort unitary; the reset slot traced out at the end
+        rng = np.random.default_rng(40 + n)
+        half = 2**n
+        sort = materialize(standard_pair(n), "two-sort")
+        for eps in (0.05, 0.5, 2.0):
+            params = make_thermal_params(eps)
+            ground, excited = params.ground_population, params.excited_population
+            for label, spec in spec_families(n):
+                p = rng.random(half)
+                p /= p.sum()
+                # any reset-slot state: dense_reset traces it out
+                rho = np.kron(np.diag(p), np.diag([0.3, 0.7])).astype(complex)
+                state = switch_channel(dense_reset(rho, params), spec, spec, MINUS)
+                state = state / np.trace(state).real
+                for rounds in range(3):
+                    if rounds:
+                        state = conjugate(sort, dense_reset(state, params))
+                    reduced = np.einsum("ajbj->ab", state.reshape(half, 2, half, 2))
+                    row = schemes._minus_step(p, ground, excited, spec, rounds)
+                    deviation = float(np.abs(np.diag(reduced).real - row).max())
+                    assert deviation < 1e-12, (label, eps, rounds)
+                    assert offdiagonal_magnitude(reduced) < 1e-12
 
 
 class TestCompare:

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ico_hbac import schemes
+from ico_hbac import register, schemes
 from ico_hbac.hbac_core import fixed_point, hbac_round
 from ico_hbac.register import (
     DiagonalState,
@@ -14,6 +16,7 @@ from ico_hbac.register import (
     _thermal_product,
     ground_state,
     make_thermal_params,
+    reduce,
     reset,
     thermal_full,
     thermal_reduced,
@@ -47,7 +50,9 @@ from ico_hbac.schemes import (
 from ico_hbac.switch import (
     MINUS,
     PLUS,
+    SIGNS,
     branch_transfer,
+    ideal_pair,
     k_pair,
     standard_pair,
     switch_branches,
@@ -301,6 +306,99 @@ class TestFailureUpdate:
             failure_update(ground, params, k_pair(2, 1))
 
 
+def _retry_family(n: int, index: int):
+    """Retry pair family ``index``: standard, ideal, then ``k_pair(n, k)`` for k = 1..n."""
+    if index == 0:
+        return standard_pair(n)
+    return ideal_pair(n) if index == 1 else k_pair(n, index - 1)
+
+
+class TestMinusStep:
+    """The chain's array step against the validated reset -> switch -> reduce path, bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=1e-6, max_value=709.7),
+        st.integers(min_value=0, max_value=2),
+        st.data(),
+    )
+    def test_equals_the_validated_path(self, n, eps, rounds, data):
+        spec = _retry_family(n, data.draw(st.integers(min_value=0, max_value=n + 1)))
+        entries = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2**n, max_size=2**n))
+        assume(sum(entries) > 0.0)
+        state = ReducedState.from_vector(entries).normalized()
+        params = make_thermal_params(eps)
+        ground, excited = params.ground_population, params.excited_population
+        try:
+            expected = reduce(switch_branches(reset(state, params), spec)[1]).normalized()
+        except ValueError:
+            # the minus branch carries nothing: the step refuses to condition on it
+            with pytest.raises(ValueError, match="zero probability"):
+                schemes._minus_step(state.populations, ground, excited, spec, rounds)
+            with pytest.raises(ValueError, match="zero probability"):
+                failure_update(state, params, spec)
+            return
+        assert failure_update(state, params, spec).populations.tobytes() == (
+            expected.populations.tobytes()
+        )
+        for done in range(rounds + 1):
+            if done:
+                expected = hbac_round(expected, params)
+            row = schemes._minus_step(state.populations, ground, excited, spec, done)
+            assert row.dtype == np.float64
+            assert row.tobytes() == expected.populations.tobytes()
+
+    def test_failure_update_rejects_a_mismatched_spec(self):
+        params = make_thermal_params(0.5)
+        with pytest.raises(ValueError, match="dimension"):
+            failure_update(fixed_point(3, params), params, standard_pair(2))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_tree_child_is_one_normalized_branch(self, n, seed):
+        initial = DiagonalState.from_vector(np.random.default_rng(seed).random(2 ** (n + 1)))
+        chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=n, initial=initial))
+        for length in range(1, n):
+            for signs in itertools.product(PLUS + MINUS, repeat=length):
+                prefix = "".join(signs)
+                parent, _probability = chain.at(prefix[:-1])
+                branches = switch_branches(DiagonalState(n, parent), tree_pair(n, length - 1))
+                expected = branches[SIGNS.index(prefix[-1])].normalized()
+                row, _probability = chain.at(prefix)
+                assert row.tobytes() == expected.populations.tobytes()
+
+    def test_chain_builds_no_state_objects(self, monkeypatch):
+        # each state kind binds _Populations.__post_init__ in its own namespace
+        checked = []
+        for cls in (register._Populations, DiagonalState, ReducedState):
+            original = vars(cls)["__post_init__"]
+
+            def counting(self, original=original):
+                checked.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        config = SchemeConfig(scheme=HBAC_ICO, n=6, epsilon=0.1)
+        chain = AttemptChain(config)
+        first = chain.states[0]
+        built = len(checked)
+        chain.at(40)
+        early = chain.states[:40]
+        chain.at(320)
+        assert len(chain) == 320
+        assert 0 < built <= 2  # the initial state only, and the wrappers count
+        assert len(checked) == built
+        # rows are kept, not copied into a larger buffer as the chain grows
+        assert chain.states[0] is first
+        assert all(a is b for a, b in zip(chain.states, early))
+        for row in chain.states:
+            assert row.dtype == np.float64 and row.shape == (2**6,)
+            assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            chain.states[-1][0] = 0.0
+
+
 class TestPiPulse:
     def test_both_outcomes_yield_pure_ground(self):
         state = DiagonalState.from_vector([0.8, 0.0, 0.0, 0.2])
@@ -464,7 +562,7 @@ class TestSampler:
         for attempt in range(1, int(first[0]) + 1):
             sa, pa = chain_a.at(attempt)
             sb, pb = chain_b.at(attempt)
-            assert np.array_equal(sa.populations, sb.populations)
+            assert np.array_equal(sa, sb)
             assert pa == pb
 
     def test_distinct_indices_are_independent(self):
@@ -645,8 +743,8 @@ class TestSampler:
         chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=n, initial=initial))
         for level in range(n):
             for signs in itertools.product(PLUS + MINUS, repeat=level):
-                state, probability = chain.at("".join(signs))
-                plus, _minus = switch_branches(state, tree_pair(n, level))
+                row, probability = chain.at("".join(signs))
+                plus, _minus = switch_branches(DiagonalState(n, row), tree_pair(n, level))
                 assert probability == plus.norm
 
     def test_tree_cascade_purifies_every_storage_qubit(self):
@@ -662,7 +760,7 @@ class TestSampler:
             outcomes = []
             for level, sign in enumerate(trajectory):
                 pre, _probability = chain.at(trajectory[:level])
-                assert np.abs(pre.populations - state).max() < 1e-15
+                assert np.abs(pre - state).max() < 1e-15
                 plus, minus = switch_branches(
                     DiagonalState.from_vector(state), tree_pair(n, level)
                 )
@@ -682,9 +780,9 @@ class TestSampler:
     def test_plain_cooling_single_deterministic_attempt(self):
         config = SchemeConfig(scheme=HBAC, n=2, epsilon=0.5, seed=5)
         assert sample_batch(AttemptChain(config), 1).tolist() == [1]
-        state, probability = AttemptChain(config).at(1)
+        row, probability = AttemptChain(config).at(1)
         assert probability == 1.0
-        assert np.abs(state.populations - fixed_point(2, make_thermal_params(0.5)).populations).sum() < 1e-9
+        assert np.abs(row - fixed_point(2, make_thermal_params(0.5)).populations).sum() < 1e-9
 
     def test_impossible_heralding_raises(self):
         # no weight on the heralding labels and a bath-free retry never adds any
@@ -707,8 +805,8 @@ class TestSampler:
         sigma = math.sqrt((1 - probability) / probability**2 / len(batch))
         assert abs(mean - 1.0 / probability) < 5 * sigma
         for attempt in range(1, int(batch.max()) + 1):
-            state, _probability = chain.at(attempt)
-            assert np.array_equal(state.populations, initial_state(config).populations)
+            row, _probability = chain.at(attempt)
+            assert np.array_equal(row, initial_state(config).populations)
 
     def test_repump_rounds_change_the_chain(self):
         base = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, seed=1)
@@ -722,12 +820,12 @@ class TestSampler:
         pumped_chain = AttemptChain(pumped)
         batch = sample_batch(pumped_chain, 100)
         assert (batch >= 2).any(), "no failing trajectory in 100 tries"
-        second_state, _probability = pumped_chain.at(2)
-        assert np.abs(second_state.populations - expected.populations).max() < 1e-14
+        second_row, _probability = pumped_chain.at(2)
+        assert np.abs(second_row - expected.populations).max() < 1e-14
         base_chain = AttemptChain(base)
         assert (sample_batch(base_chain, 100) >= 2).any()
-        second_state, _probability = base_chain.at(2)
-        assert np.abs(second_state.populations - plain.populations).max() < 1e-14
+        second_row, _probability = base_chain.at(2)
+        assert np.abs(second_row - plain.populations).max() < 1e-14
 
 
 class TestRunScheme:
