@@ -996,6 +996,21 @@ _PINNED_STDOUT = (
         "sample --scheme ico-tree-sort --n 7 --eps 0.5 --trials 30 --seed 4",
         "72bf4fc1fbf81d81d649b82ef09f75d6c7f8a0e2f2d8ff1a20348e16a9fec9d0",
     ),
+    # recorded before tree-sort runs were held as integer codes: a uniform
+    # input reaching all 16 leaves and all 15 chain rows, JSON, and a
+    # uniform selector with a bath
+    (
+        "sample --scheme ico-tree-sort --n 4 --trials 500 --seed 7",
+        "e5353b37bdd1c49f2b452d6d9e1612ac41520ec5138d3ac097f8d6347299e557",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 4 --eps 0.5 --trials 500 --seed 7 --format json",
+        "893d1cae62159c5eafae9322c723cd20fd188594ca04c2d0182b75556189b690",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 4 --initial uniform --eps 0.5 --trials 300 --seed 2",
+        "b34cd04b56daed70ccdc65bd6f2f3ed16ee0ff7c054ca6831ee8b26cf8dd0b68",
+    ),
 )
 
 # explicit initial vectors, written to the working directory of each pinned command
