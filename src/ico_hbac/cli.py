@@ -652,9 +652,9 @@ def cmd_sample(args) -> int:
     config = _config_from_runspec(spec)
     chain = AttemptChain(config)
     # every draw happens before the output is opened, so a failed run writes nothing
-    runs = sample_batch(chain, spec["trials"])
+    runs = sample_batch(chain, spec["trials"]).tolist()
     tree = config.scheme == ICO_TREE_SORT
-    trials_used = [1] * len(runs) if tree else runs.tolist()
+    trials_used = [1] * len(runs) if tree else runs
     head = _head(config.scheme, config.n, config.k, config.epsilon)
     want_json = spec["format"] == "json"
     # trajectories share the chain's states, so each is rendered once, before
@@ -666,18 +666,17 @@ def cmd_sample(args) -> int:
     else:
         cells = list(zip(map(_fmt, chain.probabilities), _join_states(chain.states)))
 
-    def trajectories():
-        """(index, trials used, outcomes) of every run, counting from 1.
+    def attempts(run):
+        """(round, outcome, probability, state) of every attempt of a run.
 
-        A heralded run failed every trial before its last; a tree-sort run
-        records one outcome per level.
+        A heralded run failed every trial before its last; a tree-sort code
+        holds one outcome per level after its leading 1 bit.
         """
-        for index, used in enumerate(trials_used, start=1):
-            yield index, used, runs[index - 1] if tree else MINUS * (used - 1) + PLUS
-
-    def attempts(outcomes):
-        """(round, outcome, probability, state) of every attempt in ``outcomes``."""
-        for number, (outcome, node) in enumerate(zip(outcomes, chain.nodes(outcomes)), 1):
+        if tree:
+            signs = bin(run)[3:].replace("1", PLUS).replace("0", MINUS)
+        else:
+            signs = MINUS * (run - 1) + PLUS
+        for number, (outcome, node) in enumerate(zip(signs, chain.nodes(run)), 1):
             yield number, outcome, *cells[node]
 
     mean_trials = sum(trials_used) / len(trials_used)
@@ -690,8 +689,8 @@ def cmd_sample(args) -> int:
     }
 
     def lines():
-        for index, _used, outcomes in trajectories():
-            for number, outcome, probability, state in attempts(outcomes):
+        for index, run in enumerate(runs, start=1):
+            for number, outcome, probability, state in attempts(run):
                 yield f"{head},{number},{outcome},{probability},{index},{state}\r\n"
         for name, value in summary.items():
             yield _line(head, None, name, None, None, value)
@@ -714,10 +713,10 @@ def cmd_sample(args) -> int:
                     "terminal": True,  # a run that never heralds raises instead
                     "attempts": (
                         dict(zip(("round", "outcome", "probability", "state"), attempt))
-                        for attempt in attempts(outcomes)
+                        for attempt in attempts(run)
                     ),
                 }
-                for index, used, outcomes in trajectories()
+                for index, (used, run) in enumerate(zip(trials_used, runs), start=1)
             ),
         }
     _emit(lines(), obj, spec["format"], spec.get("output"))

@@ -7,12 +7,13 @@ heralds pure output qubits, a minus outcome triggers a retry policy.  Each
 scheme exposes a closed-form per-attempt success probability, a resource
 summary, and a seeded Monte Carlo trajectory sampler.
 
-Sampled runs of a heralded scheme are integers: each walks the scheme's one
+Every sampled run is an integer.  A heralded run walks the scheme's one
 deterministic failure chain until its first plus outcome, so the number of
-trials it used is all there is to record.  Their random draws are the
-counter-based Philox4x64-10 streams of ``numpy.random.Philox`` keyed
-``(seed, index)``, computed in numpy for every unresolved run at once, in
-counter blocks of four uniforms.
+trials it used is all there is to record.  A tree-sort run applies every
+level, and its code is a leading 1 bit, then one bit per level, 1 for plus.
+Their random draws are the counter-based Philox4x64-10 streams of
+``numpy.random.Philox`` keyed ``(seed, index)``, computed in numpy for every
+unresolved run at once, in counter blocks of four uniforms.
 
 Retry policies:
 
@@ -52,8 +53,6 @@ from .register import (
     uniform_reduced,
 )
 from .switch import (
-    MINUS,
-    PLUS,
     BlockUnitarySpec,
     _minus_branch,
     _plus_branch,
@@ -178,15 +177,6 @@ class SchemeReport:
     bath_used: bool
     expected_trials: float
     trials_for_desired: int | None = None
-
-
-class TreeOutcomes(str):
-    """One tree-sort run: its control outcomes, one ``+`` or ``-`` per level.
-
-    The cascade succeeds on either outcome, so the run is a single trial.
-    """
-
-    trials_used = 1
 
 
 def scheme_spec(config: SchemeConfig) -> BlockUnitarySpec | None:
@@ -377,16 +367,6 @@ def _minus_step(
     return out
 
 
-def failure_update(
-    state: ReducedState, params: ThermalParams, spec: BlockUnitarySpec
-) -> ReducedState:
-    """Renormalized reduced state after a minus outcome of reset-then-switch."""
-    if 2 * state.dim != spec.dim:
-        raise ValueError(f"state dimension {2 * state.dim} != spec dimension {spec.dim}")
-    ground, excited = params.ground_population, params.excited_population
-    return ReducedState(state.n, _minus_step(state.populations, ground, excited, spec, 0))
-
-
 def pi_pulse_correct(state: DiagonalState, measured_qubit_outcome: str) -> DiagonalState:
     """Collapse a heralded extremal state to pure ground on the unmeasured qubits.
 
@@ -417,15 +397,16 @@ class AttemptChain:
     The state an attempt sees depends only on the outcomes before it, so each
     distinct state is computed once, on first use, and kept once in
     ``states`` as a read-only float64 row of populations (its plus
-    probability in ``probabilities``).  A position is
+    probability in ``probabilities``).  A position is an int:
 
     * for heralded schemes, the 1-based attempt number along the
       deterministic failure chain (every earlier outcome was a minus); each
       row is one minus step of the previous one; the bath-free retry
       re-prepares the input, so its positions share a row;
-    * for tree sort, the string of earlier outcomes, one level of the cascade
-      per character; a prefix's row is the normalized branch of its parent's
-      that its last outcome selects;
+    * for tree sort, the prefix code of the earlier outcomes: a leading 1 bit,
+      then one bit per level, 1 for plus.  ``code.bit_length() - 1`` is its
+      level, ``code >> 1`` its parent, and its row is the normalized branch of
+      the parent's that ``code & 1`` selects;
     * for plain cooling, attempt 1 only: the stationary profile, which
       always heralds.
     """
@@ -442,7 +423,7 @@ class AttemptChain:
         self.probabilities: list[float] = []
         if config.scheme == ICO_TREE_SORT:
             self._level_specs: dict[int, BlockUnitarySpec] = {}
-            self._tree: dict[str, int] = {}  # outcome prefix -> index into states
+            self._tree: dict[int, int] = {}  # prefix code -> index into states
             return
         if config.scheme == HBAC:
             self.states.append(fixed_point(config.n, config.params).populations)
@@ -460,25 +441,25 @@ class AttemptChain:
         """Number of distinct states computed so far."""
         return len(self.states)
 
-    def at(self, position) -> tuple[np.ndarray, float]:
+    def at(self, position: int) -> tuple[np.ndarray, float]:
         """(pre-measurement populations, plus probability) at a chain position."""
         index = self._node(position)
         return self.states[index], self.probabilities[index]
 
-    def nodes(self, outcomes: str):
-        """Index into ``states`` of every attempt recorded in ``outcomes``, in order."""
+    def nodes(self, run: int):
+        """Index into ``states`` of every attempt of a sampled run, in order."""
         if self.config.scheme == ICO_TREE_SORT:
-            return [self._node(outcomes[:level]) for level in range(len(outcomes))]
+            return [self._node(run >> shift) for shift in range(run.bit_length() - 1, 0, -1)]
         if self.config.scheme == ICO_ALONE:
-            return [0] * len(outcomes)
-        return range(self._node(len(outcomes)) + 1)
+            return [0] * run
+        return range(self._node(run) + 1)
 
     def _add(self, row: np.ndarray) -> None:
         row.setflags(write=False)
         self.states.append(row)
         self.probabilities.append(float(self._weights @ row))
 
-    def _node(self, position) -> int:
+    def _node(self, position: int) -> int:
         """Index into ``states`` of the state at a chain position, computed on first use."""
         if self.config.scheme == ICO_TREE_SORT:
             return self._tree_node(position)
@@ -488,15 +469,17 @@ class AttemptChain:
             self._add(_minus_step(self.states[-1], *self._step))
         return position - 1
 
-    def _tree_node(self, prefix: str) -> int:
-        index = self._tree.get(prefix)
+    def _tree_node(self, code: int) -> int:
+        index = self._tree.get(code)
         if index is None:
-            level = len(prefix)
-            if prefix:
-                parent = self.states[self._tree_node(prefix[:-1])]
+            if not 1 <= code < 2**self.config.n:
+                raise ValueError(f"a prefix code is in [1, {2**self.config.n}), got {code}")
+            level = code.bit_length() - 1
+            if level:
+                parent = self.states[self._tree_node(code >> 1)]
                 spec = self._level_spec(level - 1)
                 # only the branch the last outcome selects, normalized
-                row = (_plus_branch if prefix[-1] == PLUS else _minus_branch)(parent, spec)
+                row = (_plus_branch if code & 1 else _minus_branch)(parent, spec)
                 norm = float(row.sum())
                 if norm <= 0.0:
                     raise ValueError("cannot normalize a zero-norm state")
@@ -505,7 +488,7 @@ class AttemptChain:
             else:
                 row = initial_state(self.config).normalized().populations
             index = len(self.states)
-            self._tree[prefix] = index
+            self._tree[code] = index
             self.states.append(row)
             # the plus branch's norm, by the same float operations
             self.probabilities.append(float(_plus_branch(row, self._level_spec(level)).sum()))
@@ -601,13 +584,8 @@ def _heralded_trials(chain: AttemptChain, streams: np.ndarray) -> np.ndarray:
     raise _exhausted(config, int(streams[live[0]]))
 
 
-def _prefix(code: int) -> str:
-    """Outcome prefix of a code: a leading 1 bit, then one bit per level, 1 for plus."""
-    return bin(code)[3:].replace("1", PLUS).replace("0", MINUS)
-
-
-def _tree_outcomes(chain: AttemptChain, streams: np.ndarray) -> list[TreeOutcomes]:
-    """Outcomes of the run of each stream: level ``l`` reads uniform ``l``."""
+def _tree_outcomes(chain: AttemptChain, streams: np.ndarray) -> np.ndarray:
+    """Code of the run of each stream: level ``l`` reads uniform ``l``."""
     config = chain.config
     codes = np.ones(streams.size, dtype=np.int64)
     for level in range(config.n):
@@ -615,41 +593,38 @@ def _tree_outcomes(chain: AttemptChain, streams: np.ndarray) -> list[TreeOutcome
             uniforms = _philox_uniforms(config.seed, streams, np.full(streams.size, level // 4))
         # one chain lookup per distinct prefix, however many runs share it
         distinct, inverse = np.unique(codes, return_inverse=True)
-        probabilities = np.array([chain.at(_prefix(code))[1] for code in distinct.tolist()])
+        probabilities = np.array([chain.at(code)[1] for code in distinct.tolist()])
         codes = 2 * codes + (uniforms[:, level % 4] < probabilities[inverse])
-    return [TreeOutcomes(_prefix(code)) for code in codes.tolist()]
+    return codes
 
 
-def sample_batch(
-    chain: AttemptChain, count: int, start_index: int = 0
-) -> np.ndarray | list[TreeOutcomes]:
+def sample_batch(chain: AttemptChain, count: int, start_index: int = 0) -> np.ndarray:
     """Draw ``count`` trajectories against ``chain`` with independent per-index streams.
 
     Trajectory ``i`` draws from the Philox stream keyed by
     ``(chain.config.seed, start_index + i)``, so results are identical however
-    a batch is split.  A heralded run stops at its first plus outcome and is
-    returned as its trials used, an int64 array over the batch; its outcomes
-    are ``-`` for every trial before the last, which is ``+``.  Plain cooling
-    always uses one trial and draws nothing.  Tree sort applies every level
-    and returns each run's :class:`TreeOutcomes`.  A heralded run that exhausts
-    ``max_attempts``, or reaches a plus probability of exactly zero on a retry
-    that cannot raise it, raises :class:`MaxAttemptsError` for the lowest such
-    index.  Chain states are computed only up to the last attempt some run
-    reached.
+    a batch is split.  Each run is one entry of the returned 1-D int64 array,
+    the integer :meth:`AttemptChain.nodes` takes.  A heralded run stops at its
+    first plus outcome and is its trials used; its outcomes are ``-`` for
+    every trial before the last, which is ``+``.  Plain cooling always uses
+    one trial and draws nothing.  Tree sort applies every level in a single
+    trial, and a run is its code: a leading 1 bit, then one bit per level, 1
+    for plus.  A heralded run that exhausts ``max_attempts``, or reaches a
+    plus probability of exactly zero on a retry that cannot raise it, raises
+    :class:`MaxAttemptsError` for the lowest such index.  Chain states are
+    computed only up to the last attempt some run reached.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     scheme = chain.config.scheme
     if scheme == HBAC:
         return np.ones(count, dtype=np.int64)
-    runs = [] if scheme == ICO_TREE_SORT else np.empty(count, dtype=np.int64)
+    walk = _tree_outcomes if scheme == ICO_TREE_SORT else _heralded_trials
+    runs = np.empty(count, dtype=np.int64)
     for offset in range(0, count, _SLICE):
         end = min(offset + _SLICE, count)
         streams = np.arange(start_index + offset, start_index + end, dtype=np.uint64)
-        if scheme == ICO_TREE_SORT:
-            runs.extend(_tree_outcomes(chain, streams))
-        else:
-            runs[offset:end] = _heralded_trials(chain, streams)
+        runs[offset:end] = walk(chain, streams)
     return runs
 
 

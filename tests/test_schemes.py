@@ -1,6 +1,5 @@
 """Unit tests for scheme configs, success laws, retries, and the sampler."""
 
-import itertools
 import math
 
 import numpy as np
@@ -36,7 +35,6 @@ from ico_hbac.schemes import (
     SchemeConfig,
     _philox_uniforms,
     expected_trials,
-    failure_update,
     final_state,
     initial_state,
     pi_pulse_correct,
@@ -50,7 +48,6 @@ from ico_hbac.schemes import (
 from ico_hbac.switch import (
     MINUS,
     PLUS,
-    SIGNS,
     branch_transfer,
     ideal_pair,
     k_pair,
@@ -277,16 +274,21 @@ class TestRunRound:
         assert plus.norm + minus.norm == pytest.approx(1.0, abs=1e-12)
 
 
+def _minus_row(state: ReducedState, params, spec, rounds: int = 0) -> np.ndarray:
+    ground, excited = params.ground_population, params.excited_population
+    return schemes._minus_step(state.populations, ground, excited, spec, rounds)
+
+
 class TestFailureUpdate:
     def test_matches_minus_transfer_matrix(self):
         params = make_thermal_params(0.5)
         spec = standard_pair(2)
         profile = fixed_point(2, params)
-        updated = failure_update(profile, params, spec)
+        updated = _minus_row(profile, params, spec)
         minus_matrix = branch_transfer(2, params, spec, MINUS).entries
         expected = minus_matrix @ profile.populations
         expected /= expected.sum()
-        assert np.abs(updated.populations - expected).max() < 1e-14
+        assert np.abs(updated - expected).max() < 1e-14
 
     def test_norm_complement(self):
         params = make_thermal_params(0.5)
@@ -302,8 +304,8 @@ class TestFailureUpdate:
         # a pure ground input under a leading-scalars family never fails
         params = make_thermal_params(0.5)
         ground = ReducedState.from_vector([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            failure_update(ground, params, k_pair(2, 1))
+        with pytest.raises(ValueError, match="zero probability"):
+            _minus_row(ground, params, k_pair(2, 1))
 
 
 def _retry_family(n: int, index: int):
@@ -329,44 +331,33 @@ class TestMinusStep:
         assume(sum(entries) > 0.0)
         state = ReducedState.from_vector(entries).normalized()
         params = make_thermal_params(eps)
-        ground, excited = params.ground_population, params.excited_population
         try:
             expected = reduce(switch_branches(reset(state, params), spec)[1]).normalized()
         except ValueError:
             # the minus branch carries nothing: the step refuses to condition on it
             with pytest.raises(ValueError, match="zero probability"):
-                schemes._minus_step(state.populations, ground, excited, spec, rounds)
-            with pytest.raises(ValueError, match="zero probability"):
-                failure_update(state, params, spec)
+                _minus_row(state, params, spec, rounds)
             return
-        assert failure_update(state, params, spec).populations.tobytes() == (
-            expected.populations.tobytes()
-        )
         for done in range(rounds + 1):
             if done:
                 expected = hbac_round(expected, params)
-            row = schemes._minus_step(state.populations, ground, excited, spec, done)
+            row = _minus_row(state, params, spec, done)
             assert row.dtype == np.float64
             assert row.tobytes() == expected.populations.tobytes()
-
-    def test_failure_update_rejects_a_mismatched_spec(self):
-        params = make_thermal_params(0.5)
-        with pytest.raises(ValueError, match="dimension"):
-            failure_update(fixed_point(3, params), params, standard_pair(2))
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     def test_tree_child_is_one_normalized_branch(self, n, seed):
         initial = DiagonalState.from_vector(np.random.default_rng(seed).random(2 ** (n + 1)))
         chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=n, initial=initial))
-        for length in range(1, n):
-            for signs in itertools.product(PLUS + MINUS, repeat=length):
-                prefix = "".join(signs)
-                parent, _probability = chain.at(prefix[:-1])
-                branches = switch_branches(DiagonalState(n, parent), tree_pair(n, length - 1))
-                expected = branches[SIGNS.index(prefix[-1])].normalized()
-                row, _probability = chain.at(prefix)
-                assert row.tobytes() == expected.populations.tobytes()
+        # every prefix code past the root and short of a leaf: 2 .. 2**n - 1
+        for code in range(2, 2**n):
+            parent, _probability = chain.at(code >> 1)
+            level = code.bit_length() - 1
+            plus, minus = switch_branches(DiagonalState(n, parent), tree_pair(n, level - 1))
+            expected = (plus if code & 1 else minus).normalized()
+            row, _probability = chain.at(code)
+            assert row.tobytes() == expected.populations.tobytes()
 
     def test_chain_builds_no_state_objects(self, monkeypatch):
         # each state kind binds _Populations.__post_init__ in its own namespace
@@ -440,40 +431,44 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 def reference_walk(config: SchemeConfig, count: int, start_index: int = 0):
     """The sampler as a plain loop: one generator per trajectory, one draw per attempt.
 
-    Returns the chain it walked and ``(trials_used, outcomes)`` per trajectory,
-    or raises :class:`MaxAttemptsError` for the first trajectory that fails.
+    Returns the chain it walked and ``(trials_used, run)`` per trajectory, or
+    raises :class:`MaxAttemptsError` for the first trajectory that fails.  A
+    heralded run is its trials used; a tree-sort run is its code, a leading 1
+    bit, then one bit per level, 1 for plus.
     """
     chain = AttemptChain(config)
-    tree = config.scheme == ICO_TREE_SORT
     runs = []
     for index in range(start_index, start_index + count):
         rng = _stream(config.seed, index)
-        outcomes = ""
+        if config.scheme == ICO_TREE_SORT:
+            code = 1
+            for _level in range(config.n):
+                _state, probability = chain.at(code)
+                code = 2 * code + (1 if rng.random() < probability else 0)
+            runs.append((1, code))
+            continue
+        trials = None
         message = f"no plus outcome within {config.max_attempts} attempts"
-        for attempt in range(1, (config.n if tree else config.max_attempts) + 1):
-            _state, probability = chain.at(outcomes if tree else attempt)
+        for attempt in range(1, config.max_attempts + 1):
+            _state, probability = chain.at(attempt)
             if probability == 0.0 and chain.absorbing:
                 message += f": the plus probability is exactly 0 from attempt {attempt} on"
                 break
-            outcomes += PLUS if rng.random() < probability else MINUS
-            if outcomes[-1] == PLUS and not tree:
+            if rng.random() < probability:
+                trials = attempt
                 break
-        if tree:
-            runs.append((1, outcomes))
-        elif outcomes.endswith(PLUS):
-            runs.append((len(outcomes), outcomes))
-        else:
+        if trials is None:
             raise MaxAttemptsError(message, config.max_attempts, index)
+        runs.append((trials, trials))
     return chain, runs
 
 
 def _sampled(config: SchemeConfig, count: int, start_index: int = 0):
-    """(chain, [(trials_used, outcomes)]) from ``sample_batch``, outcomes as the CLI derives them."""
+    """(chain, [(trials_used, run)]) from ``sample_batch``."""
     chain = AttemptChain(config)
     batch = sample_batch(chain, count, start_index=start_index)
-    if config.scheme == ICO_TREE_SORT:
-        return chain, [(run.trials_used, str(run)) for run in batch]
-    return chain, [(used, MINUS * (used - 1) + PLUS) for used in batch.tolist()]
+    tree = config.scheme == ICO_TREE_SORT
+    return chain, [(1 if tree else run, run) for run in batch.tolist()]
 
 
 _REFERENCE_CASES = [
@@ -663,9 +658,9 @@ class TestSampler:
         params = make_thermal_params(1.0)
         spec = k_pair(2, 2)
         profile = fixed_point(2, params)
-        stuck = failure_update(profile, params, spec)
+        stuck = _minus_row(profile, params, spec)
         weights = plus_weight_vector(SchemeConfig(scheme=HBAC_KICO, n=2, epsilon=1.0, k=2))
-        assert float(weights @ stuck.populations) == 0.0
+        assert float(weights @ stuck) == 0.0
         config = SchemeConfig(
             scheme=HBAC_KICO, n=2, epsilon=1.0, k=2, seed=123, max_attempts=50
         )
@@ -702,12 +697,14 @@ class TestSampler:
     def test_nodes_index_the_states_runs_reached(self, case):
         config = SchemeConfig(n=3, seed=2, **case)
         chain, runs = _sampled(config, 60)
+        tree = config.scheme == ICO_TREE_SORT
         reached = set()
-        for _trials_used, outcomes in runs:
-            nodes = list(chain.nodes(outcomes))
-            assert len(nodes) == len(outcomes)
+        for trials_used, run in runs:
+            nodes = list(chain.nodes(run))
+            assert len(nodes) == (config.n if tree else trials_used)
             for attempt, node in enumerate(nodes):
-                position = outcomes[:attempt] if config.scheme == ICO_TREE_SORT else attempt + 1
+                # a tree-sort attempt sees the prefix of the outcomes before it
+                position = run >> (config.n - attempt) if tree else attempt + 1
                 state, probability = chain.at(position)
                 assert chain.states[node] is state
                 assert chain.probabilities[node] == probability
@@ -717,24 +714,41 @@ class TestSampler:
         assert len(chain.states) == len(chain.probabilities) == len(chain)
         assert len({id(state) for state in chain.states}) == len(chain)
 
+    @pytest.mark.parametrize(
+        "case", _REFERENCE_CASES, ids=lambda case: "-".join(f"{v}" for v in case.values())
+    )
+    @pytest.mark.parametrize("count", [0, 60])
+    def test_every_run_is_one_int64(self, case, count):
+        batch = sample_batch(AttemptChain(SchemeConfig(n=3, seed=2, **case)), count)
+        assert isinstance(batch, np.ndarray)
+        assert batch.dtype == np.int64
+        assert batch.shape == (count,)
+
     def test_reprepared_input_is_held_once(self):
         config = SchemeConfig(scheme=ICO_ALONE, n=8, epsilon=0.2, seed=1)
         chain = AttemptChain(config)
         batch = sample_batch(chain, 20)
         assert batch.max() > 100
         assert len(chain) == 1
-        longest = MINUS * (int(batch.max()) - 1) + PLUS
-        assert list(chain.nodes(longest)) == [0] * len(longest)
+        longest = int(batch.max())
+        assert list(chain.nodes(longest)) == [0] * longest
 
     def test_tree_sort_always_one_trial(self):
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=3, seed=5)
         chain = AttemptChain(config)
-        for trajectory in sample_batch(chain, 50):
-            assert trajectory.trials_used == 1
-            assert len(trajectory) == 3  # one level per storage qubit
-            assert set(trajectory) <= {PLUS, MINUS}
+        for code in sample_batch(chain, 50).tolist():
+            assert code.bit_length() == 3 + 1  # a leading 1, one bit per storage qubit
         # each outcome prefix is split once, however many runs share it
         assert len(chain) <= 1 + 2 + 4
+
+    def test_tree_position_is_a_prefix_code_short_of_a_leaf(self):
+        chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=3, seed=5))
+        for code in (0, -3, 8, 13):
+            with pytest.raises(ValueError, match=r"in \[1, 8\)"):
+                chain.at(code)
+        assert len(chain) == len(chain.probabilities) == 0
+        chain.at(7)
+        assert len(chain) == len(chain.probabilities) == 3
 
     def test_tree_probability_is_the_plus_branch_norm(self):
         # bit for bit, at every prefix of a random input
@@ -742,8 +756,8 @@ class TestSampler:
         initial = DiagonalState.from_vector(np.random.default_rng(3).random(2 ** (n + 1)))
         chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=n, initial=initial))
         for level in range(n):
-            for signs in itertools.product(PLUS + MINUS, repeat=level):
-                row, probability = chain.at("".join(signs))
+            for code in range(2**level, 2 ** (level + 1)):
+                row, probability = chain.at(code)
                 plus, _minus = switch_branches(DiagonalState(n, row), tree_pair(n, level))
                 assert probability == plus.norm
 
@@ -755,23 +769,23 @@ class TestSampler:
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=n, epsilon=0.5, seed=21)
         chain = AttemptChain(config)
         for index in range(20):
-            trajectory = sample_batch(AttemptChain(config), 1, start_index=index)[0]
+            code = int(sample_batch(AttemptChain(config), 1, start_index=index)[0])
+            # the outcome of each level, 1 for plus, after the leading 1 bit
+            outcomes = [int(bit) for bit in bin(code)[3:]]
             state = initial_state(config).normalized().populations
-            outcomes = []
-            for level, sign in enumerate(trajectory):
-                pre, _probability = chain.at(trajectory[:level])
+            for level, outcome in enumerate(outcomes):
+                pre, _probability = chain.at(code >> (n - level))
                 assert np.abs(pre - state).max() < 1e-15
                 plus, minus = switch_branches(
                     DiagonalState.from_vector(state), tree_pair(n, level)
                 )
-                chosen = plus if sign == PLUS else minus
-                outcomes.append(sign)
+                chosen = plus if outcome else minus
                 state = chosen.populations / chosen.norm
             indices = np.arange(state.size)
-            for qubit, sign in enumerate(outcomes):
+            for qubit, outcome in enumerate(outcomes):
                 bit = (indices // 2 ** (n - qubit)) % 2
                 ground_marginal = float(state[bit == 0].sum())
-                expected = 1.0 if sign == PLUS else 0.0
+                expected = 1.0 if outcome else 0.0
                 assert ground_marginal == pytest.approx(expected, abs=1e-12)
             reset_bit = indices % 2
             reset_marginal = float(state[reset_bit == 0].sum())
@@ -814,7 +828,7 @@ class TestSampler:
         params = make_thermal_params(0.5)
         spec = standard_pair(2)
         start = fixed_point(2, params)
-        plain = failure_update(start, params, spec)
+        plain = reduce(switch_branches(reset(start, params), spec)[1]).normalized()
         expected = hbac_round(hbac_round(plain, params), params)
         # find a failing trajectory to expose the second attempt's state
         pumped_chain = AttemptChain(pumped)
