@@ -785,7 +785,7 @@ def _validation_checks(nmax: int, trials: int, seed: int):
             transfer = build_transfer(n, params)
             vec = rng.random(2**n)
             vec /= vec.sum()
-            state = ReducedState.from_vector(vec)
+            state = ReducedState(vec)
             direct = transfer.apply(state).populations
             matrix_free = hbac_round(state, params).populations
             worst = max(worst, float(np.abs(direct - matrix_free).max()))

@@ -44,7 +44,6 @@ class TransferMatrix:
     ``"minus"`` for a round conditioned on one control outcome.
     """
 
-    n: int
     entries: np.ndarray
     kind: str
 
@@ -52,10 +51,10 @@ class TransferMatrix:
         if self.kind not in _TRANSFER_KINDS:
             raise ValueError(f"kind must be one of {_TRANSFER_KINDS}, got {self.kind!r}")
         arr = np.array(self.entries, dtype=np.float64, copy=True)
-        size = 2**self.n
-        if arr.shape != (size, size):
-            raise ValueError(f"expected shape {(size, size)}, got {arr.shape}")
-        if arr.size and float(arr.min()) < 0.0:
+        size = arr.shape[0] if arr.ndim == 2 else 0
+        if arr.shape != (size, size) or size < 1 or size & (size - 1):
+            raise ValueError(f"expected a square power-of-two shape, got {arr.shape}")
+        if float(arr.min()) < 0.0:
             raise ValueError("transfer matrix entries must be nonnegative")
         if self.kind == "full":
             column_sums = arr.sum(axis=0)
@@ -64,11 +63,15 @@ class TransferMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0].bit_length() - 1
+
     def apply(self, state: ReducedState) -> ReducedState:
         if state.n != self.n:
             raise ValueError(f"state has n={state.n}, matrix has n={self.n}")
         vec = self.entries @ state.populations
-        return ReducedState(self.n, vec, float(vec.sum()))
+        return ReducedState(vec)
 
 
 def _swap_interior(arr: np.ndarray) -> None:
@@ -88,7 +91,7 @@ def two_sort(state: DiagonalState) -> DiagonalState:
         raise ValueError("two_sort needs a register with at least two qubits")
     arr = state.populations.copy()
     _swap_interior(arr)
-    return DiagonalState(state.n, arr, state.norm)
+    return DiagonalState(arr, state.norm)
 
 
 def _round_raw(p: np.ndarray, ground: float, excited: float) -> np.ndarray:
@@ -102,7 +105,7 @@ def hbac_round(state: ReducedState, params: ThermalParams) -> ReducedState:
     if state.n < 1:
         raise ValueError("a cooling round needs at least one storage qubit")
     vec = _round_raw(state.populations, params.ground_population, params.excited_population)
-    return ReducedState(state.n, vec, state.norm)
+    return ReducedState(vec, state.norm)
 
 
 def build_transfer(n: int, params: ThermalParams) -> TransferMatrix:
@@ -125,7 +128,7 @@ def build_transfer(n: int, params: ThermalParams) -> TransferMatrix:
     matrix[inner, inner - 1] = excited
     matrix[inner, inner + 1] = ground
     matrix[size - 1, size - 2] = matrix[size - 1, size - 1] = excited
-    return TransferMatrix(n, matrix, "full")
+    return TransferMatrix(matrix, "full")
 
 
 def fixed_point(n: int, params: ThermalParams) -> ReducedState:
@@ -140,7 +143,7 @@ def fixed_point(n: int, params: ThermalParams) -> ReducedState:
     eps = params.epsilon
     prefactor = math.expm1(-2.0 * eps) / math.expm1(-2.0 * eps * size)
     vec = prefactor * np.exp(-2.0 * eps * np.arange(size))
-    return ReducedState(n, vec, 1.0)
+    return ReducedState(vec, 1.0)
 
 
 def iterate(
@@ -174,9 +177,9 @@ def iterate(
         diff = float(np.abs(nxt - p).sum())
         p = nxt
         if diff < tol:
-            return ReducedState(state0.n, p, state0.norm), step
+            return ReducedState(p, state0.norm), step
     raise ConvergenceError(
         f"no convergence to tol={tol} within {max_steps} rounds",
-        ReducedState(state0.n, p, state0.norm),
+        ReducedState(p, state0.norm),
         max_steps,
     )

@@ -2,7 +2,7 @@
 
 Everything here builds literal complex matrices: the block-diagonal unitaries,
 the four-product switch channel, and the thermal reset as a partial trace
-followed by a tensor product.  Sizes are capped by default at ``n = 6``
+followed by a tensor product.  Sizes are capped at ``n = 6``
 (128 x 128); this module exists for correctness checks, not scale.
 :func:`compare` runs its random trials as bounded stacks of density matrices
 through the same literal channel, since ``@`` broadcasts over leading axes.
@@ -37,14 +37,12 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _ROLE_BLOCKS = {"A": SIGMA_Y, "B": SIGMA_Z, "two-sort": SIGMA_X}
 
 
-def materialize(
-    spec: BlockUnitarySpec, which: str, max_exponent: int = DENSE_EXPONENT_CAP
-) -> np.ndarray:
+def materialize(spec: BlockUnitarySpec, which: str) -> np.ndarray:
     """Literal block-diagonal unitary for role ``"A"``, ``"B"``, or ``"two-sort"``."""
     if which not in _ROLE_BLOCKS:
         raise ValueError(f"which must be one of {sorted(_ROLE_BLOCKS)}, got {which!r}")
-    if spec.n > max_exponent:
-        raise ValueError(f"dense unitaries are capped at n={max_exponent}, got n={spec.n}")
+    if spec.n > DENSE_EXPONENT_CAP:
+        raise ValueError(f"dense unitaries are capped at n={DENSE_EXPONENT_CAP}, got n={spec.n}")
     pauli = _ROLE_BLOCKS[which]
     unitary = np.diag(spec.one_mask.astype(complex))
     pairs = spec.pair_starts[:, None] + np.arange(2)
@@ -103,14 +101,11 @@ def dense_reset(rho: np.ndarray, params: ThermalParams) -> np.ndarray:
     return np.kron(traced, thermal)
 
 
-def switch_channel(
-    rho: np.ndarray,
-    spec_a: BlockUnitarySpec,
-    spec_b: BlockUnitarySpec,
-    sign: str,
-    max_exponent: int = DENSE_EXPONENT_CAP,
-) -> np.ndarray:
+def switch_channel(rho: np.ndarray, spec: BlockUnitarySpec, sign: str) -> np.ndarray:
     """Dense two-order interference channel conditioned on one control outcome.
+
+    Both unitaries share the block layout ``spec``: ``U_A`` carries sigma_y
+    and ``U_B`` sigma_z on their pair blocks.
 
     ``rho`` is one density matrix or a stack of them, shape ``(..., dim, dim)``.
     Returns the literal four-term combination
@@ -123,12 +118,10 @@ def switch_channel(
     """
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    if spec_a.dim != spec_b.dim:
-        raise ValueError(f"spec dimensions differ: {spec_a.dim} vs {spec_b.dim}")
-    if rho.shape[-2:] != (spec_a.dim, spec_a.dim):
-        raise ValueError(f"density matrix shape {rho.shape} does not match dimension {spec_a.dim}")
-    u_a = materialize(spec_a, "A", max_exponent=max_exponent)
-    u_b = materialize(spec_b, "B", max_exponent=max_exponent)
+    if rho.shape[-2:] != (spec.dim, spec.dim):
+        raise ValueError(f"density matrix shape {rho.shape} does not match dimension {spec.dim}")
+    u_a = materialize(spec, "A")
+    u_b = materialize(spec, "B")
     ab = u_a @ u_b
     ba = u_b @ u_a
     direct = ab @ rho @ ab.conj().T + ba @ rho @ ba.conj().T
@@ -149,17 +142,15 @@ def spec_families(n: int) -> list[tuple[str, BlockUnitarySpec]]:
 class CompareReport:
     """Worst-case deviations of the fast path from the dense channel."""
 
-    max_abs_deviation: float
     max_offdiagonal: float
     by_case: dict[tuple[str, str], float]
 
+    @property
+    def max_abs_deviation(self) -> float:
+        return max(self.by_case.values())
 
-def compare(
-    nmax: int = 3,
-    trials: int = 100,
-    seed: int = 7,
-    max_exponent: int = DENSE_EXPONENT_CAP,
-) -> CompareReport:
+
+def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
     """Fast-path branch outputs vs dense channel diagonals on random states.
 
     Runs every family at every ``n <= nmax`` on ``trials`` seeded random
@@ -177,8 +168,8 @@ def compare(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if nmax > max_exponent:
-        raise ValueError(f"nmax={nmax} exceeds the dense cap {max_exponent}")
+    if nmax > DENSE_EXPONENT_CAP:
+        raise ValueError(f"nmax={nmax} exceeds the dense cap {DENSE_EXPONENT_CAP}")
     rng = np.random.default_rng(seed)
     by_case: dict[tuple[str, str], float] = {}
     max_offdiagonal = 0.0
@@ -193,11 +184,11 @@ def compare(
                 branches = []
                 for vec in vecs:
                     vec /= vec.sum()  # in place: the stack below holds the normalized rows
-                    branches.append(switch_branches(DiagonalState.from_vector(vec), spec))
+                    branches.append(switch_branches(DiagonalState(vec), spec))
                 rho = np.zeros((len(vecs), dim, dim), dtype=complex)
                 rho[:, diagonal, diagonal] = vecs
                 for sign, outputs in zip(SIGNS, zip(*branches)):
-                    dense = switch_channel(rho, spec, spec, sign, max_exponent=max_exponent)
+                    dense = switch_channel(rho, spec, sign)
                     populations = np.array([branch.populations for branch in outputs])
                     norms = np.array([branch.norm for branch in outputs])
                     deviation = max(
@@ -207,4 +198,4 @@ def compare(
                     key = (label, sign)
                     by_case[key] = max(by_case.get(key, 0.0), deviation)
                     max_offdiagonal = max(max_offdiagonal, offdiagonal_magnitude(dense))
-    return CompareReport(max(by_case.values()), max_offdiagonal, by_case)
+    return CompareReport(max_offdiagonal, by_case)

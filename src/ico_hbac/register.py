@@ -54,23 +54,28 @@ def _check_exponent(n: int) -> None:
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Bath parameters: gap ``epsilon`` in units of k_B*T, ``z = 2*cosh(epsilon)``.
+    """Bath gap ``epsilon`` in units of k_B*T, with partition constant ``z = 2*cosh(epsilon)``.
 
     A slot thermalized against the bath carries populations
-    ``(exp(epsilon)/z, exp(-epsilon)/z)`` on ``(|g>, |e>)``.
+    ``(exp(epsilon)/z, exp(-epsilon)/z)`` on ``(|g>, |e>)``.  ``epsilon`` must
+    be a finite number > 0 whose ``z`` does not overflow a float.
     """
 
     epsilon: float
-    z: float
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be a finite number, got {self.epsilon!r}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        expected = _partition_constant(self.epsilon)
-        if abs(self.z - expected) > 1e-12 * expected:
-            raise ValueError(f"z={self.z} is not 2*cosh(epsilon)={expected}")
+        epsilon = self.epsilon
+        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+            raise ValueError(f"epsilon must be a number, got {epsilon!r}")
+        if not math.isfinite(epsilon) or epsilon <= 0:
+            raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+        object.__setattr__(self, "epsilon", float(epsilon))
+        try:
+            z = 2.0 * math.cosh(self.epsilon)
+        except OverflowError:
+            z = math.inf
+        if not math.isfinite(z):
+            raise ValueError(f"epsilon={self.epsilon} overflows the partition constant")
 
     @property
     def ground_population(self) -> float:
@@ -87,82 +92,56 @@ class ThermalParams:
             return math.exp(-2.0 * self.epsilon)
 
 
-def _partition_constant(epsilon: float) -> float:
-    """``2*cosh(epsilon)``, or ValueError where that overflows a float."""
-    try:
-        z = 2.0 * math.cosh(epsilon)
-    except OverflowError:
-        z = math.inf
-    if not math.isfinite(z):
-        raise ValueError(f"epsilon={epsilon} overflows the partition constant")
-    return z
-
-
 def make_thermal_params(epsilon: float) -> ThermalParams:
-    """Validate the gap and build :class:`ThermalParams` with ``z = 2*cosh(epsilon)``."""
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
-    if not math.isfinite(epsilon) or epsilon <= 0:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    return ThermalParams(epsilon=float(epsilon), z=_partition_constant(float(epsilon)))
-
-
-def _population_vector(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
-    if arr.size and float(arr.min()) < 0.0:
-        raise ValueError(f"{what} contains negative entries")
-    return arr
-
-
-def _check_norm(total: float, norm: float, what: str) -> None:
-    if not (isinstance(norm, (int, float)) and math.isfinite(norm)) or norm < 0:
-        raise ValueError(f"{what} norm must be finite and >= 0, got {norm!r}")
-    if abs(total - norm) > NORM_TOLERANCE * max(1.0, norm):
-        raise ValueError(f"{what} entries sum to {total}, expected norm {norm}")
+    """Validate the gap and build :class:`ThermalParams`."""
+    return ThermalParams(epsilon)
 
 
 @dataclass(frozen=True, eq=False)
 class _Populations:
     """Populations of ``n`` storage qubits plus ``RESET_SLOTS`` reset slots.
 
-    ``norm`` is the total probability carried: 1 for normalized states and
-    less for unnormalized post-measurement branches.
+    The length, a power of two, fixes ``n``.  ``norm`` is the total
+    probability carried: 1 for normalized states and less for unnormalized
+    post-measurement branches.  It defaults to the sum of the entries.
     """
 
     RESET_SLOTS: ClassVar[int]
 
-    n: int
     populations: np.ndarray
-    norm: float = 1.0
+    norm: float | None = None
 
     def __post_init__(self):
-        arr = _population_vector(self.populations, "populations")
-        cap = max_register_exponent()
-        if not 0 <= self.n <= cap:
-            raise ValueError(f"n={self.n} outside [0, {cap}]")
-        qubits = self.n + self.RESET_SLOTS
-        if arr.size != 2**qubits:
-            raise ValueError(f"expected 2**{qubits} populations, got {arr.size}")
-        _check_norm(float(arr.sum()), self.norm, type(self).__name__)
-        arr.setflags(write=False)
-        object.__setattr__(self, "populations", arr)
-        object.__setattr__(self, "norm", float(self.norm))
-
-    @classmethod
-    def from_vector(cls, values, norm: float | None = None):
-        """Build a state of this kind from a raw vector, inferring ``n`` from the length."""
-        arr = _population_vector(values, "populations")
-        size, minimum = arr.size, 2**cls.RESET_SLOTS
+        arr = np.array(self.populations, dtype=np.float64, copy=True)
+        if arr.ndim != 1:
+            raise ValueError(f"populations must be one-dimensional, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("populations contains non-finite entries")
+        if arr.size and float(arr.min()) < 0.0:
+            raise ValueError("populations contains negative entries")
+        size, minimum = arr.size, 2**self.RESET_SLOTS
         if size < minimum or size & (size - 1):
             raise ValueError(
                 f"population length must be a power of two >= {minimum}, got {size}"
             )
-        n = size.bit_length() - 1 - cls.RESET_SLOTS
-        return cls(n=n, populations=arr, norm=float(arr.sum()) if norm is None else norm)
+        cap = max_register_exponent()
+        n = size.bit_length() - 1 - self.RESET_SLOTS
+        if n > cap:
+            raise ValueError(f"n={n} outside [0, {cap}]")
+        total = float(arr.sum())
+        norm = total if self.norm is None else self.norm
+        kind = type(self).__name__
+        if not (isinstance(norm, (int, float)) and math.isfinite(norm)) or norm < 0:
+            raise ValueError(f"{kind} norm must be finite and >= 0, got {norm!r}")
+        if abs(total - norm) > NORM_TOLERANCE * max(1.0, norm):
+            raise ValueError(f"{kind} entries sum to {total}, expected norm {norm}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "populations", arr)
+        object.__setattr__(self, "norm", float(norm))
+
+    @property
+    def n(self) -> int:
+        return self.populations.size.bit_length() - 1 - self.RESET_SLOTS
 
     @property
     def dim(self) -> int:
@@ -171,7 +150,7 @@ class _Populations:
     def normalized(self):
         if self.norm <= 0.0:
             raise ValueError("cannot normalize a zero-norm state")
-        return type(self)(self.n, self.populations / self.norm, 1.0)
+        return type(self)(self.populations / self.norm, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,19 +175,19 @@ def ground_state(n: int) -> DiagonalState:
     """All ``n + 1`` qubits in |g>: unit population on entry 0."""
     vec = np.zeros(2 ** (n + 1))
     vec[0] = 1.0
-    return DiagonalState(n, vec, 1.0)
+    return DiagonalState(vec, 1.0)
 
 
 def uniform_full(n: int) -> DiagonalState:
     """Maximally mixed diagonal over the full register."""
     size = 2 ** (n + 1)
-    return DiagonalState(n, np.full(size, 1.0 / size), 1.0)
+    return DiagonalState(np.full(size, 1.0 / size), 1.0)
 
 
 def uniform_reduced(n: int) -> ReducedState:
     """Maximally mixed diagonal over the storage qubits."""
     size = 2**n
-    return ReducedState(n, np.full(size, 1.0 / size), 1.0)
+    return ReducedState(np.full(size, 1.0 / size), 1.0)
 
 
 def _thermal_product(factors: int, params: ThermalParams) -> np.ndarray:
@@ -221,12 +200,12 @@ def _thermal_product(factors: int, params: ThermalParams) -> np.ndarray:
 
 def thermal_full(n: int, params: ThermalParams) -> DiagonalState:
     """Every qubit independently thermalized against the bath."""
-    return DiagonalState(n, _thermal_product(n + 1, params), 1.0)
+    return DiagonalState(_thermal_product(n + 1, params), 1.0)
 
 
 def thermal_reduced(n: int, params: ThermalParams) -> ReducedState:
     """Storage qubits independently thermalized against the bath."""
-    return ReducedState(n, _thermal_product(n, params), 1.0)
+    return ReducedState(_thermal_product(n, params), 1.0)
 
 
 def _reduce_raw(lam: np.ndarray) -> np.ndarray:
@@ -235,7 +214,7 @@ def _reduce_raw(lam: np.ndarray) -> np.ndarray:
 
 def reduce(state: DiagonalState) -> ReducedState:
     """Trace out the reset slot: pairwise sums of adjacent populations."""
-    return ReducedState(state.n, _reduce_raw(state.populations), state.norm)
+    return ReducedState(_reduce_raw(state.populations), state.norm)
 
 
 def _reset_raw(p: np.ndarray, ground: float, excited: float) -> np.ndarray:
@@ -252,4 +231,4 @@ def reset(state: ReducedState, params: ThermalParams) -> DiagonalState:
     is ``p_k * exp(-epsilon)/z``; the carried norm is unchanged.
     """
     out = _reset_raw(state.populations, params.ground_population, params.excited_population)
-    return DiagonalState(state.n, out, state.norm)
+    return DiagonalState(out, state.norm)

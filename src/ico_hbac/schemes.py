@@ -102,15 +102,16 @@ class SchemeConfig:
     to build thermal default initial states).  ``k`` is required exactly for
     the k-switch scheme.  ``initial`` overrides the default evaluation state
     of a switch scheme (plain cooling takes none): the stationary profile with
-    a bath, a thermal product without one.  A selector from ``INITIAL_SELECTORS``
-    or a list of populations becomes a state once every other check has passed.
+    a bath, a thermal product without one.  It is what a run spec gives, a
+    selector from ``INITIAL_SELECTORS`` or a list of populations, and becomes
+    the state it names once every other check has passed.
     """
 
     scheme: str
     n: int
     epsilon: float | None = None
     k: int | None = None
-    initial: DiagonalState | ReducedState | str | list | None = None
+    initial: str | list | None = None
     desired_success: float | None = None
     seed: int = 0
     pair: str = STANDARD
@@ -145,18 +146,8 @@ class SchemeConfig:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if isinstance(self.initial, (str, list)):
-            object.__setattr__(self, "initial", _build_initial(self, self.initial))
         if self.initial is not None:
-            if self.scheme in BATH_SCHEMES:
-                if not isinstance(self.initial, ReducedState):
-                    raise TypeError("bath schemes take a ReducedState initial")
-            elif not isinstance(self.initial, DiagonalState):
-                raise TypeError("bath-free schemes take a DiagonalState initial")
-            if self.initial.n != self.n:
-                raise ValueError(
-                    f"initial state has n={self.initial.n}, config has n={self.n}"
-                )
+            object.__setattr__(self, "initial", _build_initial(self, self.initial))
             if self.initial.norm <= 0.0:
                 raise ValueError(
                     f"initial state must have a positive norm, got {self.initial.norm}"
@@ -203,9 +194,12 @@ def _build_initial(config: SchemeConfig, initial: str | list) -> DiagonalState |
                 f"explicit initial vector must have length {expected} for this scheme, "
                 f"got {len(initial)}"
             )
-        return (ReducedState if bath else DiagonalState).from_vector(initial)
-    if initial not in INITIAL_SELECTORS:
-        raise ValueError(f"initial must be one of {INITIAL_SELECTORS}, got {initial!r}")
+        return (ReducedState if bath else DiagonalState)(initial)
+    if not isinstance(initial, str) or initial not in INITIAL_SELECTORS:
+        raise ValueError(
+            f"initial must be one of {INITIAL_SELECTORS} or a list of populations, "
+            f"got {initial!r}"
+        )
     if initial == "uniform":
         return uniform_reduced(n) if bath else uniform_full(n)
     if params is None:

@@ -144,8 +144,8 @@ def switch_branches(
         raise ValueError(f"state dimension {lam.size} != spec dimension {spec.dim}")
     plus_vec = _plus_branch(lam, spec)
     minus_vec = _minus_branch(lam, spec)
-    plus = DiagonalState(state.n, plus_vec, float(plus_vec.sum()))
-    minus = DiagonalState(state.n, minus_vec, float(minus_vec.sum()))
+    plus = DiagonalState(plus_vec)
+    minus = DiagonalState(minus_vec)
     return plus, minus
 
 
@@ -180,4 +180,4 @@ def branch_transfer(
             cols = src // 2
             weights = np.where(src % 2 == 0, ground, excited)
             np.add.at(matrix, (rows, cols), weights)
-    return TransferMatrix(n, matrix, "plus" if sign == PLUS else "minus")
+    return TransferMatrix(matrix, "plus" if sign == PLUS else "minus")

@@ -248,7 +248,7 @@ def test_criterion_8_stochasticity_and_permutation():
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         vec = rng.random(2 ** (n + 1))
-        state = DiagonalState.from_vector(vec)
+        state = DiagonalState(vec)
         once = two_sort(state)
         assert once.norm == state.norm
         assert np.array_equal(np.sort(once.populations), np.sort(state.populations))

@@ -552,7 +552,7 @@ class TestValidateCommand:
             report = real(*args, **kwargs)
             bad = dict(report.by_case)
             bad[("standard", "+")] = 1.0
-            return oracle.CompareReport(1.0, report.max_offdiagonal, bad)
+            return oracle.CompareReport(report.max_offdiagonal, bad)
 
         monkeypatch.setattr(oracle, "compare", corrupted)
         code, out, _ = run_cli(capsys, "validate", "--nmax", "1", "--trials", "5")
@@ -571,7 +571,7 @@ class TestValidateCommand:
             start = spec.pair_starts[0]
             vec = minus.populations.copy()
             vec[[start, start + 1]] = state.populations[[start, start + 1]]
-            return plus, DiagonalState(minus.n, vec, minus.norm)
+            return plus, DiagonalState(vec, minus.norm)
 
         monkeypatch.setattr(oracle, "switch_branches", faulty)
         code, out, _ = run_cli(capsys, "validate", "--nmax", "2", "--trials", "5")

@@ -41,11 +41,11 @@ def power_iteration_oracle(matrix: np.ndarray, steps: int = 20000, tol: float = 
 
 class TestTwoSort:
     def test_single_interior_swap(self):
-        state = DiagonalState.from_vector([0.4, 0.3, 0.2, 0.1])
+        state = DiagonalState([0.4, 0.3, 0.2, 0.1])
         assert np.allclose(two_sort(state).populations, [0.4, 0.2, 0.3, 0.1])
 
     def test_ground_state_is_fixed(self):
-        state = DiagonalState.from_vector([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        state = DiagonalState([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         assert np.array_equal(two_sort(state).populations, state.populations)
 
     @settings(deadline=None, max_examples=60)
@@ -53,7 +53,7 @@ class TestTwoSort:
     def test_involution_and_permutation(self, n, seed):
         rng = np.random.default_rng(seed)
         vec = rng.random(2 ** (n + 1))
-        state = DiagonalState.from_vector(vec)
+        state = DiagonalState(vec)
         once = two_sort(state)
         twice = two_sort(once)
         assert np.array_equal(twice.populations, state.populations)
@@ -82,7 +82,7 @@ class TestTransferMatrix:
         for k in range(size):
             basis = np.zeros(size)
             basis[k] = 1.0
-            composed = reduce(two_sort(reset(ReducedState.from_vector(basis), params)))
+            composed = reduce(two_sort(reset(ReducedState(basis), params)))
             assert np.abs(transfer.entries[:, k] - composed.populations).max() < 1e-15
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -93,7 +93,7 @@ class TestTransferMatrix:
         rng = np.random.default_rng(42 + n)
         vec = rng.random(2**n)
         vec /= vec.sum()
-        state = ReducedState.from_vector(vec)
+        state = ReducedState(vec)
         assert np.abs(
             transfer.apply(state).populations - hbac_round(state, params).populations
         ).max() < 1e-13
@@ -104,9 +104,13 @@ class TestTransferMatrix:
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
-            TransferMatrix(1, np.eye(2), "bogus")
+            TransferMatrix(np.eye(2), "bogus")
         with pytest.raises(ValueError):
-            TransferMatrix(1, np.array([[0.9, 0.0], [0.0, 0.9]]), "full")
+            TransferMatrix(np.array([[0.9, 0.0], [0.0, 0.9]]), "full")
+        for shape in ((3, 3), (2, 4), (4,), (0, 0)):
+            with pytest.raises(ValueError, match="square power-of-two shape"):
+                TransferMatrix(np.zeros(shape), "plus")
+        assert TransferMatrix(np.eye(4), "full").n == 2
 
 
 class TestFixedPoint:

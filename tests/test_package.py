@@ -1,11 +1,13 @@
 """Package hygiene: the public export list and every module's imports."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import ico_hbac
+from ico_hbac import oracle
 
 MODULES = sorted(Path(ico_hbac.__file__).parent.glob("*.py"))
 
@@ -22,6 +24,23 @@ def test_state_kinds_bind_their_own_post_init(name):
     # bench/tracer.py wraps the __post_init__ in each state class's own namespace;
     # one only inherited would go unrecorded in the register.* span metrics
     assert "__post_init__" in vars(getattr(ico_hbac, name))
+
+
+@pytest.mark.parametrize(
+    "cls,names",
+    [
+        (ico_hbac.DiagonalState, ("populations", "norm")),
+        (ico_hbac.ReducedState, ("populations", "norm")),
+        (ico_hbac.TransferMatrix, ("entries", "kind")),
+        (ico_hbac.ThermalParams, ("epsilon",)),
+        (oracle.CompareReport, ("max_offdiagonal", "by_case")),
+    ],
+)
+def test_value_objects_store_only_what_their_data_cannot_give(cls, names):
+    # n is read off a length or shape, z off epsilon, the worst deviation off
+    # by_case: none is a field that could disagree with its source
+    assert tuple(field.name for field in dataclasses.fields(cls)) == names
+    assert not hasattr(cls, "from_vector")
 
 
 def _top_level_imports(tree: ast.Module):

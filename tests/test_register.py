@@ -24,7 +24,7 @@ from ico_hbac.register import (
 
 
 def reduced_from(values):
-    return ReducedState.from_vector(np.asarray(values, dtype=float))
+    return ReducedState(np.asarray(values, dtype=float))
 
 
 class TestThermalParams:
@@ -32,7 +32,6 @@ class TestThermalParams:
         # independent evaluation: plain exp/cosh, no shared code path
         params = make_thermal_params(0.5)
         z = 2.0 * math.cosh(0.5)
-        assert params.z == pytest.approx(z, abs=1e-15)
         assert params.ground_population == pytest.approx(math.exp(0.5) / z, abs=1e-15)
         assert params.excited_population == pytest.approx(math.exp(-0.5) / z, abs=1e-15)
         assert params.ground_population == pytest.approx(0.731058578630005, abs=1e-12)
@@ -56,16 +55,12 @@ class TestThermalParams:
         with pytest.raises(ValueError, match="overflows the partition constant"):
             make_thermal_params(eps)
         with pytest.raises(ValueError, match="overflows the partition constant"):
-            ThermalParams(epsilon=eps, z=math.inf)
+            ThermalParams(epsilon=eps)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "0.5", None, True])
     def test_rejects_bad_epsilon(self, bad):
         with pytest.raises(ValueError):
             make_thermal_params(bad)
-
-    def test_rejects_inconsistent_z(self):
-        with pytest.raises(ValueError):
-            ThermalParams(epsilon=0.5, z=2.0)
 
     def test_tiny_epsilon_is_stable(self):
         params = make_thermal_params(1e-9)
@@ -75,49 +70,47 @@ class TestThermalParams:
 
 
 class TestStates:
-    def test_diagonal_from_vector_infers_n(self):
-        state = DiagonalState.from_vector([0.25, 0.25, 0.25, 0.25])
+    def test_diagonal_reads_n_off_the_length(self):
+        state = DiagonalState([0.25, 0.25, 0.25, 0.25])
         assert state.n == 1
         assert state.norm == pytest.approx(1.0)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            DiagonalState.from_vector([0.5, -0.1, 0.3, 0.3])
+            DiagonalState([0.5, -0.1, 0.3, 0.3])
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            DiagonalState.from_vector([0.5, 0.3, 0.2])
+            DiagonalState([0.5, 0.3, 0.2])
 
     def test_rejects_norm_mismatch(self):
         with pytest.raises(ValueError):
-            DiagonalState.from_vector([0.5, 0.5, 0.0, 0.0], norm=0.7)
+            DiagonalState([0.5, 0.5, 0.0, 0.0], norm=0.7)
 
     @pytest.mark.parametrize("cls,minimum", [(DiagonalState, 2), (ReducedState, 1)])
     def test_each_kind_keeps_its_messages(self, cls, minimum):
         name = cls.__name__
         with pytest.raises(ValueError, match=f"^{name} entries sum to 1.0, expected norm 0.5$"):
-            cls.from_vector([0.25, 0.25, 0.25, 0.25], norm=0.5)
+            cls([0.25, 0.25, 0.25, 0.25], norm=0.5)
         for size in range(minimum):
             with pytest.raises(
                 ValueError,
                 match=f"^population length must be a power of two >= {minimum}, got {size}$",
             ):
-                cls.from_vector([1.0] * size)
-        smallest = cls.from_vector([1.0] * minimum)
+                cls([1.0] * size)
+        smallest = cls([1.0] * minimum)
         assert (smallest.n, smallest.dim) == (0, minimum)
         assert type(smallest.normalized()) is cls
-        with pytest.raises(ValueError, match=r"^expected 2\*\*2 populations, got 2$"):
-            cls(2 - minimum // 2, np.array([0.5, 0.5]))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            ReducedState.from_vector([0.5, math.nan])
+            ReducedState([0.5, math.nan])
 
     def test_exponent_cap_from_env(self, monkeypatch):
         monkeypatch.setenv("ICO_HBAC_MAX_N", "3")
         assert max_register_exponent() == 3
         with pytest.raises(ValueError):
-            DiagonalState.from_vector(np.full(32, 1.0 / 32.0))  # n=4 > cap
+            DiagonalState(np.full(32, 1.0 / 32.0))  # n=4 > cap
         monkeypatch.setenv("ICO_HBAC_MAX_N", "junk")
         with pytest.raises(ValueError):
             max_register_exponent()
@@ -128,12 +121,12 @@ class TestStates:
             state.populations[0] = 1.0
 
     def test_normalized(self):
-        state = DiagonalState.from_vector([0.2, 0.2, 0.0, 0.0])
+        state = DiagonalState([0.2, 0.2, 0.0, 0.0])
         normalized = state.normalized()
         assert normalized.norm == pytest.approx(1.0)
         assert normalized.populations[0] == pytest.approx(0.5)
         with pytest.raises(ValueError):
-            DiagonalState.from_vector([0.0, 0.0]).normalized()
+            DiagonalState([0.0, 0.0]).normalized()
 
     def test_factories(self):
         params = make_thermal_params(0.5)
@@ -149,11 +142,11 @@ class TestStates:
 
 class TestReduceReset:
     def test_reduce_pure_ground(self):
-        state = DiagonalState.from_vector([1.0, 0.0, 0.0, 0.0])
+        state = DiagonalState([1.0, 0.0, 0.0, 0.0])
         assert np.allclose(reduce(state).populations, [1.0, 0.0])
 
     def test_reduce_pairwise_sums(self):
-        state = DiagonalState.from_vector([0.4, 0.3, 0.2, 0.1])
+        state = DiagonalState([0.4, 0.3, 0.2, 0.1])
         assert np.allclose(reduce(state).populations, [0.7, 0.3])
 
     def test_reset_tensor_product(self):
@@ -175,14 +168,14 @@ class TestReduceReset:
         params = make_thermal_params(0.7)
         rng = np.random.default_rng(5)
         vec = rng.random(8)
-        p = ReducedState.from_vector(vec)
+        p = ReducedState(vec)
         assert reset(p, params).norm == pytest.approx(p.norm)
 
     def test_reset_interleave_ratio(self):
         params = make_thermal_params(0.8)
         rng = np.random.default_rng(6)
         vec = rng.random(16) + 0.01
-        out = reset(ReducedState.from_vector(vec), params).populations
+        out = reset(ReducedState(vec), params).populations
         ratios = out[0::2] / out[1::2]
         assert np.abs(ratios - math.exp(1.6)).max() < 1e-12
 
@@ -200,7 +193,7 @@ class TestReduceReset:
                 max_size=2**n,
             )
         )
-        p = ReducedState.from_vector(np.asarray(entries))
+        p = ReducedState(np.asarray(entries))
         params = make_thermal_params(eps)
         back = reduce(reset(p, params))
         assert np.abs(back.populations - p.populations).max() <= 1e-14 * max(1.0, p.norm)

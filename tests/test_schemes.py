@@ -72,18 +72,20 @@ class TestConfigValidation:
         SchemeConfig(scheme=ICO_ALONE, n=3)  # fine without a bath
 
     def test_initial_state_type_and_size(self):
-        reduced = ReducedState.from_vector(np.full(8, 0.125))
-        full = DiagonalState.from_vector(np.full(16, 1.0 / 16.0))
+        reduced = [0.125] * 8
+        full = [1.0 / 16.0] * 16
         SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, initial=reduced)
         SchemeConfig(scheme=ICO_ALONE, n=3, initial=full)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="must have length 8 for this scheme, got 16"):
             SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, initial=full)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="must have length 16 for this scheme, got 8"):
             SchemeConfig(scheme=ICO_ALONE, n=3, initial=reduced)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must have length 4 for this scheme, got 8"):
             SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, initial=reduced)
         with pytest.raises(ValueError, match="hbac takes no initial state"):
             SchemeConfig(scheme=HBAC, n=3, epsilon=0.5, initial=reduced)
+        with pytest.raises(ValueError, match="initial state must have a positive norm, got 0.0"):
+            SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, initial=[0.0] * 8)
         # selectors and population lists become the states the CLI once built from them
         params = make_thermal_params(0.5)
         profile = fixed_point(3, params)
@@ -92,11 +94,11 @@ class TestConfigValidation:
             (HBAC_ICO, "uniform", uniform_reduced(3)),
             (HBAC_ICO, "thermal", thermal_reduced(3, params)),
             (HBAC_ICO, "fixed-point", profile),
-            (HBAC_ICO, populations, ReducedState.from_vector(np.asarray(populations))),
+            (HBAC_ICO, populations, ReducedState(np.asarray(populations))),
             (ICO_ALONE, "uniform", uniform_full(3)),
             (ICO_ALONE, "thermal", thermal_full(3, params)),
             (ICO_ALONE, "fixed-point", reset(profile, params)),
-            (ICO_ALONE, populations * 2, DiagonalState.from_vector(np.asarray(populations * 2))),
+            (ICO_ALONE, populations * 2, DiagonalState(np.asarray(populations * 2))),
         ]
         for scheme, initial, expected in rows:
             state = initial_state(SchemeConfig(scheme=scheme, n=3, epsilon=0.5, initial=initial))
@@ -108,6 +110,15 @@ class TestConfigValidation:
             SchemeConfig(scheme=ICO_ALONE, n=3, initial="thermal")
         with pytest.raises(ValueError, match="must have length 8 for this scheme, got 16"):
             SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, initial=populations * 2)
+
+    @pytest.mark.parametrize(
+        "scheme,state",
+        [(HBAC_ICO, ReducedState(np.full(8, 0.125))), (ICO_ALONE, uniform_full(3))],
+    )
+    def test_initial_takes_a_selector_or_a_list_not_a_state(self, scheme, state):
+        forms = r"initial must be one of \('uniform', 'thermal', 'fixed-point'\) or a list of populations"
+        with pytest.raises(ValueError, match=f"^{forms}, got {type(state).__name__}"):
+            SchemeConfig(scheme=scheme, n=3, epsilon=0.5, initial=state)
         with pytest.raises(ValueError, match="hbac takes no initial state"):
             SchemeConfig(scheme=HBAC, n=3, epsilon=0.5, initial="uniform")
 
@@ -169,11 +180,10 @@ class TestSuccessProbability:
         assert abs(success_probability(config) / (8 * 0.005) - 1.0) < 0.1
 
     def test_bath_free_scheme_reads_extremal_weights(self):
-        vec = np.array([0.4, 0.3, 0.2, 0.1])
-        state = DiagonalState.from_vector(vec)
-        standard = SchemeConfig(scheme=ICO_ALONE, n=1, initial=state)
+        vec = [0.4, 0.3, 0.2, 0.1]
+        standard = SchemeConfig(scheme=ICO_ALONE, n=1, initial=vec)
         assert success_probability(standard) == pytest.approx(0.5)
-        ideal = SchemeConfig(scheme=ICO_ALONE, n=1, initial=state, pair="ideal")
+        ideal = SchemeConfig(scheme=ICO_ALONE, n=1, initial=vec, pair="ideal")
         assert success_probability(ideal) == pytest.approx(0.7)
 
     def test_bath_free_default_is_thermal(self):
@@ -188,13 +198,11 @@ class TestSuccessProbability:
 
     def test_explicit_initial_for_bath_scheme(self):
         params = make_thermal_params(0.5)
-        vec = np.array([0.5, 0.3, 0.15, 0.05])
-        config = SchemeConfig(
-            scheme=HBAC_ICO, n=2, epsilon=0.5, initial=ReducedState.from_vector(vec)
-        )
+        vec = [0.5, 0.3, 0.15, 0.05]
+        config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, initial=vec)
         expected = params.ground_population * 0.5 + params.excited_population * 0.05
         assert success_probability(config) == pytest.approx(expected, abs=1e-15)
-        plus, _ = run_round(ReducedState.from_vector(vec), config)
+        plus, _ = run_round(ReducedState(vec), config)
         assert plus.norm == pytest.approx(expected, abs=1e-15)
 
 
@@ -248,28 +256,28 @@ class TestRunRound:
         assert set(support) <= {0, 15}
 
     def test_bath_free_round_skips_reset(self):
-        state = DiagonalState.from_vector([0.4, 0.3, 0.2, 0.1])
-        config = SchemeConfig(scheme=ICO_ALONE, n=1, initial=state)
-        plus, minus = run_round(state, config)
+        vec = [0.4, 0.3, 0.2, 0.1]
+        config = SchemeConfig(scheme=ICO_ALONE, n=1, initial=vec)
+        plus, minus = run_round(DiagonalState(vec), config)
         assert plus.norm == pytest.approx(0.5)
         assert np.allclose(minus.populations, [0.0, 0.2, 0.3, 0.0])
 
     def test_plain_cooling_has_no_round(self):
         config = SchemeConfig(scheme=HBAC, n=2, epsilon=0.5)
         with pytest.raises(ValueError):
-            run_round(ReducedState.from_vector(np.full(4, 0.25)), config)
+            run_round(ReducedState(np.full(4, 0.25)), config)
 
     def test_type_and_size_mismatch(self):
         config = SchemeConfig(scheme=ICO_ALONE, n=2)
         with pytest.raises(TypeError):
-            run_round(ReducedState.from_vector(np.full(4, 0.25)), config)
+            run_round(ReducedState(np.full(4, 0.25)), config)
         bath = SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5)
         with pytest.raises(ValueError):
-            run_round(ReducedState.from_vector(np.full(4, 0.25)), bath)
+            run_round(ReducedState(np.full(4, 0.25)), bath)
 
     def test_accepts_full_state_for_bath_scheme(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5)
-        full = DiagonalState.from_vector(np.full(8, 0.125))
+        full = DiagonalState(np.full(8, 0.125))
         plus, minus = run_round(full, config)
         assert plus.norm + minus.norm == pytest.approx(1.0, abs=1e-12)
 
@@ -303,7 +311,7 @@ class TestFailureUpdate:
     def test_zero_probability_branch(self):
         # a pure ground input under a leading-scalars family never fails
         params = make_thermal_params(0.5)
-        ground = ReducedState.from_vector([1.0, 0.0, 0.0, 0.0])
+        ground = ReducedState([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="zero probability"):
             _minus_row(ground, params, k_pair(2, 1))
 
@@ -329,7 +337,7 @@ class TestMinusStep:
         spec = _retry_family(n, data.draw(st.integers(min_value=0, max_value=n + 1)))
         entries = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2**n, max_size=2**n))
         assume(sum(entries) > 0.0)
-        state = ReducedState.from_vector(entries).normalized()
+        state = ReducedState(entries).normalized()
         params = make_thermal_params(eps)
         try:
             expected = reduce(switch_branches(reset(state, params), spec)[1]).normalized()
@@ -348,13 +356,13 @@ class TestMinusStep:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     def test_tree_child_is_one_normalized_branch(self, n, seed):
-        initial = DiagonalState.from_vector(np.random.default_rng(seed).random(2 ** (n + 1)))
+        initial = np.random.default_rng(seed).random(2 ** (n + 1)).tolist()
         chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=n, initial=initial))
         # every prefix code past the root and short of a leaf: 2 .. 2**n - 1
         for code in range(2, 2**n):
             parent, _probability = chain.at(code >> 1)
             level = code.bit_length() - 1
-            plus, minus = switch_branches(DiagonalState(n, parent), tree_pair(n, level - 1))
+            plus, minus = switch_branches(DiagonalState(parent), tree_pair(n, level - 1))
             expected = (plus if code & 1 else minus).normalized()
             row, _probability = chain.at(code)
             assert row.tobytes() == expected.populations.tobytes()
@@ -392,7 +400,7 @@ class TestMinusStep:
 
 class TestPiPulse:
     def test_both_outcomes_yield_pure_ground(self):
-        state = DiagonalState.from_vector([0.8, 0.0, 0.0, 0.2])
+        state = DiagonalState([0.8, 0.0, 0.0, 0.2])
         for outcome in ("g", "e"):
             out = pi_pulse_correct(state, outcome)
             assert out.n == 0
@@ -402,16 +410,16 @@ class TestPiPulse:
     def test_leak_guard(self):
         vec = np.array([0.8, 1e-6, 0.0, 0.2 - 1e-6])
         with pytest.raises(ValueError):
-            pi_pulse_correct(DiagonalState.from_vector(vec), "g")
+            pi_pulse_correct(DiagonalState(vec), "g")
 
     def test_zero_weight_outcome(self):
-        state = DiagonalState.from_vector([1.0, 0.0, 0.0, 0.0])
+        state = DiagonalState([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             pi_pulse_correct(state, "e")
         assert pi_pulse_correct(state, "g").populations[0] == 1.0
 
     def test_bad_outcome_label(self):
-        state = DiagonalState.from_vector([0.8, 0.0, 0.0, 0.2])
+        state = DiagonalState([0.8, 0.0, 0.0, 0.2])
         with pytest.raises(ValueError):
             pi_pulse_correct(state, "x")
 
@@ -529,7 +537,7 @@ class TestSampler:
             dict(
                 scheme=ICO_ALONE,
                 n=1,
-                initial=DiagonalState.from_vector([0.0, 0.5, 0.5, 0.0]),
+                initial=[0.0, 0.5, 0.5, 0.0],
                 max_attempts=5,
             ),
             # an attempt budget too small for the batch
@@ -753,12 +761,12 @@ class TestSampler:
     def test_tree_probability_is_the_plus_branch_norm(self):
         # bit for bit, at every prefix of a random input
         n = 5
-        initial = DiagonalState.from_vector(np.random.default_rng(3).random(2 ** (n + 1)))
+        initial = np.random.default_rng(3).random(2 ** (n + 1)).tolist()
         chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=n, initial=initial))
         for level in range(n):
             for code in range(2**level, 2 ** (level + 1)):
                 row, probability = chain.at(code)
-                plus, _minus = switch_branches(DiagonalState(n, row), tree_pair(n, level))
+                plus, _minus = switch_branches(DiagonalState(row), tree_pair(n, level))
                 assert probability == plus.norm
 
     def test_tree_cascade_purifies_every_storage_qubit(self):
@@ -777,7 +785,7 @@ class TestSampler:
                 pre, _probability = chain.at(code >> (n - level))
                 assert np.abs(pre - state).max() < 1e-15
                 plus, minus = switch_branches(
-                    DiagonalState.from_vector(state), tree_pair(n, level)
+                    DiagonalState(state), tree_pair(n, level)
                 )
                 chosen = plus if outcome else minus
                 state = chosen.populations / chosen.norm
@@ -800,10 +808,7 @@ class TestSampler:
 
     def test_impossible_heralding_raises(self):
         # no weight on the heralding labels and a bath-free retry never adds any
-        vec = np.array([0.0, 0.5, 0.5, 0.0])
-        config = SchemeConfig(
-            scheme=ICO_ALONE, n=1, initial=DiagonalState.from_vector(vec), max_attempts=5
-        )
+        config = SchemeConfig(scheme=ICO_ALONE, n=1, initial=[0.0, 0.5, 0.5, 0.0], max_attempts=5)
         with pytest.raises(MaxAttemptsError) as excinfo:
             sample_batch(AttemptChain(config), 1)
         assert excinfo.value.trajectory == 5

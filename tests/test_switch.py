@@ -79,7 +79,7 @@ def hand_built_masks(draw):
 
 def assert_branches_restore_the_input(spec, vec):
     """Branch norms partition the input; plus plus un-swapped minus restores it."""
-    state = DiagonalState.from_vector(vec)
+    state = DiagonalState(vec)
     plus, minus = switch_branches(state, spec)
     assert plus.norm + minus.norm == pytest.approx(state.norm, abs=1e-12)
     unswapped = minus.populations.copy()
@@ -184,7 +184,7 @@ class TestSpecFamilies:
 
 class TestSwitchBranches:
     def test_standard_pair_example(self):
-        state = DiagonalState.from_vector([0.4, 0.3, 0.2, 0.1])
+        state = DiagonalState([0.4, 0.3, 0.2, 0.1])
         plus, minus = switch_branches(state, standard_pair(1))
         assert np.allclose(plus.populations, [0.4, 0.0, 0.0, 0.1])
         assert plus.norm == pytest.approx(0.5, abs=1e-15)
@@ -194,7 +194,7 @@ class TestSwitchBranches:
     def test_ground_state_in_leading_scalar_block(self):
         vec = np.zeros(8)
         vec[0] = 1.0
-        state = DiagonalState.from_vector(vec)
+        state = DiagonalState(vec)
         for spec in (standard_pair(2), ideal_pair(2), k_pair(2, 2), tree_pair(2, 0)):
             plus, minus = switch_branches(state, spec)
             assert plus.norm == pytest.approx(1.0)
@@ -202,7 +202,7 @@ class TestSwitchBranches:
             assert np.array_equal(plus.populations, vec)
 
     def test_dimension_mismatch(self):
-        state = DiagonalState.from_vector([0.5, 0.5, 0.0, 0.0])
+        state = DiagonalState([0.5, 0.5, 0.0, 0.0])
         with pytest.raises(ValueError):
             switch_branches(state, standard_pair(2))
 
@@ -230,7 +230,7 @@ class TestSwitchBranches:
         plus, minus = assert_branches_restore_the_input(spec, vec)
         rho = np.diag(vec).astype(complex)
         for sign, branch in zip(SIGNS, (plus, minus)):
-            dense = switch_channel(rho, spec, spec, sign)
+            dense = switch_channel(rho, spec, sign)
             assert np.abs(np.diag(dense).real - branch.populations).max() < 1e-14
 
 
@@ -263,7 +263,7 @@ class TestBranchTransfer:
         rng = np.random.default_rng(11 * n + family_index)
         vec = rng.random(2**n)
         vec /= vec.sum()
-        state = ReducedState.from_vector(vec)
+        state = ReducedState(vec)
         plus, minus = switch_branches(reset(state, params), spec)
         for sign, outcome in ((PLUS, plus), (MINUS, minus)):
             matrix = branch_transfer(n, params, spec, sign)
@@ -276,7 +276,7 @@ class TestBranchTransfer:
         for n in range(1, 6):
             vec = rng.random(2**n)
             vec /= vec.sum()
-            plus, _ = switch_branches(reset(ReducedState.from_vector(vec), params), standard_pair(n))
+            plus, _ = switch_branches(reset(ReducedState(vec), params), standard_pair(n))
             support = np.nonzero(plus.populations)[0]
             assert set(support) <= {0, 2 ** (n + 1) - 1}
 
@@ -293,7 +293,7 @@ class TestPopulationMatrices:
         rng = np.random.default_rng(5)
         for n in range(1, 6):
             vec = rng.random(2 ** (n + 1)) + 0.1
-            plus, _minus = switch_branches(DiagonalState.from_vector(vec), standard_pair(n))
+            plus, _minus = switch_branches(DiagonalState(vec), standard_pair(n))
             kept = np.nonzero(plus.populations)[0]
             assert list(kept) == [0, 2 ** (n + 1) - 1]
             assert np.array_equal(plus.populations[kept], vec[kept])
@@ -303,7 +303,7 @@ class TestPopulationMatrices:
         for index in (0, dim - 1):
             basis = np.zeros(dim)
             basis[index] = 1.0
-            plus, _minus = switch_branches(DiagonalState.from_vector(basis), standard_pair(3))
+            plus, _minus = switch_branches(DiagonalState(basis), standard_pair(3))
             assert np.array_equal(plus.populations, basis)
 
     def test_minus_matches_interior_swap(self):
@@ -313,7 +313,7 @@ class TestPopulationMatrices:
         rng = np.random.default_rng(8)
         for n in range(1, 5):
             vec = rng.random(2 ** (n + 1))
-            state = DiagonalState.from_vector(vec)
+            state = DiagonalState(vec)
             _plus, minus = switch_branches(state, standard_pair(n))
             sorted_vec = two_sort(state).populations.copy()
             sorted_vec[0] = 0.0
@@ -324,7 +324,7 @@ class TestPopulationMatrices:
         rng = np.random.default_rng(13)
         for n in range(1, 6):
             vec = rng.random(2 ** (n + 1))
-            plus, _minus = switch_branches(DiagonalState.from_vector(vec), tree_pair(n, 0))
+            plus, _minus = switch_branches(DiagonalState(vec), tree_pair(n, 0))
             half = 2**n
             expected = np.concatenate([vec[:half], np.zeros(half)])
             assert np.array_equal(plus.populations, expected)
