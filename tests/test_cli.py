@@ -1011,6 +1011,16 @@ _PINNED_STDOUT = (
         "sample --scheme ico-tree-sort --n 4 --initial uniform --eps 0.5 --trials 300 --seed 2",
         "b34cd04b56daed70ccdc65bd6f2f3ed16ee0ff7c054ca6831ee8b26cf8dd0b68",
     ),
+    # states and vectors longer than one float-kernel slice: 8192-float chain
+    # states, and a 16384-line final state written over four slices
+    (
+        "sample --scheme hbac-ico --n 13 --eps 0.05 --trials 1 --seed 2",
+        "eaf0b5ae07d5e07877a487297683ddebd029c949f1002c164e24019b2911b943",
+    ),
+    (
+        "run --scheme hbac --n 14 --eps 0.1",
+        "327b84d5f385ce059597c823dde0b684d9ae7052a4aa4c4ffd9ad55326945854",
+    ),
 )
 
 # explicit initial vectors, written to the working directory of each pinned command
@@ -1093,9 +1103,14 @@ class TestByteGuard:
         # the csv module is the reference: no cell the commands write needs quoting
         code, out, _err = run_cli(capsys, *argv.split())
         assert code == 0
-        rows = csv.reader(io.StringIO(out, newline=""))
-        rewritten = io.StringIO(newline="")
-        csv.writer(rewritten, lineterminator="\r\n").writerows(rows)
+        # a state cell of 8192 floats is longer than the reader's default field limit
+        limit = csv.field_size_limit(len(out))
+        try:
+            rows = csv.reader(io.StringIO(out, newline=""))
+            rewritten = io.StringIO(newline="")
+            csv.writer(rewritten, lineterminator="\r\n").writerows(rows)
+        finally:
+            csv.field_size_limit(limit)
         assert rewritten.getvalue() == out
 
     @pytest.mark.parametrize("argv", [argv for argv, _ in _PINNED_STDOUT if "--format json" in argv])
