@@ -94,63 +94,124 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@functools.lru_cache(maxsize=None)
-def _power_of_ten(exponent: int) -> tuple[int, int, bool]:
-    """``(p, s, exact)``: ``10**exponent`` is ``p * 2**s`` rounded to nearest, ``2**63 <= p < 2**64``.
+_DECIMAL_EXPONENTS = range(-324, 309)  # floor(log10|x|) of every finite nonzero double
 
-    ``exact`` says the rounding lost nothing (``0 <= exponent <= 27``).  The
-    table stays Python ints, built per exponent on first use: numpy arrays
-    built at import cost every command about 0.2 MB of RSS.
+
+@functools.cache
+def _power_of_ten():
+    """``(low, high, drop, exact)``: ``10**(16 - X)`` for each ``X`` of ``_DECIMAL_EXPONENTS``, row ``X + 324``.
+
+    ``10**(16 - X)`` is ``p * 2**s`` rounded to nearest, ``2**63 <= p < 2**64``;
+    ``low`` and ``high`` are the 32-bit halves of ``p``, ``drop`` is ``-s`` and
+    ``exact`` says the rounding lost nothing (``0 <= 16 - X <= 27``).  Built on
+    first use, not at import: numpy arrays built at import cost every command
+    about 0.2 MB of RSS.
     """
-    if exponent >= 0:
-        power = 10**exponent
-        shift = power.bit_length() - 64
-        if shift <= 0:
-            return power << -shift, shift, True
-        rounded = (power + (1 << (shift - 1))) >> shift
-        return rounded, shift, rounded << shift == power
-    power = 10**-exponent
-    shift = -(63 + power.bit_length())
-    return ((1 << (1 - shift)) // power + 1) >> 1, shift, False
+    rows = []
+    for decimal in _DECIMAL_EXPONENTS:
+        exponent = 16 - decimal
+        if exponent >= 0:
+            power = 10**exponent
+            shift = power.bit_length() - 64
+            if shift <= 0:
+                rows.append((power << -shift, shift, True))
+                continue
+            rounded = (power + (1 << (shift - 1))) >> shift
+            rows.append((rounded, shift, rounded << shift == power))
+        else:
+            power = 10**-exponent
+            shift = -(63 + power.bit_length())
+            rows.append((((1 << (1 - shift)) // power + 1) >> 1, shift, False))
+    power, shift, exact = (np.array(column) for column in zip(*rows))
+    power = power.astype(np.uint64)
+    table = (power & np.uint64(0xFFFFFFFF), power >> np.uint64(32), (-shift).astype(np.uint64), exact)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _digit_table():
+    """``(ascii, keep)`` for the 4-digit groups ``0 .. 9999`` of ``_ascii_digits``.
+
+    ``ascii[g]`` holds the four ASCII digits of ``g``, zero-padded, as one
+    uint32 whose bytes are in text order.  ``keep[10**4 * k + g]`` counts the
+    digits of ``N`` up to the last nonzero one when ``g`` is group ``k`` of
+    ``N`` (digits ``4k + 2`` to ``4k + 5``) and holds a nonzero digit, and is
+    1 when ``g`` is 0.  Built on first use, not at import.
+    """
+    groups = np.arange(10**4)
+    places = groups[:, None] // np.array([1000, 100, 10, 1]) % 10
+    ascii = (places + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+    last = (np.arange(1, 5) * (places != 0)).max(axis=1)  # digits of g up to its last nonzero one
+    keep = np.where(groups != 0, np.arange(1, 17, 4)[:, None] + last, 1).astype(np.uint8).ravel()
+    for column in (ascii, keep):
+        column.flags.writeable = False
+    return ascii, keep
+
+
+@functools.cache
+def _frame_table():
+    """The bytes around an entry's digits, by decimal exponent ``X``: row ``X + 324``, 16 bytes.
+
+    Bytes 0-4 hold the ``0.`` to ``0.000`` prefix of ``-4 <= X < 0``; bytes
+    5-9 ``e±XXX`` (the hundreds NUL below 100) of ``X < -4`` or ``X >= 17``;
+    byte 10 how many digits go before the dot: 1 in exponent form, ``X + 1``
+    when ``X >= 0``, 0 after a prefix.  The other bytes are NUL.  Built on
+    first use, not at import.
+    """
+    decimal = np.arange(_DECIMAL_EXPONENTS.start, _DECIMAL_EXPONENTS.stop)
+    exponent_form = (decimal < -4) | (decimal >= 17)
+    fraction = (decimal < 0) & ~exponent_form
+    size = np.abs(decimal)
+    frame = np.zeros((decimal.size, 16), dtype=np.uint8)
+    frame[:, :5] = np.frombuffer(b"0.000", dtype=np.uint8) * (np.arange(5) < fraction[:, None] * (1 - decimal[:, None]))
+    frame[:, 5] = ord("e")
+    frame[:, 6] = np.where(decimal < 0, ord("-"), ord("+"))
+    frame[:, 7] = (size // 100 + 48) * (size >= 100)
+    frame[:, 8] = size // 10 % 10 + 48
+    frame[:, 9] = size % 10 + 48
+    frame[:, 5:10] *= exponent_form[:, None]
+    frame[:, 10] = np.where(exponent_form, 1, np.maximum(decimal + 1, 0))
+    frame = frame.view("V16")[:, 0]
+    frame.flags.writeable = False
+    return frame
 
 
 _FLOAT_SLICE = 4096  # floats per call of the CSV float kernel: bounds its temporaries (~1 MB)
 
 
-def _decimal_digits(values):
+def _decimal_digits(values, positive=False):
     """``(N, X)``: ``|x|`` is ``N * 10**(X - 16)`` to 17 significant digits, ties to even.
 
-    Zero and non-finite entries get ``N = X = 0``.  A finite nonzero ``|x|``
-    is ``m * 2**(e - 64)`` with ``2**63 <= m < 2**64``.  ``X`` is estimated as
+    Zero and non-finite entries get ``N = X = 0``; ``positive`` says there are
+    none, and no negative entries either.  A finite nonzero ``|x|`` is
+    ``m * 2**(e - 64)`` with ``2**63 <= m < 2**64``.  ``X`` is estimated as
     ``floor(log10|x|)``, and ``N`` is read from the high word of the 128-bit
-    product of ``m`` and ``_power_of_ten(16 - X)``, formed from 32-bit
-    halves.  That word is within half a unit of the exact product, and exact
-    when the power is.  An entry this cannot decide takes ``N`` and ``X`` from
-    ``'%.16e' % |x|``, the same correctly rounded digits: its fraction lies
-    within that error of one half, or ``N`` before rounding is outside
-    ``[10**16, 10**17)`` (the estimate of ``X`` was one off), or rounding
-    carried it to ``10**17``.
+    product of ``m`` and ``10**(16 - X)`` from ``_power_of_ten``, formed from
+    32-bit halves.  That word is within half a unit of the exact product, and
+    exact when the power is.  An entry this cannot decide takes ``N`` and
+    ``X`` from ``'%.16e' % |x|``, the same correctly rounded digits: its
+    fraction lies within that error of one half, or ``N`` before rounding is
+    outside ``[10**16, 10**17 - 1)`` (the estimate of ``X`` was one off, or
+    rounding may carry it to ``10**17``).
     """
-    magnitude = np.abs(values)
-    nonzero = np.isfinite(magnitude) & (magnitude != 0.0)
-    safe = np.where(nonzero, magnitude, 1.0)
+    if positive:
+        magnitude = safe = values
+    else:
+        magnitude = np.abs(values)
+        nonzero = np.isfinite(magnitude) & (magnitude != 0.0)
+        safe = np.where(nonzero, magnitude, 1.0)
     fraction, binary = np.frexp(safe)
-    mantissa = np.ldexp(fraction, 64).astype(np.uint64)
+    mantissa = (fraction.view(np.uint64) << np.uint64(11)) | np.uint64(1 << 63)
     decimal = np.floor(np.log10(safe)).astype(np.int64)
-
-    # 10**(16 - X) ~ power * 2**shift, looked up over the span of exponents present
-    scale = 16 - decimal
-    lowest = int(scale.min())
-    table = [_power_of_ten(exponent) for exponent in range(lowest, int(scale.max()) + 1)]
-    scale -= lowest
-    power = np.array([entry[0] for entry in table], dtype=np.uint64)[scale]
-    drop = (-binary - np.array([entry[1] for entry in table])[scale]).astype(np.uint64)
-    exact = np.array([entry[2] for entry in table])[scale]
+    row = decimal - _DECIMAL_EXPONENTS.start
+    p_low, p_high, drop, exact = (column.take(row) for column in _power_of_ten())
+    np.subtract(drop, binary, out=drop, dtype=np.uint64, casting="unsafe")  # modulo 2**64
 
     # the 128-bit product mantissa * power, as a high and a low word
     low32, shift32, one = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1)
     m_low, m_high = mantissa & low32, mantissa >> shift32
-    p_low, p_high = power & low32, power >> shift32
     low_low = m_low * p_low
     high_low = m_high * p_low
     cross = (low_low >> shift32) + (high_low & low32) + m_low * p_high
@@ -159,23 +220,21 @@ def _decimal_digits(values):
 
     # N before rounding is ``high >> drop``; ``rest`` is the fraction in units of ``high``
     truncated = high >> drop
-    rest = high & ((one << drop) - one)
-    half = one << (drop - one)
-    up = (rest > half) | ((rest == half) & ((low != 0) | ((truncated & one) == one)))
-    digits = truncated + up
+    rest = high - (truncated << drop)
+    half = (one << drop) >> one
+    # up when rest > half, or rest == half and the product is above it or N is odd
+    digits = truncated + (rest + ((truncated & one) | (low != 0)) > half)
     # an inexact power leaves the product within half a unit of ``high`` of the
     # truth: undecided when ``rest + low / 2**64`` is within 1/2 of ``half``
-    low_top = (low >> np.uint64(63)) == one
-    undecided = ~exact & np.where(low_top, rest + one == half, rest == half)
-    fallback = nonzero & (
-        (truncated < np.uint64(10**16)) | (digits >= np.uint64(10**17)) | undecided
-    )
-    digits[~nonzero] = 0
-    decimal[~nonzero] = 0
-    for index in np.flatnonzero(fallback).tolist():
-        text = "%.16e" % magnitude[index]  # d.dddddddddddddddde±XX[X]
-        digits[index] = int(text[0] + text[2:18])
-        decimal[index] = int(text[19:])
+    undecided = (rest + (low >> np.uint64(63)) == half) & ~exact
+    fallback = ((truncated - np.uint64(10**16)) >= np.uint64(9 * 10**16 - 1)) | undecided
+    if not positive:
+        digits *= nonzero
+    indices = np.flatnonzero(fallback)
+    if indices.size:
+        texts = ["%.16e" % value for value in magnitude[indices].tolist()]  # d.dddddddddddddddde±XX[X]
+        digits[indices] = [int(text[0] + text[2:18]) for text in texts]
+        decimal[indices] = [int(text[19:]) for text in texts]
     return digits, decimal
 
 
@@ -184,26 +243,25 @@ def _ascii_digits(digits):
 
     ``text`` holds the digits, first to last, in rows 1 to 17 between two
     padding rows, one column per entry.  ``keep`` counts the digits up to the
-    last nonzero one.
+    last nonzero one, and is 1 when ``N`` is 0.  ``N`` is split into its
+    leading digit and four 4-digit groups, and each group's ASCII digits and
+    its count come from ``_digit_table``.
     """
     count = digits.size
+    leading = digits // np.uint64(10**16)
+    rest = digits - leading * np.uint64(10**16)
+    halves = np.empty((2, count), dtype=np.uint32)
+    halves[0] = rest // np.uint64(10**8)
+    halves[1] = rest - halves[0] * np.uint64(10**8)
+    groups = np.empty((4, count), dtype=np.uint32)
+    np.floor_divide(halves, np.uint32(10**4), out=groups[0::2])
+    np.subtract(halves, groups[0::2] * np.uint32(10**4), out=groups[1::2])
+    ascii, keep = _digit_table()
     text = np.zeros((19, count), dtype=np.uint8)
-    leading = (digits // np.uint64(10**9)).astype(np.uint32)
-    trailing = (digits - leading.astype(np.uint64) * np.uint64(10**9)).astype(np.uint32)
-    ten = np.uint32(10)
-    keep = np.full(count, 17)
-    zeros = np.ones(count, dtype=bool)  # every digit after this one is 0
-    row = 17
-    for part, width in ((trailing, 9), (leading, 8)):
-        for _ in range(width):
-            quotient = part // ten
-            digit = part - quotient * ten
-            text[row] = digit + 48
-            zeros &= digit == 0
-            keep -= zeros
-            part = quotient
-            row -= 1
-    return text, keep
+    text[1] = leading + np.uint64(ord("0"))
+    text[2:18].reshape(4, 4, count)[...] = ascii.take(groups).view(np.uint8).reshape(4, count, 4).transpose(0, 2, 1)
+    groups += np.arange(0, 4 * 10**4, 10**4, dtype=np.uint32)[:, None]
+    return text, keep.take(groups).max(axis=0)
 
 
 def _float_rows(block) -> list[str]:
@@ -214,57 +272,66 @@ def _float_rows(block) -> list[str]:
     return str(_float_text(block), "ascii").split("\n")[:-1]
 
 
-def _float_text(block):
-    """The ASCII text of ``_float_rows(block)``, each row ended by a newline, as a uint8 array.
+def _float_text(block) -> bytes:
+    """The ASCII text of ``_float_rows(block)``, each row ended by a newline.
 
     Every step is elementwise numpy over the block.  ``_decimal_digits``
-    gives each entry's 17 digits and decimal exponent ``X``; each entry then
-    becomes a fixed-width record padded with NULs: a sign; ``0.000`` up to the
-    first digit when ``-4 <= X < 0``; the digits, with the dot after ``X + 1``
-    of them (after one in exponent form) and without trailing zeros or a bare
-    dot; ``e±XX[X]`` when ``X < -4`` or ``X >= 17``; ``nan`` or ``inf``
-    instead of the digits; then a ``|``, or a newline at the end of a row.
-    The NULs are then dropped.
+    gives each entry's 17 digits and decimal exponent ``X``, and
+    ``_ascii_digits`` their ASCII text.  Each entry then becomes a fixed-width
+    record padded with NULs, one row of ``record`` per byte: a sign; ``0.000``
+    up to the first digit when ``-4 <= X < 0``; the digits, with the dot after
+    ``X + 1`` of them (after one in exponent form) and without trailing zeros
+    or a bare dot; ``e±XX[X]`` when ``X < -4`` or ``X >= 17``; ``nan`` or
+    ``inf`` instead of the digits; then a ``|``, or a newline at the end of a
+    row.  Rows that no entry of the block uses are left out: the sign and
+    non-finite passes run only when an entry is not finite and positive, and
+    the prefix and exponent bytes come from ``_frame_table`` only where an
+    entry has them.  One ``bytes.translate`` then drops the NULs.
     """
     values = block.ravel()
-    digits, decimal = _decimal_digits(values)
+    size = values.size
+    positive = size > 0 and 0.0 < values.min() and values.max() < math.inf
+    digits, decimal = _decimal_digits(values, positive)
     ascii_digits, keep = _ascii_digits(digits)
-    finite = np.isfinite(values)
-    exponent_form = (decimal < -4) | (decimal >= 17)
-    before_dot = np.where(exponent_form, 1, decimal + 1)  # <= 0 for 0.000ddd
+    frame = _frame_table().take(decimal - _DECIMAL_EXPONENTS.start).view(np.uint8).reshape(size, 16)
+    before_dot = frame[:, 10]
     np.maximum(keep, before_dot, out=keep)
-    keep[~finite] = 0
+    if not positive:
+        finite = np.isfinite(values)
+        keep *= finite
+        negative = np.signbit(values) & ~np.isnan(values)
     has_dot = (keep > before_dot) & (before_dot > 0)
-    dot = np.where(has_dot, before_dot, 17)
+    dot = before_dot + (17 - before_dot) * ~has_dot
+    ascii_digits[1:18] *= np.arange(17, dtype=np.uint8)[:, None] < keep
 
-    # rows: sign, "0.000", 18 body columns (17 digits and a dot), "e±XXX", separator
-    record = np.empty((30, values.size), dtype=np.uint8)
-    record[0] = np.where(np.signbit(values) & (values == values), ord("-"), 0)
-    prefix = np.where((decimal < 0) & ~exponent_form, 1 - decimal, 0)  # length of 0.000
-    record[1:6] = np.where(
-        np.arange(5)[:, None] < prefix, np.frombuffer(b"0.000", dtype=np.uint8)[:, None], 0
-    )
+    # frame bytes some entry uses: the prefix, then e, sign, hundreds, tens, units
+    words = frame.view(np.uint64)
+    present = [int(np.bitwise_or.reduce(words[:, column])).to_bytes(8, "little") for column in (0, 1)]
+    used = np.flatnonzero(np.frombuffer(b"".join(present), dtype=np.uint8)[:10])
+    if not positive and not finite.all():
+        used = np.union1d(used, [0, 1, 2])  # nan and inf take the first three prefix bytes
+    prefix, suffix = used[used < 5], used[used >= 5]
+    sign = int(not positive and negative.any())
+    record = np.empty((sign + prefix.size + 18 + suffix.size + 1, size), dtype=np.uint8)
+    if sign:
+        np.multiply(negative, np.uint8(ord("-")), out=record[0])
+    record[sign : sign + prefix.size] = frame[:, prefix].T
     # body column c holds digit c before the dot and digit c - 1 after it
-    column = np.arange(18)[:, None]
-    body = record[6:24]
-    np.copyto(body, np.where(column < dot, ascii_digits[1:], ascii_digits[:-1]))
-    np.put_along_axis(body, dot[None, :], ord("."), axis=0)
-    body *= column < keep + has_dot
-    size = np.abs(decimal)
-    record[24] = ord("e")
-    record[25] = np.where(decimal < 0, ord("-"), ord("+"))
-    record[26] = (size // 100 + 48) * (size >= 100)
-    record[27] = size // 10 % 10 + 48
-    record[28] = size % 10 + 48
-    record[24:29] *= exponent_form
-    if not finite.all():
+    start = sign + prefix.size
+    body = record[start : start + 18]
+    np.subtract(ascii_digits[1:], ascii_digits[:-1], out=body)
+    body *= np.arange(18, dtype=np.uint8)[:, None] < dot
+    body += ascii_digits[:-1]
+    body.reshape(-1)[dot * np.intp(size) + np.arange(size)] = has_dot * np.uint8(ord("."))
+    record[start + 18 : -1] = frame[:, suffix].T
+    if not positive and not finite.all():
         nan = np.isnan(values)
         for offset, (in_nan, in_inf) in enumerate(zip(b"nan", b"inf")):
-            record[1 + offset] = np.where(nan, in_nan, np.where(finite, record[1 + offset], in_inf))
-    record[29] = ord("|")
-    record[29, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
-    text = record.T.ravel()
-    return text[text != 0]
+            cell = record[sign + offset]
+            cell[~finite] = np.where(nan, in_nan, in_inf)[~finite]
+    record[-1] = ord("|")
+    record[-1, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
+    return record.T.tobytes().translate(None, b"\0")
 
 
 def _join_states(vectors: list) -> list[str]:
@@ -274,11 +341,12 @@ def _join_states(vectors: list) -> list[str]:
         cuts = [slice(start, start + _FLOAT_SLICE) for start in range(0, size, _FLOAT_SLICE)]
         return ["|".join(_float_rows(state[None, cut])[0] for cut in cuts) for state in vectors]
     per_call = _FLOAT_SLICE // size
-    return [
-        row
-        for start in range(0, len(vectors), per_call)
-        for row in _float_rows(np.stack(vectors[start : start + per_call]))
-    ]
+    block = np.empty((min(per_call, len(vectors)), size))  # refilled for every call
+    rows = []
+    for start in range(0, len(vectors), per_call):
+        part = vectors[start : start + per_call]
+        rows += _float_rows(np.stack(part, out=block[: len(part)]))
+    return rows
 
 
 def _json_float(value):
