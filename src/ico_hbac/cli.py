@@ -17,7 +17,10 @@ reproduce identical bytes.  A CSV float is the bytes of
 ``_float_rows``, which takes an entry's digits from ``'%.16e' % x`` only where
 its 128-bit product cannot decide them (a fraction within the product's error
 of one half, an exponent estimate one off, or a carry: 0.34% of the floats
-of the sample-wide benchmark).
+of the sample-wide benchmark).  Its ASCII digits come from a table of the
+4-digit groups ``0000`` to ``9999``, its prefixes and exponents from a table
+by decimal exponent, and one ``bytes.translate`` call drops the NUL padding of
+its fixed-width records.
 
 Exit codes: 0 success, 2 usage or domain error, 3 validation failure, 4 I/O.
 """
@@ -135,16 +138,16 @@ def _digit_table():
     """``(ascii, keep)`` for the 4-digit groups ``0 .. 9999`` of ``_ascii_digits``.
 
     ``ascii[g]`` holds the four ASCII digits of ``g``, zero-padded, as one
-    uint32 whose bytes are in text order.  ``keep[10**4 * k + g]`` counts the
-    digits of ``N`` up to the last nonzero one when ``g`` is group ``k`` of
-    ``N`` (digits ``4k + 2`` to ``4k + 5``) and holds a nonzero digit, and is
-    1 when ``g`` is 0.  Built on first use, not at import.
+    uint32 whose bytes are in text order.  When ``g`` is group ``k`` of ``N``
+    (digits ``4k + 2`` to ``4k + 5``), ``keep[10**4 * k + g]`` counts the
+    digits of ``N`` up to the last nonzero one of ``g``, or is 0 if ``g`` is
+    0.  Built on first use, not at import.
     """
     groups = np.arange(10**4)
     places = groups[:, None] // np.array([1000, 100, 10, 1]) % 10
     ascii = (places + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
     last = (np.arange(1, 5) * (places != 0)).max(axis=1)  # digits of g up to its last nonzero one
-    keep = np.where(groups != 0, np.arange(1, 17, 4)[:, None] + last, 1).astype(np.uint8).ravel()
+    keep = ((np.arange(1, 17, 4)[:, None] + last) * (groups != 0)).astype(np.uint8).ravel()
     for column in (ascii, keep):
         column.flags.writeable = False
     return ascii, keep
@@ -178,7 +181,7 @@ def _frame_table():
     return frame
 
 
-_FLOAT_SLICE = 4096  # floats per call of the CSV float kernel: bounds its temporaries (~1 MB)
+_FLOAT_SLICE = 4096  # floats per call of the CSV float kernel: bounds its temporaries (~0.7 MB, tracemalloc)
 
 
 def _decimal_digits(values, positive=False):
@@ -243,9 +246,9 @@ def _ascii_digits(digits):
 
     ``text`` holds the digits, first to last, in rows 1 to 17 between two
     padding rows, one column per entry.  ``keep`` counts the digits up to the
-    last nonzero one, and is 1 when ``N`` is 0.  ``N`` is split into its
-    leading digit and four 4-digit groups, and each group's ASCII digits and
-    its count come from ``_digit_table``.
+    last nonzero one.  ``N`` is split into its leading digit and four 4-digit
+    groups, and each group's ASCII digits and count come from
+    ``_digit_table``.
     """
     count = digits.size
     leading = digits // np.uint64(10**16)
@@ -261,7 +264,9 @@ def _ascii_digits(digits):
     text[1] = leading + np.uint64(ord("0"))
     text[2:18].reshape(4, 4, count)[...] = ascii.take(groups).view(np.uint8).reshape(4, count, 4).transpose(0, 2, 1)
     groups += np.arange(0, 4 * 10**4, 10**4, dtype=np.uint32)[:, None]
-    return text, keep.take(groups).max(axis=0)
+    kept = keep.take(groups).max(axis=0)
+    np.maximum(kept, np.minimum(leading, np.uint64(1)), out=kept, casting="unsafe")
+    return text, kept
 
 
 def _float_rows(block) -> list[str]:
@@ -296,19 +301,21 @@ def _float_text(block) -> bytes:
     frame = _frame_table().take(decimal - _DECIMAL_EXPONENTS.start).view(np.uint8).reshape(size, 16)
     before_dot = frame[:, 10]
     np.maximum(keep, before_dot, out=keep)
+    special = False  # some entry is nan or infinite
     if not positive:
         finite = np.isfinite(values)
+        special = not finite.all()
         keep *= finite
         negative = np.signbit(values) & ~np.isnan(values)
     has_dot = (keep > before_dot) & (before_dot > 0)
-    dot = before_dot + (17 - before_dot) * ~has_dot
+    dot = before_dot + (17 - before_dot) * ~has_dot  # 17: no dot
     ascii_digits[1:18] *= np.arange(17, dtype=np.uint8)[:, None] < keep
 
-    # frame bytes some entry uses: the prefix, then e, sign, hundreds, tens, units
+    # the frame bytes some entry uses: prefix, then e, sign, hundreds, tens, units
     words = frame.view(np.uint64)
-    present = [int(np.bitwise_or.reduce(words[:, column])).to_bytes(8, "little") for column in (0, 1)]
-    used = np.flatnonzero(np.frombuffer(b"".join(present), dtype=np.uint8)[:10])
-    if not positive and not finite.all():
+    present = b"".join(int(np.bitwise_or.reduce(words[:, i])).to_bytes(8, "little") for i in (0, 1))
+    used = np.flatnonzero(np.frombuffer(present, dtype=np.uint8)[:10])
+    if special:
         used = np.union1d(used, [0, 1, 2])  # nan and inf take the first three prefix bytes
     prefix, suffix = used[used < 5], used[used >= 5]
     sign = int(not positive and negative.any())
@@ -324,11 +331,11 @@ def _float_text(block) -> bytes:
     body += ascii_digits[:-1]
     body.reshape(-1)[dot * np.intp(size) + np.arange(size)] = has_dot * np.uint8(ord("."))
     record[start + 18 : -1] = frame[:, suffix].T
-    if not positive and not finite.all():
+    if special:
         nan = np.isnan(values)
         for offset, (in_nan, in_inf) in enumerate(zip(b"nan", b"inf")):
             cell = record[sign + offset]
-            cell[~finite] = np.where(nan, in_nan, in_inf)[~finite]
+            cell[...] = np.where(finite, cell, np.where(nan, in_nan, in_inf))
     record[-1] = ord("|")
     record[-1, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
     return record.T.tobytes().translate(None, b"\0")

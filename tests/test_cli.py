@@ -5,6 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1184,8 +1189,82 @@ def _edge_floats():
     return np.array(edges)
 
 
+def _reference_ascii_digits(digits):
+    """The reference for ``cli._ascii_digits``: 17 divisions by ten, last digit first."""
+    count = digits.size
+    text = np.zeros((19, count), dtype=np.uint8)
+    leading = (digits // np.uint64(10**9)).astype(np.uint32)
+    trailing = (digits - leading.astype(np.uint64) * np.uint64(10**9)).astype(np.uint32)
+    ten = np.uint32(10)
+    keep = np.full(count, 17)
+    zeros = np.ones(count, dtype=bool)  # every digit after this one is 0
+    row = 17
+    for part, width in ((trailing, 9), (leading, 8)):
+        for _ in range(width):
+            quotient = part // ten
+            digit = part - quotient * ten
+            text[row] = digit + 48
+            zeros &= digit == 0
+            keep -= zeros
+            part = quotient
+            row -= 1
+    return text, keep
+
+
+# decimal exponents of each .17g layout: exponent form, 0.000 prefix, plain, exponent form
+_LAYOUTS = ((-320, -5), (-4, -1), (0, 16), (17, 307))
+
+
+def _with_digits(count: int, layout: tuple[int, int], sign: float) -> float:
+    """A float whose ``.17g`` text has exactly ``count`` significant digits, its exponent in ``layout``."""
+    rng = random.Random(count * 1000 + layout[0])
+    for _ in range(100_000):
+        digits = str(rng.randrange(10 ** (count - 1), 10**count))
+        decimal = rng.randint(*layout)
+        value = float(f"{digits[0]}.{digits[1:]}e{decimal}")
+        mantissa, _, exponent = format(value, ".16e").partition("e")
+        if digits[-1] != "0" and mantissa.replace(".", "").rstrip("0") == digits and int(exponent) == decimal:
+            return sign * value
+    raise AssertionError(f"no float with {count} digits in {layout}")
+
+
 class TestFloatKernel:
     """``cli._float_rows`` against ``format(x, ".17g")``, byte for byte."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(0, 10**17 - 1), min_size=1, max_size=60))
+    def test_table_digits_match_the_division_loop(self, numbers):
+        edges = [0, 1, 10**16, 10**17 - 1, 10**13, 10**12 + 10**4, 10**8, 10**4, 12345678901234567]
+        digits = np.array(numbers + edges, dtype=np.uint64)
+        text, keep = cli._ascii_digits(digits)
+        reference_text, reference_keep = _reference_ascii_digits(digits)
+        assert np.array_equal(text, reference_text)
+        assert np.array_equal(keep, reference_keep)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_digit_count_in_every_layout(self, sign):
+        # 1 to 17 kept digits put a run of trailing zeros at every 4-digit
+        # group boundary, in exponent form, after a 0.000 prefix and plain
+        values = np.array([_with_digits(count, layout, sign) for count in range(1, 18) for layout in _LAYOUTS])
+        texts = _texts(values)
+        assert cli._float_rows(values[:, None]) == texts
+        assert cli._float_rows(values[None, :]) == ["|".join(texts)]
+
+    def test_no_tables_are_built_at_import(self):
+        # the kernel's tables are built on first use: importing the CLI builds none
+        caches = "cli._power_of_ten, cli._digit_table, cli._frame_table"
+        probe = (
+            "import numpy as np, ico_hbac.cli as cli\n"
+            f"print([cache.cache_info().currsize for cache in ({caches})])\n"
+            "cli._float_rows(np.array([[0.5, -1e-300]]))\n"
+            f"print([cache.cache_info().currsize for cache in ({caches})])\n"
+        )
+        source = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        assert result.stdout.split("\n")[:2] == ["[0, 0, 0]", "[1, 1, 1]"]
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=80))
