@@ -274,7 +274,13 @@ def _float_rows(block) -> list[str]:
     # the rows are decoded once the kernel's temporaries are freed, so these
     # long-lived strings reuse the memory the temporaries leave instead of
     # growing the heap past it
-    return str(_float_text(block), "ascii").split("\n")[:-1]
+    text = str(_float_text(block), "ascii")
+    rows, start = [], 0
+    for _ in range(block.shape[0]):  # a find per row: str.split steps through every character
+        end = text.index("\n", start)
+        rows.append(text[start:end])
+        start = end + 1
+    return rows
 
 
 def _float_text(block) -> bytes:
@@ -377,8 +383,7 @@ _JSON_SLICE = 2048  # floats of a numpy vector encoded per piece of JSON text
 def _vector_lines(head: str, outcome: str, vector):
     """``head,i,outcome,,,value`` lines, one per entry (``i`` from 1), joined per kernel slice."""
     for start in range(0, vector.size, _FLOAT_SLICE):
-        # one row per entry: the kernel's rows are the values' texts
-        texts = _float_rows(vector[start : start + _FLOAT_SLICE, None])
+        texts = _float_rows(vector[None, start : start + _FLOAT_SLICE])[0].split("|")
         yield "".join(
             f"{head},{i},{outcome},,,{text}\r\n" for i, text in enumerate(texts, start + 1)
         )
