@@ -143,11 +143,12 @@ def _digit_table():
     digits of ``N`` up to the last nonzero one of ``g``, or is 0 if ``g`` is
     0.  Built on first use, not at import.
     """
-    groups = np.arange(10**4)
-    places = groups[:, None] // np.array([1000, 100, 10, 1]) % 10
-    ascii = (places + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
-    last = (np.arange(1, 5) * (places != 0)).max(axis=1)  # digits of g up to its last nonzero one
-    keep = ((np.arange(1, 17, 4)[:, None] + last) * (groups != 0)).astype(np.uint8).ravel()
+    # small dtypes keep every temporary below the allocator's mmap threshold
+    groups = np.arange(10**4, dtype=np.uint16)
+    places = (groups[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10).astype(np.uint8)
+    ascii = (places + np.uint8(ord("0"))).view(np.uint32)[:, 0]
+    last = (np.arange(1, 5, dtype=np.uint8) * (places != 0)).max(axis=1)  # digits up to the last nonzero one
+    keep = ((np.arange(1, 17, 4, dtype=np.uint8)[:, None] + last) * (groups != 0)).ravel()
     for column in (ascii, keep):
         column.flags.writeable = False
     return ascii, keep
