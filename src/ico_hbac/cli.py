@@ -102,13 +102,13 @@ _DECIMAL_EXPONENTS = range(-324, 309)  # floor(log10|x|) of every finite nonzero
 
 @functools.cache
 def _power_of_ten():
-    """``(low, high, drop, exact)``: ``10**(16 - X)`` for each ``X`` of ``_DECIMAL_EXPONENTS``, row ``X + 324``.
+    """``(low, high, drop, exact)``: ``10**(16 - X)`` for each ``X`` of ``_DECIMAL_EXPONENTS``.
 
-    ``10**(16 - X)`` is ``p * 2**s`` rounded to nearest, ``2**63 <= p < 2**64``;
-    ``low`` and ``high`` are the 32-bit halves of ``p``, ``drop`` is ``-s`` and
-    ``exact`` says the rounding lost nothing (``0 <= 16 - X <= 27``).  Built on
-    first use, not at import: numpy arrays built at import cost every command
-    about 0.2 MB of RSS.
+    Row ``X + 324`` holds ``10**(16 - X)`` as ``p * 2**s`` rounded to nearest,
+    ``2**63 <= p < 2**64``: ``low`` and ``high`` are the 32-bit halves of
+    ``p``, ``drop`` is ``-s`` and ``exact`` says the rounding lost nothing
+    (``0 <= 16 - X <= 27``).  Built on first use, not at import: numpy arrays
+    built at import cost every command about 0.2 MB of RSS.
     """
     rows = []
     for decimal in _DECIMAL_EXPONENTS:
@@ -127,7 +127,8 @@ def _power_of_ten():
             rows.append((((1 << (1 - shift)) // power + 1) >> 1, shift, False))
     power, shift, exact = (np.array(column) for column in zip(*rows))
     power = power.astype(np.uint64)
-    table = (power & np.uint64(0xFFFFFFFF), power >> np.uint64(32), (-shift).astype(np.uint64), exact)
+    low, high = power & np.uint64(0xFFFFFFFF), power >> np.uint64(32)
+    table = (low, high, (-shift).astype(np.uint64), exact)
     for column in table:
         column.flags.writeable = False
     return table
@@ -145,9 +146,11 @@ def _digit_table():
     """
     # small dtypes keep every temporary below the allocator's mmap threshold
     groups = np.arange(10**4, dtype=np.uint16)
-    places = (groups[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10).astype(np.uint8)
+    places = groups[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+    places = places.astype(np.uint8)
     ascii = (places + np.uint8(ord("0"))).view(np.uint32)[:, 0]
-    last = (np.arange(1, 5, dtype=np.uint8) * (places != 0)).max(axis=1)  # digits up to the last nonzero one
+    # the digits of g up to its last nonzero one
+    last = (np.arange(1, 5, dtype=np.uint8) * (places != 0)).max(axis=1)
     keep = ((np.arange(1, 17, 4, dtype=np.uint8)[:, None] + last) * (groups != 0)).ravel()
     for column in (ascii, keep):
         column.flags.writeable = False
@@ -169,7 +172,8 @@ def _frame_table():
     fraction = (decimal < 0) & ~exponent_form
     size = np.abs(decimal)
     frame = np.zeros((decimal.size, 16), dtype=np.uint8)
-    frame[:, :5] = np.frombuffer(b"0.000", dtype=np.uint8) * (np.arange(5) < fraction[:, None] * (1 - decimal[:, None]))
+    prefix = fraction * (1 - decimal)  # length of 0.000
+    frame[:, :5] = np.frombuffer(b"0.000", dtype=np.uint8) * (np.arange(5) < prefix[:, None])
     frame[:, 5] = ord("e")
     frame[:, 6] = np.where(decimal < 0, ord("-"), ord("+"))
     frame[:, 7] = (size // 100 + 48) * (size >= 100)
@@ -182,7 +186,8 @@ def _frame_table():
     return frame
 
 
-_FLOAT_SLICE = 4096  # floats per call of the CSV float kernel: bounds its temporaries (~0.7 MB, tracemalloc)
+# floats per call of the CSV float kernel: bounds its temporaries (~0.7 MB by tracemalloc)
+_FLOAT_SLICE = 4096
 
 
 def _decimal_digits(values, positive=False):
@@ -236,7 +241,8 @@ def _decimal_digits(values, positive=False):
         digits *= nonzero
     indices = np.flatnonzero(fallback)
     if indices.size:
-        texts = ["%.16e" % value for value in magnitude[indices].tolist()]  # d.dddddddddddddddde±XX[X]
+        # d.dddddddddddddddde±XX[X]
+        texts = ["%.16e" % value for value in magnitude[indices].tolist()]
         digits[indices] = [int(text[0] + text[2:18]) for text in texts]
         decimal[indices] = [int(text[19:]) for text in texts]
     return digits, decimal
@@ -263,7 +269,8 @@ def _ascii_digits(digits):
     ascii, keep = _digit_table()
     text = np.zeros((19, count), dtype=np.uint8)
     text[1] = leading + np.uint64(ord("0"))
-    text[2:18].reshape(4, 4, count)[...] = ascii.take(groups).view(np.uint8).reshape(4, count, 4).transpose(0, 2, 1)
+    group_digits = ascii.take(groups).view(np.uint8).reshape(4, count, 4)
+    text[2:18].reshape(4, 4, count)[...] = group_digits.transpose(0, 2, 1)
     groups += np.arange(0, 4 * 10**4, 10**4, dtype=np.uint32)[:, None]
     kept = keep.take(groups).max(axis=0)
     np.maximum(kept, np.minimum(leading, np.uint64(1)), out=kept, casting="unsafe")

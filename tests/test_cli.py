@@ -1216,14 +1216,15 @@ _LAYOUTS = ((-320, -5), (-4, -1), (0, 16), (17, 307))
 
 
 def _with_digits(count: int, layout: tuple[int, int], sign: float) -> float:
-    """A float whose ``.17g`` text has exactly ``count`` significant digits, its exponent in ``layout``."""
+    """A float whose ``.17g`` text has ``count`` significant digits and an exponent in ``layout``."""
     rng = random.Random(count * 1000 + layout[0])
     for _ in range(100_000):
         digits = str(rng.randrange(10 ** (count - 1), 10**count))
         decimal = rng.randint(*layout)
         value = float(f"{digits[0]}.{digits[1:]}e{decimal}")
         mantissa, _, exponent = format(value, ".16e").partition("e")
-        if digits[-1] != "0" and mantissa.replace(".", "").rstrip("0") == digits and int(exponent) == decimal:
+        exact = mantissa.replace(".", "").rstrip("0") == digits
+        if digits[-1] != "0" and exact and int(exponent) == decimal:
             return sign * value
     raise AssertionError(f"no float with {count} digits in {layout}")
 
@@ -1245,7 +1246,9 @@ class TestFloatKernel:
     def test_every_digit_count_in_every_layout(self, sign):
         # 1 to 17 kept digits put a run of trailing zeros at every 4-digit
         # group boundary, in exponent form, after a 0.000 prefix and plain
-        values = np.array([_with_digits(count, layout, sign) for count in range(1, 18) for layout in _LAYOUTS])
+        values = np.array(
+            [_with_digits(count, layout, sign) for count in range(1, 18) for layout in _LAYOUTS]
+        )
         texts = _texts(values)
         assert cli._float_rows(values[:, None]) == texts
         assert cli._float_rows(values[None, :]) == ["|".join(texts)]
@@ -1260,9 +1263,14 @@ class TestFloatKernel:
             f"print([cache.cache_info().currsize for cache in ({caches})])\n"
         )
         source = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+        path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
         result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
         )
         assert result.stdout.split("\n")[:2] == ["[0, 0, 0]", "[1, 1, 1]"]
 
