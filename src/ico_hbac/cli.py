@@ -13,14 +13,8 @@ state once, before the output opens, in either format.  Output of either
 format leaves in chunks of about 64 KiB.  CSV floats are written with 17
 significant digits and JSON floats with ``repr``, so identical seeds
 reproduce identical bytes.  A CSV float is the bytes of
-``format(x, ".17g")``; vectors of them are rendered by one numpy kernel,
-``_float_rows``, which takes an entry's digits from ``'%.16e' % x`` only where
-its 128-bit product cannot decide them (a fraction within the product's error
-of one half, an exponent estimate one off, or a carry: 0.34% of the floats
-of the sample-wide benchmark).  Its ASCII digits come from a table of the
-4-digit groups ``0000`` to ``9999``, its prefixes and exponents from a table
-by decimal exponent, and one ``bytes.translate`` call drops the NUL padding of
-its fixed-width records.
+``format(x, ".17g")``; vectors of them are rendered by the numpy kernel of
+``floattext``, ``_FLOAT_SLICE`` floats per call.
 
 Exit codes: 0 success, 2 usage or domain error, 3 validation failure, 4 I/O.
 """
@@ -30,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -42,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
+from .floattext import float_rows as _float_rows
 from .hbac_core import build_transfer, fixed_point, hbac_round
 from .register import ReducedState, make_thermal_params
 from .schemes import (
@@ -97,262 +91,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_DECIMAL_EXPONENTS = range(-324, 309)  # floor(log10|x|) of every finite nonzero double
-
-
-@functools.cache
-def _power_of_ten():
-    """``(low, high, drop, exact)``: ``10**(16 - X)`` for each ``X`` of ``_DECIMAL_EXPONENTS``.
-
-    Row ``X + 324`` holds ``10**(16 - X)`` as ``p * 2**s`` rounded to nearest,
-    ``2**63 <= p < 2**64``: ``low`` and ``high`` are the 32-bit halves of
-    ``p``, ``drop`` is ``-s`` and ``exact`` says the rounding lost nothing
-    (``0 <= 16 - X <= 27``).  Built on first use, not at import: numpy arrays
-    built at import cost every command about 0.2 MB of RSS.
-    """
-    rows = []
-    for decimal in _DECIMAL_EXPONENTS:
-        exponent = 16 - decimal
-        if exponent >= 0:
-            power = 10**exponent
-            shift = power.bit_length() - 64
-            if shift <= 0:
-                rows.append((power << -shift, shift, True))
-                continue
-            rounded = (power + (1 << (shift - 1))) >> shift
-            rows.append((rounded, shift, rounded << shift == power))
-        else:
-            power = 10**-exponent
-            shift = -(63 + power.bit_length())
-            rows.append((((1 << (1 - shift)) // power + 1) >> 1, shift, False))
-    power, shift, exact = (np.array(column) for column in zip(*rows))
-    power = power.astype(np.uint64)
-    low, high = power & np.uint64(0xFFFFFFFF), power >> np.uint64(32)
-    table = (low, high, (-shift).astype(np.uint64), exact)
-    for column in table:
-        column.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _digit_table():
-    """``(ascii, keep)`` for the 4-digit groups ``0 .. 9999`` of ``_ascii_digits``.
-
-    ``ascii[g]`` holds the four ASCII digits of ``g``, zero-padded, as one
-    uint32 whose bytes are in text order.  When ``g`` is group ``k`` of ``N``
-    (digits ``4k + 2`` to ``4k + 5``), ``keep[10**4 * k + g]`` counts the
-    digits of ``N`` up to the last nonzero one of ``g``, or is 0 if ``g`` is
-    0.  Built on first use, not at import.
-    """
-    # small dtypes keep every temporary below the allocator's mmap threshold
-    groups = np.arange(10**4, dtype=np.uint16)
-    places = groups[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
-    places = places.astype(np.uint8)
-    ascii = (places + np.uint8(ord("0"))).view(np.uint32)[:, 0]
-    # the digits of g up to its last nonzero one
-    last = (np.arange(1, 5, dtype=np.uint8) * (places != 0)).max(axis=1)
-    keep = ((np.arange(1, 17, 4, dtype=np.uint8)[:, None] + last) * (groups != 0)).ravel()
-    for column in (ascii, keep):
-        column.flags.writeable = False
-    return ascii, keep
-
-
-@functools.cache
-def _frame_table():
-    """The bytes around an entry's digits, by decimal exponent ``X``: row ``X + 324``, 16 bytes.
-
-    Bytes 0-4 hold the ``0.`` to ``0.000`` prefix of ``-4 <= X < 0``; bytes
-    5-9 ``e±XXX`` (the hundreds NUL below 100) of ``X < -4`` or ``X >= 17``;
-    byte 10 how many digits go before the dot: 1 in exponent form, ``X + 1``
-    when ``X >= 0``, 0 after a prefix.  The other bytes are NUL.  Built on
-    first use, not at import.
-    """
-    decimal = np.arange(_DECIMAL_EXPONENTS.start, _DECIMAL_EXPONENTS.stop)
-    exponent_form = (decimal < -4) | (decimal >= 17)
-    fraction = (decimal < 0) & ~exponent_form
-    size = np.abs(decimal)
-    frame = np.zeros((decimal.size, 16), dtype=np.uint8)
-    prefix = fraction * (1 - decimal)  # length of 0.000
-    frame[:, :5] = np.frombuffer(b"0.000", dtype=np.uint8) * (np.arange(5) < prefix[:, None])
-    frame[:, 5] = ord("e")
-    frame[:, 6] = np.where(decimal < 0, ord("-"), ord("+"))
-    frame[:, 7] = (size // 100 + 48) * (size >= 100)
-    frame[:, 8] = size // 10 % 10 + 48
-    frame[:, 9] = size % 10 + 48
-    frame[:, 5:10] *= exponent_form[:, None]
-    frame[:, 10] = np.where(exponent_form, 1, np.maximum(decimal + 1, 0))
-    frame = frame.view("V16")[:, 0]
-    frame.flags.writeable = False
-    return frame
-
-
-# floats per call of the CSV float kernel: bounds its temporaries (~0.7 MB by tracemalloc)
+# floats per call of the CSV float kernel: bounds its temporaries (~0.36 MB by tracemalloc)
 _FLOAT_SLICE = 4096
-
-
-def _decimal_digits(values, positive=False):
-    """``(N, X)``: ``|x|`` is ``N * 10**(X - 16)`` to 17 significant digits, ties to even.
-
-    Zero and non-finite entries get ``N = X = 0``; ``positive`` says there are
-    none, and no negative entries either.  A finite nonzero ``|x|`` is
-    ``m * 2**(e - 64)`` with ``2**63 <= m < 2**64``.  ``X`` is estimated as
-    ``floor(log10|x|)``, and ``N`` is read from the high word of the 128-bit
-    product of ``m`` and ``10**(16 - X)`` from ``_power_of_ten``, formed from
-    32-bit halves.  That word is within half a unit of the exact product, and
-    exact when the power is.  An entry this cannot decide takes ``N`` and
-    ``X`` from ``'%.16e' % |x|``, the same correctly rounded digits: its
-    fraction lies within that error of one half, or ``N`` before rounding is
-    outside ``[10**16, 10**17 - 1)`` (the estimate of ``X`` was one off, or
-    rounding may carry it to ``10**17``).
-    """
-    if positive:
-        magnitude = safe = values
-    else:
-        magnitude = np.abs(values)
-        nonzero = np.isfinite(magnitude) & (magnitude != 0.0)
-        safe = np.where(nonzero, magnitude, 1.0)
-    fraction, binary = np.frexp(safe)
-    mantissa = (fraction.view(np.uint64) << np.uint64(11)) | np.uint64(1 << 63)
-    decimal = np.floor(np.log10(safe)).astype(np.int64)
-    row = decimal - _DECIMAL_EXPONENTS.start
-    p_low, p_high, drop, exact = (column.take(row) for column in _power_of_ten())
-    np.subtract(drop, binary, out=drop, dtype=np.uint64, casting="unsafe")  # modulo 2**64
-
-    # the 128-bit product mantissa * power, as a high and a low word
-    low32, shift32, one = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1)
-    m_low, m_high = mantissa & low32, mantissa >> shift32
-    low_low = m_low * p_low
-    high_low = m_high * p_low
-    cross = (low_low >> shift32) + (high_low & low32) + m_low * p_high
-    high = m_high * p_high + (high_low >> shift32) + (cross >> shift32)
-    low = (cross << shift32) | (low_low & low32)
-
-    # N before rounding is ``high >> drop``; ``rest`` is the fraction in units of ``high``
-    truncated = high >> drop
-    rest = high - (truncated << drop)
-    half = (one << drop) >> one
-    # up when rest > half, or rest == half and the product is above it or N is odd
-    digits = truncated + (rest + ((truncated & one) | (low != 0)) > half)
-    # an inexact power leaves the product within half a unit of ``high`` of the
-    # truth: undecided when ``rest + low / 2**64`` is within 1/2 of ``half``
-    undecided = (rest + (low >> np.uint64(63)) == half) & ~exact
-    fallback = ((truncated - np.uint64(10**16)) >= np.uint64(9 * 10**16 - 1)) | undecided
-    if not positive:
-        digits *= nonzero
-    indices = np.flatnonzero(fallback)
-    if indices.size:
-        # d.dddddddddddddddde±XX[X]
-        texts = ["%.16e" % value for value in magnitude[indices].tolist()]
-        digits[indices] = [int(text[0] + text[2:18]) for text in texts]
-        decimal[indices] = [int(text[19:]) for text in texts]
-    return digits, decimal
-
-
-def _ascii_digits(digits):
-    """``(text, keep)``: the 17 digits of each ``N`` in ASCII, and how many to keep.
-
-    ``text`` holds the digits, first to last, in rows 1 to 17 between two
-    padding rows, one column per entry.  ``keep`` counts the digits up to the
-    last nonzero one.  ``N`` is split into its leading digit and four 4-digit
-    groups, and each group's ASCII digits and count come from
-    ``_digit_table``.
-    """
-    count = digits.size
-    leading = digits // np.uint64(10**16)
-    rest = digits - leading * np.uint64(10**16)
-    halves = np.empty((2, count), dtype=np.uint32)
-    halves[0] = rest // np.uint64(10**8)
-    halves[1] = rest - halves[0] * np.uint64(10**8)
-    groups = np.empty((4, count), dtype=np.uint32)
-    np.floor_divide(halves, np.uint32(10**4), out=groups[0::2])
-    np.subtract(halves, groups[0::2] * np.uint32(10**4), out=groups[1::2])
-    ascii, keep = _digit_table()
-    text = np.zeros((19, count), dtype=np.uint8)
-    text[1] = leading + np.uint64(ord("0"))
-    group_digits = ascii.take(groups).view(np.uint8).reshape(4, count, 4)
-    text[2:18].reshape(4, 4, count)[...] = group_digits.transpose(0, 2, 1)
-    groups += np.arange(0, 4 * 10**4, 10**4, dtype=np.uint32)[:, None]
-    kept = keep.take(groups).max(axis=0)
-    np.maximum(kept, np.minimum(leading, np.uint64(1)), out=kept, casting="unsafe")
-    return text, kept
-
-
-def _float_rows(block) -> list[str]:
-    """Each row of the 2-D float array ``block`` as ``"|".join(format(x, ".17g") for x in row)``."""
-    # the rows are decoded once the kernel's temporaries are freed, so these
-    # long-lived strings reuse the memory the temporaries leave instead of
-    # growing the heap past it
-    text = str(_float_text(block), "ascii")
-    rows, start = [], 0
-    for _ in range(block.shape[0]):  # a find per row: str.split steps through every character
-        end = text.index("\n", start)
-        rows.append(text[start:end])
-        start = end + 1
-    return rows
-
-
-def _float_text(block) -> bytes:
-    """The ASCII text of ``_float_rows(block)``, each row ended by a newline.
-
-    Every step is elementwise numpy over the block.  ``_decimal_digits``
-    gives each entry's 17 digits and decimal exponent ``X``, and
-    ``_ascii_digits`` their ASCII text.  Each entry then becomes a fixed-width
-    record padded with NULs, one row of ``record`` per byte: a sign; ``0.000``
-    up to the first digit when ``-4 <= X < 0``; the digits, with the dot after
-    ``X + 1`` of them (after one in exponent form) and without trailing zeros
-    or a bare dot; ``e±XX[X]`` when ``X < -4`` or ``X >= 17``; ``nan`` or
-    ``inf`` instead of the digits; then a ``|``, or a newline at the end of a
-    row.  Rows that no entry of the block uses are left out: the sign and
-    non-finite passes run only when an entry is not finite and positive, and
-    the prefix and exponent bytes come from ``_frame_table`` only where an
-    entry has them.  One ``bytes.translate`` then drops the NULs.
-    """
-    values = block.ravel()
-    size = values.size
-    positive = size > 0 and 0.0 < values.min() and values.max() < math.inf
-    digits, decimal = _decimal_digits(values, positive)
-    ascii_digits, keep = _ascii_digits(digits)
-    frame = _frame_table().take(decimal - _DECIMAL_EXPONENTS.start).view(np.uint8).reshape(size, 16)
-    before_dot = frame[:, 10]
-    np.maximum(keep, before_dot, out=keep)
-    special = False  # some entry is nan or infinite
-    if not positive:
-        finite = np.isfinite(values)
-        special = not finite.all()
-        keep *= finite
-        negative = np.signbit(values) & ~np.isnan(values)
-    has_dot = (keep > before_dot) & (before_dot > 0)
-    dot = before_dot + (17 - before_dot) * ~has_dot  # 17: no dot
-    ascii_digits[1:18] *= np.arange(17, dtype=np.uint8)[:, None] < keep
-
-    # the frame bytes some entry uses: prefix, then e, sign, hundreds, tens, units
-    words = frame.view(np.uint64)
-    present = b"".join(int(np.bitwise_or.reduce(words[:, i])).to_bytes(8, "little") for i in (0, 1))
-    used = np.flatnonzero(np.frombuffer(present, dtype=np.uint8)[:10])
-    if special:
-        used = np.union1d(used, [0, 1, 2])  # nan and inf take the first three prefix bytes
-    prefix, suffix = used[used < 5], used[used >= 5]
-    sign = int(not positive and negative.any())
-    record = np.empty((sign + prefix.size + 18 + suffix.size + 1, size), dtype=np.uint8)
-    if sign:
-        np.multiply(negative, np.uint8(ord("-")), out=record[0])
-    record[sign : sign + prefix.size] = frame[:, prefix].T
-    # body column c holds digit c before the dot and digit c - 1 after it
-    start = sign + prefix.size
-    body = record[start : start + 18]
-    np.subtract(ascii_digits[1:], ascii_digits[:-1], out=body)
-    body *= np.arange(18, dtype=np.uint8)[:, None] < dot
-    body += ascii_digits[:-1]
-    body.reshape(-1)[dot * np.intp(size) + np.arange(size)] = has_dot * np.uint8(ord("."))
-    record[start + 18 : -1] = frame[:, suffix].T
-    if special:
-        nan = np.isnan(values)
-        for offset, (in_nan, in_inf) in enumerate(zip(b"nan", b"inf")):
-            cell = record[sign + offset]
-            cell[...] = np.where(finite, cell, np.where(nan, in_nan, in_inf))
-    record[-1] = ord("|")
-    record[-1, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
-    return record.T.tobytes().translate(None, b"\0")
 
 
 def _join_states(vectors: list) -> list[str]:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ico_hbac.cli as cli
+import ico_hbac.floattext as floattext
 import ico_hbac.oracle as oracle
 from ico_hbac.hbac_core import fixed_point
 from ico_hbac.register import DiagonalState, make_thermal_params
@@ -1190,7 +1191,7 @@ def _edge_floats():
 
 
 def _reference_ascii_digits(digits):
-    """The reference for ``cli._ascii_digits``: 17 divisions by ten, last digit first."""
+    """The reference for ``floattext._ascii_digits``: 17 divisions by ten, last digit first."""
     count = digits.size
     text = np.zeros((19, count), dtype=np.uint8)
     leading = (digits // np.uint64(10**9)).astype(np.uint32)
@@ -1237,7 +1238,7 @@ class TestFloatKernel:
     def test_table_digits_match_the_division_loop(self, numbers):
         edges = [0, 1, 10**16, 10**17 - 1, 10**13, 10**12 + 10**4, 10**8, 10**4, 12345678901234567]
         digits = np.array(numbers + edges, dtype=np.uint64)
-        text, keep = cli._ascii_digits(digits)
+        text, keep = floattext._ascii_digits(digits)
         reference_text, reference_keep = _reference_ascii_digits(digits)
         assert np.array_equal(text, reference_text)
         assert np.array_equal(keep, reference_keep)
@@ -1255,9 +1256,9 @@ class TestFloatKernel:
 
     def test_no_tables_are_built_at_import(self):
         # the kernel's tables are built on first use: importing the CLI builds none
-        caches = "cli._power_of_ten, cli._digit_table, cli._frame_table"
+        caches = "kernel._power_of_ten, kernel._digit_table, kernel._frame_table"
         probe = (
-            "import numpy as np, ico_hbac.cli as cli\n"
+            "import numpy as np, ico_hbac.cli as cli, ico_hbac.floattext as kernel\n"
             f"print([cache.cache_info().currsize for cache in ({caches})])\n"
             "cli._float_rows(np.array([[0.5, -1e-300]]))\n"
             f"print([cache.cache_info().currsize for cache in ({caches})])\n"
