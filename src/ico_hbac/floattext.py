@@ -174,9 +174,10 @@ def _ascii_digits(digits):
     high = rest // np.uint64(10**8)
     rest -= high * np.uint64(10**8)
     groups = np.empty((4, digits.size), dtype=np.intp)  # take's own index type: no converted copies
-    np.divmod(high, 10**4, out=(groups[0], groups[1]), casting="unsafe")
-    np.divmod(rest, 10**4, out=(groups[2], groups[3]), casting="unsafe")
+    groups[1], groups[3] = high, rest  # both below 10**8
     del rest, high
+    np.floor_divide(groups[1::2], 10**4, out=groups[0::2])
+    groups[1::2] -= groups[0::2] * 10**4
     ascii, keep = _digit_table()
     text = np.zeros((19, digits.size), dtype=np.uint8)
     text[1] = leading + np.uint8(ord("0"))
