@@ -1027,6 +1027,25 @@ _PINNED_STDOUT = (
         "run --scheme hbac --n 14 --eps 0.1",
         "327b84d5f385ce059597c823dde0b684d9ae7052a4aa4c4ffd9ad55326945854",
     ),
+    # recorded before CSV attempt lines were joined from cached halves: many
+    # runs of each length over many write chunks, one shared state while the
+    # round varies, repeated tree prefix codes, and a re-pumped k-switch chain
+    (
+        "sample --scheme hbac-ico --n 3 --eps 0.5 --trials 3000 --seed 1",
+        "4033a3efeb9f0bf1da2e2e47bda07ac8774216c5af4219fd22dd53c313b254f3",
+    ),
+    (
+        "sample --scheme ico-alone --n 3 --eps 0.2 --trials 300 --seed 2",
+        "982735b45fbcf86c32bc9d1b999a1d23fb05d7b2f75f3e16a2b994195b986d4b",
+    ),
+    (
+        "sample --scheme ico-tree-sort --n 6 --eps 0.5 --trials 400 --seed 3",
+        "cc43ca0deed25cc61c3c7786fc1aaab8563fd7190a0c9ad5db524954dc438364",
+    ),
+    (
+        "sample --scheme hbac-kico --n 4 --k 2 --repump-rounds 1 --eps 0.5 --trials 300 --seed 4",
+        "7bff79d10acb85681e0564bc135f9f10ad670ea4a1cf3a21a53409ee0d5287dc",
+    ),
 )
 
 # explicit initial vectors, written to the working directory of each pinned command
