@@ -9,7 +9,10 @@ line is its cells joined by commas.  JSON mirrors the same data as structured
 objects with stable key order, with the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline; ``_json_chunks`` streams it,
 numpy vectors a slice at a time.  ``sample`` renders each distinct chain
-state once, before the output opens, in either format.  Output of either
+state once, before the output opens, in either format.  Each of its CSV
+attempt lines is a cached ``pre`` (``head,round,outcome,probability,``), the
+trajectory index and a cached ``tail`` (``,state`` and CRLF), both built once
+per chain key and joined by one ``str.join`` per attempt.  Output of either
 format leaves in chunks of about 64 KiB.  CSV floats are written with 17
 significant digits and JSON floats with ``repr``, so identical seeds
 reproduce identical bytes.  A CSV float is the bytes of
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -34,7 +38,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import oracle
 from .floattext import float_rows as _float_rows
 from .hbac_core import build_transfer, fixed_point, hbac_round
 from .register import ReducedState, make_thermal_params
@@ -485,17 +488,9 @@ def cmd_sample(args) -> int:
     trials_used = [1] * len(runs) if tree else runs
     head = _head(config.scheme, config.n, config.k, config.epsilon)
     want_json = spec["format"] == "json"
-    # trajectories share the chain's states, so each is rendered once, before
-    # the output opens: its probability and its state's text (for CSV several
-    # states per kernel call)
-    if want_json:
-        texts = [_json_text(row, _SAMPLE_STATE_DEPTH) for row in chain.states]
-        cells = list(zip(chain.probabilities, texts))
-    else:
-        cells = list(zip(map(_fmt, chain.probabilities), _join_states(chain.states)))
 
     def attempts(run):
-        """(round, outcome, probability, state) of every attempt of a run.
+        """(round, outcome, node) of every attempt of a run; ``node`` indexes the chain's states.
 
         A heralded run failed every trial before its last; a tree-sort code
         holds one outcome per level after its leading 1 bit.
@@ -504,8 +499,27 @@ def cmd_sample(args) -> int:
             signs = bin(run)[3:].replace("1", PLUS).replace("0", MINUS)
         else:
             signs = MINUS * (run - 1) + PLUS
-        for number, (outcome, node) in enumerate(zip(signs, chain.nodes(run)), 1):
-            yield number, outcome, *cells[node]
+        return zip(itertools.count(1), signs, chain.nodes(run))
+
+    # trajectories share the chain's states, so each is rendered once, before
+    # the output opens (for CSV several states per kernel call)
+    if want_json:
+        texts = [_json_text(row, _SAMPLE_STATE_DEPTH) for row in chain.states]
+    else:
+        # a CSV attempt line is pre + trajectory index + tail, with pre
+        # ``head,round,outcome,probability,`` and tail ``,state\r\n``, built
+        # once per (round, outcome, node); a run holds references to them
+        tails = _join_states(chain.states)
+        for node, text in enumerate(tails):  # in place: one copy of a state's text at a time
+            tails[node] = f",{text}\r\n"
+
+        @functools.cache
+        def pair(number, outcome, node):
+            return f"{head},{number},{outcome},{_fmt(chain.probabilities[node])},", tails[node]
+
+        @functools.cache
+        def halves_of(run):
+            return [pair(*key) for key in attempts(run)]
 
     mean_trials = sum(trials_used) / len(trials_used)
     analytic = success_probability(config)
@@ -518,8 +532,7 @@ def cmd_sample(args) -> int:
 
     def lines():
         for index, run in enumerate(runs, start=1):
-            for number, outcome, probability, state in attempts(run):
-                yield f"{head},{number},{outcome},{probability},{index},{state}\r\n"
+            yield from map(str(index).join, halves_of(run))
         for name, value in summary.items():
             yield _line(head, None, name, None, None, value)
 
@@ -540,8 +553,13 @@ def cmd_sample(args) -> int:
                     "trials_used": used,
                     "terminal": True,  # a run that never heralds raises instead
                     "attempts": (
-                        dict(zip(("round", "outcome", "probability", "state"), attempt))
-                        for attempt in attempts(run)
+                        {
+                            "round": number,
+                            "outcome": outcome,
+                            "probability": chain.probabilities[node],
+                            "state": texts[node],
+                        }
+                        for number, outcome, node in attempts(run)
                     ),
                 }
                 for index, (used, run) in enumerate(zip(trials_used, runs), start=1)
@@ -558,6 +576,8 @@ def cmd_sample(args) -> int:
 
 def _validation_checks(nmax: int, trials: int, seed: int):
     """Oracle equivalence plus the structural invariants, as (name, ok, detail)."""
+    from . import oracle  # here, so that only validate compiles the dense oracle
+
     checks = []
     epsilons = (0.1, 0.5, 1.0)
 
@@ -605,13 +625,13 @@ def _validation_checks(nmax: int, trials: int, seed: int):
             )
     checks.append(("fixed point is stationary", worst < 1e-12, f"max L1 residual {worst:.3e}"))
 
-    rng = np.random.default_rng(seed)
+    rows = iter(oracle.uniform_rows(seed, 0, 6 * len(epsilons), 2**6))  # one row per state
     worst = 0.0
     for eps in epsilons:
         params = make_thermal_params(eps)
         for n in range(1, 7):
             transfer = build_transfer(n, params)
-            vec = rng.random(2**n)
+            vec = next(rows)[: 2**n]
             vec /= vec.sum()
             state = ReducedState(vec)
             direct = transfer.apply(state).populations

@@ -6,6 +6,8 @@ followed by a tensor product.  Sizes are capped at ``n = 6``
 (128 x 128); this module exists for correctness checks, not scale.
 :func:`compare` runs its random trials as bounded stacks of density matrices
 through the same literal channel, since ``@`` broadcasts over leading axes.
+Its random inputs are rows of :func:`uniform_rows`, the package's own Philox
+streams, so ``numpy.random`` is never loaded.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .register import DiagonalState, ThermalParams
+from .schemes import _philox_uniforms
 from .switch import (
     SIGNS,
     PLUS,
@@ -138,6 +141,18 @@ def spec_families(n: int) -> list[tuple[str, BlockUnitarySpec]]:
     return families
 
 
+def uniform_rows(seed: int, first: int, count: int, width: int) -> np.ndarray:
+    """Rows ``first`` to ``first + count - 1`` of a table of uniforms in [0, 1).
+
+    Row ``r`` is the first ``width`` (a multiple of 4) draws of
+    ``Generator(Philox(key=[seed, r])).random()``, so a row does not depend
+    on which rows are drawn with it.
+    """
+    blocks = width // 4  # counter blocks of four uniforms per row
+    streams = np.repeat(np.arange(first, first + count, dtype=np.uint64), blocks)
+    return _philox_uniforms(seed, streams, np.tile(np.arange(blocks), count)).reshape(count, width)
+
+
 @dataclass(frozen=True, eq=False)
 class CompareReport:
     """Worst-case deviations of the fast path from the dense channel."""
@@ -156,11 +171,14 @@ def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
     Runs every family at every ``n <= nmax`` on ``trials`` seeded random
     diagonal states, tracking the worst diagonal deviation per (family, sign)
     and the worst off-diagonal magnitude (which must vanish for diagonal
-    inputs under these block unitaries).  The fast path runs once per trial;
-    the dense channel runs once per sign on each chunk of trials, stacked up
-    to ``_STACK_BYTES`` per complex array, so memory is bounded by the
-    dimension and not by ``trials``.  The states, and every reported value,
-    are those of a per-trial loop.  Deterministic for a fixed seed.
+    inputs under these block unitaries).  Trial ``r`` of the whole run,
+    counted across families and ``n``, is row ``r`` of :func:`uniform_rows`,
+    normalized.  The fast path runs once per trial; the dense channel runs
+    once per sign on each chunk of trials, stacked up to ``_STACK_BYTES`` per
+    complex array, and the uniforms are drawn ``_STACK_BYTES`` of float64 at a
+    time, so memory is bounded by the dimension and not by ``trials``.  The
+    states, and every reported value, are those of a per-trial loop.
+    Deterministic for a fixed seed.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
@@ -168,19 +186,24 @@ def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed >= 2**64:  # a Philox key word
+        raise ValueError(f"seed must be < 2**64, got {seed}")
     if nmax > DENSE_EXPONENT_CAP:
         raise ValueError(f"nmax={nmax} exceeds the dense cap {DENSE_EXPONENT_CAP}")
-    rng = np.random.default_rng(seed)
     by_case: dict[tuple[str, str], float] = {}
     max_offdiagonal = 0.0
+    row = 0  # uniform_rows row of the next trial
     for n in range(1, nmax + 1):
         dim = 2 ** (n + 1)
         chunk = max(1, _STACK_BYTES // (dim * dim * np.dtype(complex).itemsize))
+        per_draw = _STACK_BYTES // (dim * np.dtype(float).itemsize)  # a multiple of chunk
         diagonal = np.arange(dim)
         for label, spec in spec_families(n):
             for start in range(0, trials, chunk):
-                # one (m, dim) draw is the stream of m successive rng.random(dim)
-                vecs = rng.random((min(chunk, trials - start), dim))
+                if start % per_draw == 0:  # one kernel call per bounded run of trials
+                    drawn = uniform_rows(seed, row, min(per_draw, trials - start), dim)
+                    row += len(drawn)
+                vecs = drawn[start % per_draw : start % per_draw + chunk]
                 branches = []
                 for vec in vecs:
                     vec /= vec.sum()  # in place: the stack below holds the normalized rows

@@ -31,6 +31,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_probe(probe: str) -> str:
+    """Stdout of ``probe`` run by a fresh interpreter that imports this package."""
+    source = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return result.stdout
+
+
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
@@ -549,6 +564,16 @@ class TestValidateCommand:
         assert "overall" in out
         assert "FAIL" not in out
 
+    def test_loads_no_numpy_random(self):
+        # its random inputs are the package's own Philox streams; numpy.random
+        # alone would add about 5 MB to the command's peak RSS
+        probe = (
+            "import sys, ico_hbac.cli as cli\n"
+            "code = cli.main(['validate', '--nmax', '2', '--trials', '5'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        assert run_probe(probe).splitlines()[-1] == "0 False"
+
     def test_injected_fault_fails(self, capsys, monkeypatch):
         import ico_hbac.switch  # noqa: F401  (documentation of the faulted layer)
 
@@ -591,6 +616,7 @@ class TestValidateCommand:
             ("--nmax", "0", "nmax must be >= 1, got 0"),
             ("--trials", "0", "trials must be >= 1, got 0"),
             ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--seed", str(2**64), f"seed must be < 2**64, got {2**64}"),
         ],
     )
     def test_empty_run_is_usage_error(self, capsys, flag, value, message):
@@ -1282,17 +1308,7 @@ class TestFloatKernel:
             "cli._float_rows(np.array([[0.5, -1e-300]]))\n"
             f"print([cache.cache_info().currsize for cache in ({caches})])\n"
         )
-        source = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        )
-        assert result.stdout.split("\n")[:2] == ["[0, 0, 0]", "[1, 1, 1]"]
+        assert run_probe(probe).split("\n")[:2] == ["[0, 0, 0]", "[1, 1, 1]"]
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=80))

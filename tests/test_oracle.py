@@ -45,13 +45,14 @@ def chunk_size(dim: int) -> int:
 
 def per_trial_compare(nmax: int, trials: int, seed: int):
     """The one-trial-at-a-time loop ``compare`` replaced: its reference."""
-    rng = np.random.default_rng(seed)
+    row = 0
     by_case = {}
     max_offdiagonal = 0.0
     for n in range(1, nmax + 1):
         for label, spec in spec_families(n):
             for _ in range(trials):
-                vec = rng.random(spec.dim)
+                vec = np.random.Generator(np.random.Philox(key=[seed, row])).random(spec.dim)
+                row += 1
                 vec /= vec.sum()
                 state = DiagonalState(vec)
                 rho = np.diag(vec).astype(complex)
@@ -274,11 +275,23 @@ class TestCompare:
             assert report.max_offdiagonal == max_offdiagonal
             assert report.max_abs_deviation == max(by_case.values())
 
-    @pytest.mark.parametrize("dim", (4, 32))
+    def test_equals_the_per_trial_loop_across_uniform_draws(self, monkeypatch):
+        # with 4 KiB stacks one uniform draw covers 128 trials at n = 1 and 64
+        # at n = 2, so 129 trials take two and three draws
+        monkeypatch.setattr(oracle, "_STACK_BYTES", 1 << 12)
+        report = compare(nmax=2, trials=129, seed=2)
+        assert (report.by_case, report.max_offdiagonal) == per_trial_compare(2, 129, 2)
+
+    @pytest.mark.parametrize("dim", (4, 32, 64))
     def test_one_stacked_draw_is_successive_single_draws(self, dim):
-        stacked = np.random.default_rng(5).random((7, dim))
-        rng = np.random.default_rng(5)
-        assert np.array_equal(stacked, np.stack([rng.random(dim) for _ in range(7)]))
+        # row r is stream (seed, r) of numpy's Philox, however the rows are drawn
+        stacked = oracle.uniform_rows(5, 3, 7, dim)
+        singles = [oracle.uniform_rows(5, row, 1, dim)[0] for row in range(3, 10)]
+        reference = [
+            np.random.Generator(np.random.Philox(key=[5, row])).random(dim) for row in range(3, 10)
+        ]
+        assert np.array_equal(stacked, np.stack(singles))
+        assert np.array_equal(stacked, np.stack(reference))
 
     @pytest.mark.parametrize("nmax,trials", [(4, 20), (5, 3)])
     def test_stacks_stay_within_the_byte_cap(self, monkeypatch, nmax, trials):

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,27 @@ def _exported(tree: ast.Module) -> set[str]:
         ):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+# a command compiles each module it imports from source when no bytecode cache
+# is written (PYTHONDONTWRITEBYTECODE), so its peak RSS grows with the largest
+# syntax tree compiled
+COMPILE_PEAK_MIB = 2.0
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_compile_peak_stays_bounded(path):
+    source = path.read_text()
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= COMPILE_PEAK_MIB * 2**20, (
+        f"compiling {path.name} peaks at {peak / 2**20:.3f} MiB, above {COMPILE_PEAK_MIB} MiB: "
+        "see ROADMAP item I, 'A constraint for every change', and split the module"
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
