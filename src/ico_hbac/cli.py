@@ -1,5 +1,10 @@
 """Command-line surface: fixed-point, table1, run, sample, validate.
 
+This module is the command line only: argument parsing, run specifications,
+each command's rows and the output sink.  ``validate``'s battery lives in
+``oracle`` and the JSON encoder in ``jsontext``; each is imported only by the
+commands that run it.
+
 All commands emit machine-readable output.  CSV uses one fixed column schema
 (``scheme,n,k,epsilon,round,outcome,probability,trials,value``) in long
 format, CRLF-terminated and streamed as each command yields its lines.  No
@@ -7,9 +12,9 @@ cell needs RFC-4180 quoting (schemes are checked against SCHEMES, outcomes are
 literals, every other cell is a number or a pipe-joined list of numbers), so a
 line is its cells joined by commas.  JSON mirrors the same data as structured
 objects with stable key order, with the bytes of ``json.dumps(obj, indent=2,
-sort_keys=True, allow_nan=False)`` plus a newline; ``_json_chunks`` streams it,
-numpy vectors a slice at a time.  ``sample`` renders each distinct chain
-state once, before the output opens, in either format.  Each of its CSV
+sort_keys=True, allow_nan=False)`` plus a newline; ``jsontext.json_chunks``
+streams it, numpy vectors a slice at a time.  ``sample`` renders each
+distinct chain state once, before the output opens, in either format.  Each of its CSV
 attempt lines is a cached ``pre`` (``head,round,outcome,probability,``), the
 trajectory index and a cached ``tail`` (``,state`` and CRLF), both built once
 per chain key and joined by one ``str.join`` per attempt.  Output of either
@@ -19,7 +24,8 @@ reproduce identical bytes.  A CSV float is the bytes of
 ``format(x, ".17g")``; vectors of them are rendered by the numpy kernel of
 ``floattext``, ``_FLOAT_SLICE`` floats per call.
 
-Exit codes: 0 success, 2 usage or domain error, 3 validation failure, 4 I/O.
+Exit codes: 0 success, 2 usage or domain error (or memory ran out), 3 validation
+failure, 4 I/O.
 """
 
 from __future__ import annotations
@@ -32,18 +38,15 @@ import itertools
 import json
 import math
 import sys
-import types
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
 
 from .floattext import float_rows as _float_rows
-from .hbac_core import build_transfer, fixed_point, hbac_round
-from .register import ReducedState, make_thermal_params
+from .hbac_core import fixed_point, hbac_round
+from .register import make_thermal_params
 from .schemes import (
     HBAC,
-    HBAC_ICO,
     HBAC_KICO,
     ICO_TREE_SORT,
     INITIAL_SELECTORS,
@@ -53,12 +56,11 @@ from .schemes import (
     MaxAttemptsError,
     SchemeConfig,
     final_state,
-    run_round,
     run_scheme,
     sample_batch,
     success_probability,
 )
-from .switch import MINUS, PLUS, branch_transfer, standard_pair
+from .switch import MINUS, PLUS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,9 +130,6 @@ def _line(head: str, *cells) -> str:
     return ",".join((head, *map(_fmt, cells))) + "\r\n"
 
 
-_JSON_SLICE = 2048  # floats of a numpy vector encoded per piece of JSON text
-
-
 def _vector_lines(head: str, outcome: str, vector):
     """``head,i,outcome,,,value`` lines, one per entry (``i`` from 1), joined per kernel slice."""
     for start in range(0, vector.size, _FLOAT_SLICE):
@@ -138,79 +137,6 @@ def _vector_lines(head: str, outcome: str, vector):
         yield "".join(
             f"{head},{i},{outcome},,,{text}\r\n" for i, text in enumerate(texts, start + 1)
         )
-
-
-class _JsonText(str):
-    """Already-encoded JSON text: ``_json_chunks`` writes it as it is."""
-
-
-def _json_scalar(value) -> str:
-    if isinstance(value, str):
-        return value if isinstance(value, _JsonText) else encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_vector(vector, depth: int):
-    """Pieces of a 1-D numpy float vector at nesting level ``depth``, one slice each."""
-    if not vector.size:
-        yield "[]"
-        return
-    separator = ",\n" + "  " * (depth + 1)
-    for start in range(0, vector.size, _JSON_SLICE):
-        part = vector[start : start + _JSON_SLICE]
-        if not np.isfinite(part).all():
-            bad = float(part[~np.isfinite(part)][0])
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        lead = "[" + separator[1:] if start == 0 else separator
-        yield lead + separator.join(map(float.__repr__, part.tolist()))
-    yield "\n" + "  " * depth + "]"
-
-
-def _json_chunks(obj, depth: int = 0):
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, in pieces.
-
-    ``depth`` is the nesting level ``obj`` sits at.  A list may also be a
-    generator, consumed as it is written.  A 1-D numpy float vector is
-    encoded one slice at a time, and a ``_JsonText`` fragment passes through.
-    A non-finite float raises ``ValueError`` when it is reached, as
-    ``allow_nan=False`` does.
-    """
-    if isinstance(obj, dict):
-        items = ((f"{encode_basestring_ascii(key)}: ", obj[key]) for key in sorted(obj))
-        brackets = "{}"
-    elif isinstance(obj, (list, types.GeneratorType)):
-        items = (("", item) for item in obj)
-        brackets = "[]"
-    elif isinstance(obj, np.ndarray):
-        yield from _json_vector(obj, depth)
-        return
-    else:
-        yield _json_scalar(obj)
-        return
-    inner = "\n" + "  " * (depth + 1)
-    empty = True
-    for prefix, value in items:
-        yield (brackets[0] if empty else ",") + inner + prefix
-        yield from _json_chunks(value, depth + 1)
-        empty = False
-    yield brackets if empty else "\n" + "  " * depth + brackets[1]
-
-
-def _json_text(obj, depth: int) -> _JsonText:
-    """``obj`` encoded whole at nesting level ``depth``, to be placed there by ``_json_chunks``."""
-    return _JsonText("".join(_json_chunks(obj, depth)))
 
 
 _HEADER = "scheme,n,k,epsilon,round,outcome,probability,trials,value\r\n"
@@ -236,7 +162,9 @@ def _emit(lines, obj, fmt: str, output: str | None) -> None:
     if fmt == "csv":
         pieces = itertools.chain((_HEADER,), lines)
     else:
-        pieces = itertools.chain(_json_chunks(obj), ("\n",))
+        from .jsontext import json_chunks  # here, so that only JSON output compiles it
+
+        pieces = itertools.chain(json_chunks(obj), ("\n",))
     with _output(output) as handle:
         # pieces leave in chunks: standard output may be unbuffered
         # (PYTHONUNBUFFERED), and a write per piece is then a system call per piece
@@ -504,7 +432,9 @@ def cmd_sample(args) -> int:
     # trajectories share the chain's states, so each is rendered once, before
     # the output opens (for CSV several states per kernel call)
     if want_json:
-        texts = [_json_text(row, _SAMPLE_STATE_DEPTH) for row in chain.states]
+        from .jsontext import json_text
+
+        texts = [json_text(row, _SAMPLE_STATE_DEPTH) for row in chain.states]
     else:
         # a CSV attempt line is pre + trajectory index + tail, with pre
         # ``head,round,outcome,probability,`` and tail ``,state\r\n``, built
@@ -569,98 +499,10 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# validation battery
-# ---------------------------------------------------------------------------
-
-
-def _validation_checks(nmax: int, trials: int, seed: int):
-    """Oracle equivalence plus the structural invariants, as (name, ok, detail)."""
+def cmd_validate(args) -> int:
     from . import oracle  # here, so that only validate compiles the dense oracle
 
-    checks = []
-    epsilons = (0.1, 0.5, 1.0)
-
-    report = oracle.compare(nmax=nmax, trials=trials, seed=seed)
-    for (family, sign), deviation in sorted(report.by_case.items()):
-        checks.append(
-            (f"oracle diagonal [{family} {sign}]", deviation < 1e-12, f"max dev {deviation:.3e}")
-        )
-    checks.append(
-        (
-            "oracle off-diagonals vanish",
-            report.max_offdiagonal < 1e-12,
-            f"max off-diag {report.max_offdiagonal:.3e}",
-        )
-    )
-
-    worst = 0.0
-    for eps in epsilons:
-        params = make_thermal_params(eps)
-        for n in range(1, min(nmax + 3, 7)):
-            transfer = build_transfer(n, params)
-            worst = max(worst, float(np.abs(transfer.entries.sum(axis=0) - 1.0).max()))
-    checks.append(("transfer columns sum to one", worst < 1e-12, f"max dev {worst:.3e}"))
-
-    worst = 0.0
-    for eps in epsilons:
-        params = make_thermal_params(eps)
-        for n in range(1, min(nmax + 3, 7)):
-            spec = standard_pair(n)
-            total = (
-                branch_transfer(n, params, spec, "+").entries
-                + branch_transfer(n, params, spec, "-").entries
-            )
-            worst = max(worst, float(np.abs(total - build_transfer(n, params).entries).max()))
-    checks.append(("branch matrices sum to transfer", worst < 1e-14, f"max dev {worst:.3e}"))
-
-    worst = 0.0
-    for eps in epsilons:
-        params = make_thermal_params(eps)
-        for n in range(1, 9):
-            profile = fixed_point(n, params)
-            worst = max(
-                worst,
-                float(np.abs(hbac_round(profile, params).populations - profile.populations).sum()),
-            )
-    checks.append(("fixed point is stationary", worst < 1e-12, f"max L1 residual {worst:.3e}"))
-
-    rows = iter(oracle.uniform_rows(seed, 0, 6 * len(epsilons), 2**6))  # one row per state
-    worst = 0.0
-    for eps in epsilons:
-        params = make_thermal_params(eps)
-        for n in range(1, 7):
-            transfer = build_transfer(n, params)
-            vec = next(rows)[: 2**n]
-            vec /= vec.sum()
-            state = ReducedState(vec)
-            direct = transfer.apply(state).populations
-            matrix_free = hbac_round(state, params).populations
-            worst = max(worst, float(np.abs(direct - matrix_free).max()))
-    checks.append(("matrix-free round matches matrix", worst < 1e-13, f"max dev {worst:.3e}"))
-
-    worst = 0.0
-    for eps in epsilons:
-        params = make_thermal_params(eps)
-        config = SchemeConfig(scheme=HBAC_ICO, n=10, epsilon=eps)
-        closed = success_probability(config)
-        plus, _minus = run_round(fixed_point(10, params), config)
-        worst = max(worst, abs(closed - plus.norm))
-        for n in range(2, min(nmax + 4, 9)):
-            for k in range(1, n + 1):
-                config = SchemeConfig(scheme=HBAC_KICO, n=n, epsilon=eps, k=k)
-                closed = success_probability(config)
-                plus, _minus = run_round(fixed_point(n, params), config)
-                worst = max(worst, abs(closed - plus.norm))
-    checks.append(
-        ("closed-form success matches branch norm", worst < 1e-12, f"max dev {worst:.3e}")
-    )
-
-    return checks
-
-
-def cmd_validate(args) -> int:
-    checks = _validation_checks(args.nmax, args.trials, args.seed)
+    checks = oracle.validation_checks(args.nmax, args.trials, args.seed)
     passed = sum(ok for _, ok, _ in checks)
     all_ok = passed == len(checks)
     with _output(args.output) as handle:
@@ -743,8 +585,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, TypeError, MaxAttemptsError, MemoryError) as exc:
+    except (ValueError, TypeError, MaxAttemptsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's allocation failures say what they tried; a plain MemoryError says nothing
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,20 +7,33 @@ followed by a tensor product.  Sizes are capped at ``n = 6``
 :func:`compare` runs its random trials as bounded stacks of density matrices
 through the same literal channel, since ``@`` broadcasts over leading axes.
 Its random inputs are rows of :func:`uniform_rows`, the package's own Philox
-streams, so ``numpy.random`` is never loaded.
+streams, so ``numpy.random`` is never loaded.  :func:`validation_checks` is
+the ``validate`` command's battery: :func:`compare` plus the structural
+invariants of the fast path.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .register import DiagonalState, ThermalParams
-from .schemes import _philox_uniforms
+from .hbac_core import build_transfer, fixed_point, hbac_round
+from .register import DiagonalState, ReducedState, ThermalParams, make_thermal_params
+from .schemes import (
+    HBAC_ICO,
+    HBAC_KICO,
+    SchemeConfig,
+    _philox_uniforms,
+    run_round,
+    success_probability,
+)
 from .switch import (
+    MINUS,
     SIGNS,
     PLUS,
+    branch_transfer,
     BlockUnitarySpec,
     ideal_pair,
     k_pair,
@@ -222,3 +235,68 @@ def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
                     by_case[key] = max(by_case.get(key, 0.0), deviation)
                     max_offdiagonal = max(max_offdiagonal, offdiagonal_magnitude(dense))
     return CompareReport(max_offdiagonal, by_case)
+
+
+def validation_checks(nmax: int, trials: int, seed: int) -> list[tuple[str, bool, str]]:
+    """``validate``'s battery, as (name, ok, detail): :func:`compare`, then five invariants.
+
+    The invariants run over every ``(epsilon, n)`` of one grid, ``n`` up to
+    8, each where its size allows; each transfer matrix is built once.  The
+    matrix-free round reads row ``6 * i + n - 1`` of :func:`uniform_rows`
+    for the ``i``-th epsilon.
+    """
+    report = compare(nmax=nmax, trials=trials, seed=seed)
+    checks = [
+        (f"oracle diagonal [{family} {sign}]", deviation < 1e-12, f"max dev {deviation:.3e}")
+        for (family, sign), deviation in sorted(report.by_case.items())
+    ]
+    offdiagonal = report.max_offdiagonal
+    checks.append(
+        ("oracle off-diagonals vanish", offdiagonal < 1e-12, f"max off-diag {offdiagonal:.3e}")
+    )
+
+    def gap(config, start):
+        """Closed-form success probability against the plus norm of one round from ``start``."""
+        probability = success_probability(config)
+        plus, _minus = run_round(start, config)
+        return abs(probability - plus.norm)
+
+    epsilons = (0.1, 0.5, 1.0)
+    rows = iter(uniform_rows(seed, 0, 6 * len(epsilons), 2**6))  # one row per (eps, n <= 6)
+    columns = branches = stationary = matrix_free = closed = 0.0
+    for eps, n in itertools.product(epsilons, range(1, 9)):
+        params = make_thermal_params(eps)
+        profile = fixed_point(n, params)
+        residual = np.abs(hbac_round(profile, params).populations - profile.populations).sum()
+        stationary = max(stationary, float(residual))
+        if n <= 6:
+            transfer = build_transfer(n, params)
+            if n <= nmax + 2:
+                columns = max(columns, float(np.abs(transfer.entries.sum(axis=0) - 1.0).max()))
+                spec = standard_pair(n)
+                total = (
+                    branch_transfer(n, params, spec, PLUS).entries
+                    + branch_transfer(n, params, spec, MINUS).entries
+                )
+                branches = max(branches, float(np.abs(total - transfer.entries).max()))
+            vec = next(rows)[: 2**n]
+            vec /= vec.sum()
+            state = ReducedState(vec)
+            direct = transfer.apply(state).populations
+            matrix_free = max(
+                matrix_free, float(np.abs(direct - hbac_round(state, params).populations).max())
+            )
+        if 2 <= n <= nmax + 3:
+            for k in range(1, n + 1):
+                config = SchemeConfig(scheme=HBAC_KICO, n=n, epsilon=eps, k=k)
+                closed = max(closed, gap(config, profile))
+    for eps in epsilons:
+        start = fixed_point(10, make_thermal_params(eps))
+        closed = max(closed, gap(SchemeConfig(scheme=HBAC_ICO, n=10, epsilon=eps), start))
+    return checks + [
+        ("transfer columns sum to one", columns < 1e-12, f"max dev {columns:.3e}"),
+        ("branch matrices sum to transfer", branches < 1e-14, f"max dev {branches:.3e}"),
+        ("fixed point is stationary", stationary < 1e-12, f"max L1 residual {stationary:.3e}"),
+        ("matrix-free round matches matrix", matrix_free < 1e-13, f"max dev {matrix_free:.3e}"),
+        ("closed-form success matches branch norm", closed < 1e-12, f"max dev {closed:.3e}"),
+    ]

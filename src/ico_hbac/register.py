@@ -17,39 +17,20 @@ label and entry 1 is all ground except the reset slot.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-DEFAULT_MAX_EXPONENT = 24
-_MAX_EXPONENT_ENV = "ICO_HBAC_MAX_N"
+MAX_REGISTER_EXPONENT = 24  # largest n of every state, spec and command
 
 NORM_TOLERANCE = 1e-12
 
 
-def max_register_exponent() -> int:
-    """Largest allowed ``n``, read from ``ICO_HBAC_MAX_N`` (default 24)."""
-    raw = os.environ.get(_MAX_EXPONENT_ENV)
-    if raw is None:
-        return DEFAULT_MAX_EXPONENT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{_MAX_EXPONENT_ENV} must be an integer, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(f"{_MAX_EXPONENT_ENV} must be >= 1, got {value}")
-    return value
-
-
 def _check_exponent(n: int) -> None:
-    """Reject an exponent outside ``[1, max_register_exponent()]`` before any allocation."""
-    cap = max_register_exponent()
-    if not 1 <= n <= cap:
-        raise ValueError(f"n must be in [1, {cap}], got {n}")
+    """Reject an exponent outside ``[1, MAX_REGISTER_EXPONENT]`` before any allocation."""
+    if not 1 <= n <= MAX_REGISTER_EXPONENT:
+        raise ValueError(f"n must be in [1, {MAX_REGISTER_EXPONENT}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -124,10 +105,9 @@ class _Populations:
             raise ValueError(
                 f"population length must be a power of two >= {minimum}, got {size}"
             )
-        cap = max_register_exponent()
         n = size.bit_length() - 1 - self.RESET_SLOTS
-        if n > cap:
-            raise ValueError(f"n={n} outside [0, {cap}]")
+        if n > MAX_REGISTER_EXPONENT:
+            raise ValueError(f"n={n} outside [0, {MAX_REGISTER_EXPONENT}]")
         total = float(arr.sum())
         norm = total if self.norm is None else self.norm
         kind = type(self).__name__

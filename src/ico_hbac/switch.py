@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .hbac_core import DENSE_MATRIX_CAP, TransferMatrix
-from .register import DiagonalState, ThermalParams, _check_exponent, max_register_exponent
+from .register import MAX_REGISTER_EXPONENT, DiagonalState, ThermalParams, _check_exponent
 
 PLUS = "+"
 MINUS = "-"
@@ -54,7 +54,7 @@ class BlockUnitarySpec:
         dim = mask.size
         if dim < 4 or dim & (dim - 1):
             raise ValueError(f"mask size {dim} is not a power of two >= 4")
-        if dim.bit_length() - 2 > max_register_exponent():
+        if dim.bit_length() - 2 > MAX_REGISTER_EXPONENT:
             raise ValueError(f"dimension {dim} exceeds the register cap")
         paired = np.flatnonzero(~mask)
         if paired.size % 2 or not np.array_equal(paired[1::2], paired[0::2] + 1):

@@ -5,11 +5,7 @@ import hashlib
 import io
 import json
 import math
-import os
-import pathlib
 import random
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +15,7 @@ from hypothesis import strategies as st
 
 import ico_hbac.cli as cli
 import ico_hbac.floattext as floattext
+import ico_hbac.jsontext as jsontext
 import ico_hbac.oracle as oracle
 from ico_hbac.hbac_core import fixed_point
 from ico_hbac.register import DiagonalState, make_thermal_params
@@ -29,21 +26,6 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_probe(probe: str) -> str:
-    """Stdout of ``probe`` run by a fresh interpreter that imports this package."""
-    source = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    return result.stdout
 
 
 def parse_csv(text):
@@ -88,8 +70,16 @@ class TestFixedPointCommand:
         assert code == 2
         assert err
 
-    def test_exponent_above_cap_fails_before_allocating(self, capsys, monkeypatch):
-        monkeypatch.delenv("ICO_HBAC_MAX_N", raising=False)
+    def test_plain_memory_error_names_the_command(self, capsys, monkeypatch):
+        # a MemoryError raised without text still gives one line that says what happened
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_fixed_point", exhausted)
+        code, out, err = run_cli(capsys, "fixed-point", "--n", "2", "--eps", "0.5")
+        assert (code, out, err) == (2, "", "error: fixed-point ran out of memory\n")
+
+    def test_exponent_above_cap_fails_before_allocating(self, capsys):
         code, out, err = run_cli(capsys, "fixed-point", "--n", "40", "--eps", "0.5")
         assert code == 2
         assert out == ""
@@ -229,12 +219,6 @@ class TestRunCommand:
         assert code == 2
         assert "epsilon" in err
 
-    def test_env_cap_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("ICO_HBAC_MAX_N", "3")
-        code, _out, err = run_cli(capsys, "run", "--scheme", "hbac-ico", "--n", "5", "--eps", "0.5")
-        assert code == 2
-        assert "n must be in" in err
-
     def test_output_file_and_determinism(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -313,20 +297,16 @@ class TestRejectionBeforeAllocation:
     @pytest.mark.parametrize("command", ["run", "sample"])
     @pytest.mark.parametrize("scheme", ["hbac-ico", "ico-alone", "ico-tree-sort", "hbac-kico"])
     @pytest.mark.parametrize("selector", ["uniform", "thermal", "fixed-point"])
-    def test_over_cap_n_with_a_selector(self, capsys, monkeypatch, command, scheme, selector):
-        monkeypatch.setenv("ICO_HBAC_MAX_N", "20")
+    def test_over_cap_n_with_a_selector(self, capsys, command, scheme, selector):
         k = ["--k", "1"] if scheme == "hbac-kico" else []
-        argv = ["--scheme", scheme, "--n", "21", "--eps", "0.5", *k, "--initial", selector]
+        argv = ["--scheme", scheme, "--n", "25", "--eps", "0.5", *k, "--initial", selector]
         code, out, err, peak = run_traced(capsys, command, *argv)
-        assert (code, out, err) == (2, "", "error: n must be in [1, 20], got 21\n")
+        assert (code, out, err) == (2, "", "error: n must be in [1, 24], got 25\n")
         assert peak < 2**20
 
     @pytest.mark.parametrize("command", ["run", "sample"])
     @pytest.mark.parametrize("initial", ["uniform", "thermal", "fixed-point", [0.25] * 4])
-    def test_plain_cooling_rejects_initial_unbuilt(
-        self, capsys, monkeypatch, tmp_path, command, initial
-    ):
-        monkeypatch.setenv("ICO_HBAC_MAX_N", "20")
+    def test_plain_cooling_rejects_initial_unbuilt(self, capsys, tmp_path, command, initial):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"scheme": "hbac", "n": 20, "epsilon": 0.5, "initial": initial}))
         code, out, err, peak = run_traced(capsys, command, "--config", str(path))
@@ -539,13 +519,13 @@ class TestSampleCommand:
 
             monkeypatch.setattr(cli, "_float_rows", counting)
         else:
-            json_text = cli._json_text
+            json_text = jsontext.json_text
 
             def counting(obj, depth):
                 rendered.append(obj)
                 return json_text(obj, depth)
 
-            monkeypatch.setattr(cli, "_json_text", counting)
+            monkeypatch.setattr(jsontext, "json_text", counting)
         argv = "sample --scheme ico-alone --n 8 --eps 0.2 --trials 20 --seed 1 --format " + fmt
         code, out, _err = run_cli(capsys, *argv.split())
         assert code == 0
@@ -555,7 +535,40 @@ class TestSampleCommand:
         assert attempts > 100
 
 
+# validate --nmax 2: compare's cases in sorted order, the five invariants, the summary
+_VALIDATE_NMAX_2_CHECKS = [
+    "oracle diagonal [ideal +]",
+    "oracle diagonal [ideal -]",
+    "oracle diagonal [k=1 +]",
+    "oracle diagonal [k=1 -]",
+    "oracle diagonal [k=2 +]",
+    "oracle diagonal [k=2 -]",
+    "oracle diagonal [standard +]",
+    "oracle diagonal [standard -]",
+    "oracle diagonal [tree level=0 +]",
+    "oracle diagonal [tree level=0 -]",
+    "oracle diagonal [tree level=1 +]",
+    "oracle diagonal [tree level=1 -]",
+    "oracle off-diagonals vanish",
+    "transfer columns sum to one",
+    "branch matrices sum to transfer",
+    "fixed point is stationary",
+    "matrix-free round matches matrix",
+    "closed-form success matches branch norm",
+    "overall",
+]
+
+
 class TestValidateCommand:
+    def test_report_shape(self, capsys):
+        # deviations depend on the BLAS build, so only names and verdicts are pinned
+        code, out, _ = run_cli(capsys, "validate", "--nmax", "2", "--trials", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line[5:].split(":")[0] for line in lines] == _VALIDATE_NMAX_2_CHECKS
+        assert all(line.startswith("ok   ") for line in lines)
+        assert lines[-1] == "ok   overall: 18/18 checks passed"
+
     def test_passes_and_prints_per_family_lines(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--nmax", "2", "--trials", "10")
         assert code == 0
@@ -564,7 +577,7 @@ class TestValidateCommand:
         assert "overall" in out
         assert "FAIL" not in out
 
-    def test_loads_no_numpy_random(self):
+    def test_loads_no_numpy_random(self, run_probe):
         # its random inputs are the package's own Philox streams; numpy.random
         # alone would add about 5 MB to the command's peak RSS
         probe = (
@@ -1131,7 +1144,7 @@ _JSON_LEAVES = (
     | st.integers(min_value=-(2**70), max_value=2**70)
     | _FINITE_FLOATS
     | st.text()
-    | st.builds(_vector, st.integers(0, 2 * cli._JSON_SLICE + 3), st.integers(0, 2**32 - 1))
+    | st.builds(_vector, st.integers(0, 2 * jsontext._JSON_SLICE + 3), st.integers(0, 2**32 - 1))
 )
 _JSON_TREES = st.recursive(
     _JSON_LEAVES,
@@ -1175,10 +1188,10 @@ class TestByteGuard:
     @given(_JSON_TREES)
     def test_json_chunks_match_json_dumps(self, obj):
         plain = _plain(obj)
-        assert "".join(cli._json_chunks(obj)) == _dumps(plain)
+        assert "".join(jsontext.json_chunks(obj)) == _dumps(plain)
         # an encoded fragment placed at its depth, and a generator read as a list
-        nested = {"fragment": [cli._json_text(obj, 2)], "generator": (item for item in [obj])}
-        assert "".join(cli._json_chunks(nested)) == _dumps({"fragment": [plain], "generator": [plain]})
+        nested = {"fragment": [jsontext.json_text(obj, 2)], "generator": (item for item in [obj])}
+        assert "".join(jsontext.json_chunks(nested)) == _dumps({"fragment": [plain], "generator": [plain]})
 
     @settings(deadline=None, max_examples=60)
     @given(_JSON_TREES, st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
@@ -1187,11 +1200,11 @@ class TestByteGuard:
         with pytest.raises(ValueError):
             _dumps(_plain(tainted))
         with pytest.raises(ValueError):
-            "".join(cli._json_chunks(tainted))
+            "".join(jsontext.json_chunks(tainted))
 
     @settings(deadline=None, max_examples=60)
     @given(
-        st.builds(_vector, st.integers(1, 2 * cli._JSON_SLICE + 3), st.integers(0, 2**32 - 1)),
+        st.builds(_vector, st.integers(1, 2 * jsontext._JSON_SLICE + 3), st.integers(0, 2**32 - 1)),
         st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), max_size=3),
     )
     def test_state_formatting_matches_format_17g(self, vector, specials):
@@ -1299,7 +1312,7 @@ class TestFloatKernel:
         assert cli._float_rows(values[:, None]) == texts
         assert cli._float_rows(values[None, :]) == ["|".join(texts)]
 
-    def test_no_tables_are_built_at_import(self):
+    def test_no_tables_are_built_at_import(self, run_probe):
         # the kernel's tables are built on first use: importing the CLI builds none
         caches = "kernel._power_of_ten, kernel._digit_table, kernel._frame_table"
         probe = (

@@ -81,7 +81,8 @@ def test_compile_peak_stays_bounded(path):
         tracemalloc.stop()
     assert peak <= COMPILE_PEAK_MIB * 2**20, (
         f"compiling {path.name} peaks at {peak / 2**20:.3f} MiB, above {COMPILE_PEAK_MIB} MiB: "
-        "see ROADMAP item I, 'A constraint for every change', and split the module"
+        "see ROADMAP item K and README's module map ('What is implemented'), and move the "
+        "code that only some commands run into a module that only they import"
     )
 
 
@@ -128,3 +129,32 @@ def test_every_private_module_name_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+_SMALL_RUN = "--scheme hbac-ico --n 3 --eps 0.5"
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        ("table1 --n 3 --eps 0.5", set()),
+        (f"run {_SMALL_RUN}", set()),
+        ("fixed-point --n 3 --eps 0.5", set()),
+        (f"sample {_SMALL_RUN} --trials 5 --seed 1", set()),
+        ("table1 --n 3 --eps 0.5 --format json", {"jsontext"}),
+        (f"run {_SMALL_RUN} --format json", {"jsontext"}),
+        ("fixed-point --n 3 --eps 0.5 --format json", {"jsontext"}),
+        (f"sample {_SMALL_RUN} --trials 5 --seed 1 --format json", {"jsontext"}),
+        ("validate --nmax 1 --trials 2", {"oracle"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(run_probe, argv, loaded):
+    # a command compiles every module it imports, so the validate battery
+    # (oracle) and the JSON encoder (jsontext) load only where they run
+    probe = (
+        "import os, sys, ico_hbac.cli as cli\n"
+        f"code = cli.main({argv.split()!r} + ['--output', os.devnull])\n"
+        "print(code, sorted(name for name in ('oracle', 'jsontext') "
+        "if 'ico_hbac.' + name in sys.modules))\n"
+    )
+    assert run_probe(probe).splitlines()[-1] == f"0 {sorted(loaded)}"

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ico_hbac.register as register
 from ico_hbac.register import (
     DiagonalState,
     ReducedState,
     ThermalParams,
     ground_state,
     make_thermal_params,
-    max_register_exponent,
     reduce,
     reset,
     thermal_full,
@@ -106,14 +106,12 @@ class TestStates:
         with pytest.raises(ValueError):
             ReducedState([0.5, math.nan])
 
-    def test_exponent_cap_from_env(self, monkeypatch):
-        monkeypatch.setenv("ICO_HBAC_MAX_N", "3")
-        assert max_register_exponent() == 3
-        with pytest.raises(ValueError):
-            DiagonalState(np.full(32, 1.0 / 32.0))  # n=4 > cap
-        monkeypatch.setenv("ICO_HBAC_MAX_N", "junk")
-        with pytest.raises(ValueError):
-            max_register_exponent()
+    def test_exponent_above_the_cap_is_rejected(self, monkeypatch):
+        # a state at the real cap of 24 takes 2**25 floats, so a lowered cap stands in
+        monkeypatch.setattr(register, "MAX_REGISTER_EXPONENT", 3)
+        assert DiagonalState(np.full(16, 1.0 / 16.0)).n == 3
+        with pytest.raises(ValueError, match=r"^n=4 outside \[0, 3\]$"):
+            DiagonalState(np.full(32, 1.0 / 32.0))
 
     def test_populations_are_immutable(self):
         state = uniform_full(2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ico_hbac.switch as switch
 from ico_hbac.hbac_core import build_transfer
 from ico_hbac.oracle import switch_channel
 from ico_hbac.register import DiagonalState, ReducedState, make_thermal_params, reduce, reset
@@ -168,7 +169,8 @@ class TestSpecFamilies:
         for mask in malformed:
             with pytest.raises(ValueError):
                 BlockUnitarySpec(mask)
-        monkeypatch.setenv("ICO_HBAC_MAX_N", "3")
+        # a mask at the real cap takes 2**25 entries, so a lowered cap stands in
+        monkeypatch.setattr(switch, "MAX_REGISTER_EXPONENT", 3)
         assert BlockUnitarySpec(np.ones(16, dtype=bool)).n == 3
         with pytest.raises(ValueError):
             BlockUnitarySpec(np.ones(32, dtype=bool))
