@@ -2,8 +2,9 @@
 
 This module is the command line only: argument parsing, run specifications,
 each command's rows and the output sink.  ``validate``'s battery lives in
-``oracle`` and the JSON encoder in ``jsontext``; each is imported only by the
-commands that run it.
+``oracle``, the JSON encoder in ``jsontext``, and the attempt chain, its
+draws and the meaning of a sampled run in ``sampling``; each is imported only
+by the commands that run it.
 
 All commands emit machine-readable output.  CSV uses one fixed column schema
 (``scheme,n,k,epsilon,round,outcome,probability,trials,value``) in long
@@ -48,11 +49,9 @@ from .register import make_thermal_params
 from .schemes import (
     HBAC,
     HBAC_KICO,
-    ICO_TREE_SORT,
     INITIAL_SELECTORS,
     PAIR_CHOICES,
     SCHEMES,
-    AttemptChain,
     MaxAttemptsError,
     SchemeConfig,
     final_state,
@@ -60,7 +59,6 @@ from .schemes import (
     sample_batch,
     success_probability,
 )
-from .switch import MINUS, PLUS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -407,27 +405,15 @@ _SAMPLE_STATE_DEPTH = 5
 
 
 def cmd_sample(args) -> int:
+    from .sampling import AttemptChain  # here, so that only the commands that draw compile it
+
     spec = _merge_runspec(args)
     config = _config_from_runspec(spec)
     chain = AttemptChain(config)
     # every draw happens before the output is opened, so a failed run writes nothing
     runs = sample_batch(chain, spec["trials"]).tolist()
-    tree = config.scheme == ICO_TREE_SORT
-    trials_used = [1] * len(runs) if tree else runs
     head = _head(config.scheme, config.n, config.k, config.epsilon)
     want_json = spec["format"] == "json"
-
-    def attempts(run):
-        """(round, outcome, node) of every attempt of a run; ``node`` indexes the chain's states.
-
-        A heralded run failed every trial before its last; a tree-sort code
-        holds one outcome per level after its leading 1 bit.
-        """
-        if tree:
-            signs = bin(run)[3:].replace("1", PLUS).replace("0", MINUS)
-        else:
-            signs = MINUS * (run - 1) + PLUS
-        return zip(itertools.count(1), signs, chain.nodes(run))
 
     # trajectories share the chain's states, so each is rendered once, before
     # the output opens (for CSV several states per kernel call)
@@ -449,13 +435,13 @@ def cmd_sample(args) -> int:
 
         @functools.cache
         def halves_of(run):
-            return [pair(*key) for key in attempts(run)]
+            return [pair(*key) for key in chain.attempts(run)]
 
-    mean_trials = sum(trials_used) / len(trials_used)
+    mean_trials = sum(map(chain.trials, runs)) / len(runs)
     analytic = success_probability(config)
     expected = math.inf if analytic == 0.0 else 1.0 / analytic
     summary = {
-        "trajectories": len(trials_used),
+        "trajectories": len(runs),
         "mean-trials": mean_trials,
         "expected-trials": expected,
     }
@@ -472,7 +458,7 @@ def cmd_sample(args) -> int:
             "command": "sample",
             "runspec": spec,
             "summary": {
-                "trajectories": len(trials_used),
+                "trajectories": len(runs),
                 "mean_trials": mean_trials,
                 "expected_trials": _json_float(expected),
             },
@@ -480,7 +466,7 @@ def cmd_sample(args) -> int:
             "trajectories": (
                 {
                     "index": index,
-                    "trials_used": used,
+                    "trials_used": chain.trials(run),
                     "terminal": True,  # a run that never heralds raises instead
                     "attempts": (
                         {
@@ -489,10 +475,10 @@ def cmd_sample(args) -> int:
                             "probability": chain.probabilities[node],
                             "state": texts[node],
                         }
-                        for number, outcome, node in attempts(run)
+                        for number, outcome, node in chain.attempts(run)
                     ),
                 }
-                for index, (used, run) in enumerate(zip(trials_used, runs), start=1)
+                for index, run in enumerate(runs, start=1)
             ),
         }
     _emit(lines(), obj, spec["format"], spec.get("output"))
@@ -582,10 +568,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, TypeError, MaxAttemptsError) as exc:
+    except (UsageError, ValueError, TypeError, MaxAttemptsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

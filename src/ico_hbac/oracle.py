@@ -25,7 +25,6 @@ from .schemes import (
     HBAC_ICO,
     HBAC_KICO,
     SchemeConfig,
-    _philox_uniforms,
     run_round,
     success_probability,
 )
@@ -51,6 +50,11 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _ROLE_BLOCKS = {"A": SIGMA_Y, "B": SIGMA_Z, "two-sort": SIGMA_X}
+
+
+def _worst(*deviations: float) -> float:
+    """The largest deviation, or NaN once any is NaN (``max`` drops a NaN after a number)."""
+    return float(np.max(deviations))
 
 
 def materialize(spec: BlockUnitarySpec, which: str) -> np.ndarray:
@@ -161,6 +165,8 @@ def uniform_rows(seed: int, first: int, count: int, width: int) -> np.ndarray:
     ``Generator(Philox(key=[seed, r])).random()``, so a row does not depend
     on which rows are drawn with it.
     """
+    from .sampling import _philox_uniforms  # at call time: after bench/tracer.py wraps its names
+
     blocks = width // 4  # counter blocks of four uniforms per row
     streams = np.repeat(np.arange(first, first + count, dtype=np.uint64), blocks)
     return _philox_uniforms(seed, streams, np.tile(np.arange(blocks), count)).reshape(count, width)
@@ -175,7 +181,7 @@ class CompareReport:
 
     @property
     def max_abs_deviation(self) -> float:
-        return max(self.by_case.values())
+        return _worst(*self.by_case.values())
 
 
 def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
@@ -227,13 +233,13 @@ def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
                     dense = switch_channel(rho, spec, sign)
                     populations = np.array([branch.populations for branch in outputs])
                     norms = np.array([branch.norm for branch in outputs])
-                    deviation = max(
-                        float(np.abs(dense[:, diagonal, diagonal].real - populations).max()),
-                        float(np.abs(np.trace(dense, axis1=1, axis2=2).real - norms).max()),
-                    )
                     key = (label, sign)
-                    by_case[key] = max(by_case.get(key, 0.0), deviation)
-                    max_offdiagonal = max(max_offdiagonal, offdiagonal_magnitude(dense))
+                    by_case[key] = _worst(
+                        by_case.get(key, 0.0),
+                        np.abs(dense[:, diagonal, diagonal].real - populations).max(),
+                        np.abs(np.trace(dense, axis1=1, axis2=2).real - norms).max(),
+                    )
+                    max_offdiagonal = _worst(max_offdiagonal, offdiagonal_magnitude(dense))
     return CompareReport(max_offdiagonal, by_case)
 
 
@@ -268,31 +274,31 @@ def validation_checks(nmax: int, trials: int, seed: int) -> list[tuple[str, bool
         params = make_thermal_params(eps)
         profile = fixed_point(n, params)
         residual = np.abs(hbac_round(profile, params).populations - profile.populations).sum()
-        stationary = max(stationary, float(residual))
+        stationary = _worst(stationary, residual)
         if n <= 6:
             transfer = build_transfer(n, params)
             if n <= nmax + 2:
-                columns = max(columns, float(np.abs(transfer.entries.sum(axis=0) - 1.0).max()))
+                columns = _worst(columns, np.abs(transfer.entries.sum(axis=0) - 1.0).max())
                 spec = standard_pair(n)
                 total = (
                     branch_transfer(n, params, spec, PLUS).entries
                     + branch_transfer(n, params, spec, MINUS).entries
                 )
-                branches = max(branches, float(np.abs(total - transfer.entries).max()))
+                branches = _worst(branches, np.abs(total - transfer.entries).max())
             vec = next(rows)[: 2**n]
             vec /= vec.sum()
             state = ReducedState(vec)
             direct = transfer.apply(state).populations
-            matrix_free = max(
-                matrix_free, float(np.abs(direct - hbac_round(state, params).populations).max())
+            matrix_free = _worst(
+                matrix_free, np.abs(direct - hbac_round(state, params).populations).max()
             )
         if 2 <= n <= nmax + 3:
             for k in range(1, n + 1):
                 config = SchemeConfig(scheme=HBAC_KICO, n=n, epsilon=eps, k=k)
-                closed = max(closed, gap(config, profile))
+                closed = _worst(closed, gap(config, profile))
     for eps in epsilons:
         start = fixed_point(10, make_thermal_params(eps))
-        closed = max(closed, gap(SchemeConfig(scheme=HBAC_ICO, n=10, epsilon=eps), start))
+        closed = _worst(closed, gap(SchemeConfig(scheme=HBAC_ICO, n=10, epsilon=eps), start))
     return checks + [
         ("transfer columns sum to one", columns < 1e-12, f"max dev {columns:.3e}"),
         ("branch matrices sum to transfer", branches < 1e-14, f"max dev {branches:.3e}"),

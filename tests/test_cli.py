@@ -623,6 +623,34 @@ class TestValidateCommand:
         failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
         assert failed == ["FAIL oracle diagonal [standard -]", "FAIL overall"]
 
+    def test_nan_success_probability_fails(self, capsys, monkeypatch):
+        # a NaN deviation must not fold into a passing worst case
+        monkeypatch.setattr(oracle, "success_probability", lambda config: math.nan)
+        code, out, _ = run_cli(capsys, "validate", "--nmax", "1", "--trials", "2")
+        assert code == 3
+        assert "FAIL closed-form success matches branch norm: max dev nan" in out.splitlines()
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_nan_in_the_dense_channel_fails(self, capsys, monkeypatch, entry):
+        real = oracle.switch_channel
+
+        def poisoned(rho, spec, sign):
+            dense = real(rho, spec, sign)
+            dense[(..., *entry)] = math.nan
+            return dense
+
+        monkeypatch.setattr(oracle, "switch_channel", poisoned)
+        code, out, _ = run_cli(capsys, "validate", "--nmax", "1", "--trials", "2")
+        assert code == 3
+        lines = out.splitlines()
+        diagonal = [line for line in lines if line[5:].startswith("oracle diagonal")]
+        assert len(diagonal) == 8  # four families at n = 1, two signs each
+        verdict = "FAIL" if entry == (0, 0) else "ok  "
+        assert all(line.startswith(verdict) for line in diagonal)
+        # a diagonal NaN reaches the off-diagonal check too, through its stripped copy
+        assert "FAIL oracle off-diagonals vanish: max off-diag nan" in lines
+        assert lines[-1].startswith("FAIL overall")
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ico_hbac.oracle as oracle
-from ico_hbac import schemes
+from ico_hbac import sampling
 from ico_hbac.hbac_core import two_sort
 from ico_hbac.oracle import (
     SIGMA_X,
@@ -236,7 +236,7 @@ class TestMinusStep:
                     if rounds:
                         state = conjugate(sort, dense_reset(state, params))
                     reduced = np.einsum("ajbj->ab", state.reshape(half, 2, half, 2))
-                    row = schemes._minus_step(p, ground, excited, spec, rounds)
+                    row = sampling._minus_step(p, ground, excited, spec, rounds)
                     deviation = float(np.abs(np.diag(reduced).real - row).max())
                     assert deviation < 1e-12, (label, eps, rounds)
                     assert offdiagonal_magnitude(reduced) < 1e-12

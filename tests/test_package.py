@@ -140,21 +140,35 @@ _SMALL_RUN = "--scheme hbac-ico --n 3 --eps 0.5"
         ("table1 --n 3 --eps 0.5", set()),
         (f"run {_SMALL_RUN}", set()),
         ("fixed-point --n 3 --eps 0.5", set()),
-        (f"sample {_SMALL_RUN} --trials 5 --seed 1", set()),
+        (f"sample {_SMALL_RUN} --trials 5 --seed 1", {"sampling"}),
         ("table1 --n 3 --eps 0.5 --format json", {"jsontext"}),
         (f"run {_SMALL_RUN} --format json", {"jsontext"}),
         ("fixed-point --n 3 --eps 0.5 --format json", {"jsontext"}),
-        (f"sample {_SMALL_RUN} --trials 5 --seed 1 --format json", {"jsontext"}),
-        ("validate --nmax 1 --trials 2", {"oracle"}),
+        (f"sample {_SMALL_RUN} --trials 5 --seed 1 --format json", {"jsontext", "sampling"}),
+        ("validate --nmax 1 --trials 2", {"oracle", "sampling"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(run_probe, argv, loaded):
     # a command compiles every module it imports, so the validate battery
-    # (oracle) and the JSON encoder (jsontext) load only where they run
+    # (oracle), the JSON encoder (jsontext) and the attempt chain with its
+    # draws (sampling) load only where they run
     probe = (
         "import os, sys, ico_hbac.cli as cli\n"
         f"code = cli.main({argv.split()!r} + ['--output', os.devnull])\n"
-        "print(code, sorted(name for name in ('oracle', 'jsontext') "
+        "print(code, sorted(name for name in ('oracle', 'jsontext', 'sampling') "
         "if 'ico_hbac.' + name in sys.modules))\n"
     )
     assert run_probe(probe).splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+def test_importing_the_traced_modules_loads_no_sampling(run_probe):
+    # bench/tracer.py imports these six and rebinds their public functions;
+    # sampling, imported only when a command runs it, then binds the wrappers
+    modules = ("register", "hbac_core", "switch", "schemes", "oracle", "cli")
+    probe = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('ico_hbac.' + name)\n"
+        "print('ico_hbac.sampling' in sys.modules)\n"
+    )
+    assert run_probe(probe).splitlines()[-1] == "False"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ico_hbac import register, schemes
+from ico_hbac import register, sampling, schemes
 from ico_hbac.hbac_core import fixed_point, hbac_round
 from ico_hbac.register import (
     DiagonalState,
@@ -30,10 +30,8 @@ from ico_hbac.schemes import (
     ICO_TREE_SORT,
     IDEAL,
     STANDARD,
-    AttemptChain,
     MaxAttemptsError,
     SchemeConfig,
-    _philox_uniforms,
     expected_trials,
     final_state,
     initial_state,
@@ -45,6 +43,7 @@ from ico_hbac.schemes import (
     scheme_spec,
     success_probability,
 )
+from ico_hbac.sampling import AttemptChain, _philox_uniforms
 from ico_hbac.switch import (
     MINUS,
     PLUS,
@@ -284,7 +283,7 @@ class TestRunRound:
 
 def _minus_row(state: ReducedState, params, spec, rounds: int = 0) -> np.ndarray:
     ground, excited = params.ground_population, params.excited_population
-    return schemes._minus_step(state.populations, ground, excited, spec, rounds)
+    return sampling._minus_step(state.populations, ground, excited, spec, rounds)
 
 
 class TestFailureUpdate:
@@ -385,7 +384,7 @@ class TestMinusStep:
         chain.at(40)
         early = chain.states[:40]
         chain.at(320)
-        assert len(chain) == 320
+        assert len(chain.states) == 320
         assert 0 < built <= 2  # the initial state only, and the wrappers count
         assert len(checked) == built
         # rows are kept, not copied into a larger buffer as the chain grows
@@ -472,11 +471,10 @@ def reference_walk(config: SchemeConfig, count: int, start_index: int = 0):
 
 
 def _sampled(config: SchemeConfig, count: int, start_index: int = 0):
-    """(chain, [(trials_used, run)]) from ``sample_batch``."""
+    """(chain, [(trials_used, run)]) from ``sample_batch`` and ``AttemptChain.trials``."""
     chain = AttemptChain(config)
     batch = sample_batch(chain, count, start_index=start_index)
-    tree = config.scheme == ICO_TREE_SORT
-    return chain, [(1 if tree else run, run) for run in batch.tolist()]
+    return chain, [(chain.trials(run), run) for run in batch.tolist()]
 
 
 _REFERENCE_CASES = [
@@ -526,7 +524,7 @@ class TestSampler:
         ref_chain, expected = reference_walk(config, 60)
         chain, got = _sampled(config, 60)
         assert got == expected
-        assert len(chain) == len(ref_chain)
+        assert len(chain.states) == len(ref_chain.states)
 
     @pytest.mark.parametrize(
         "case",
@@ -587,7 +585,7 @@ class TestSampler:
         )
         assert split.tolist() == batch.tolist()
         # the chain holds exactly the states some run reached
-        assert len(chain) == batch.max()
+        assert len(chain.states) == batch.max()
 
     def test_slices_of_a_batch_give_the_same_runs(self, monkeypatch):
         # batches drawn in slices of 7 trajectories; the tree cascade has more
@@ -697,19 +695,24 @@ class TestSampler:
                 sample_batch(chain, 40)
             assert excinfo.value.trajectory == max_attempts
             assert excinfo.value.index == 25
-            assert len(chain) <= 2
+            assert len(chain.states) <= 2
 
     @pytest.mark.parametrize(
         "case", _REFERENCE_CASES, ids=lambda case: "-".join(f"{v}" for v in case.values())
     )
-    def test_nodes_index_the_states_runs_reached(self, case):
+    def test_attempts_index_the_states_runs_reached(self, case):
         config = SchemeConfig(n=3, seed=2, **case)
         chain, runs = _sampled(config, 60)
         tree = config.scheme == ICO_TREE_SORT
         reached = set()
         for trials_used, run in runs:
-            nodes = list(chain.nodes(run))
+            rounds, outcomes, nodes = zip(*chain.attempts(run))
+            assert rounds == tuple(range(1, len(nodes) + 1))
             assert len(nodes) == (config.n if tree else trials_used)
+            # a heralded run failed every trial before its last; a tree-sort
+            # code holds one outcome per level after its leading 1 bit
+            signs = [PLUS if bit == "1" else MINUS for bit in bin(run)[3:]]
+            assert list(outcomes) == (signs if tree else [MINUS] * (trials_used - 1) + [PLUS])
             for attempt, node in enumerate(nodes):
                 # a tree-sort attempt sees the prefix of the outcomes before it
                 position = run >> (config.n - attempt) if tree else attempt + 1
@@ -718,9 +721,9 @@ class TestSampler:
                 assert chain.probabilities[node] == probability
             reached.update(nodes)
         # each distinct state is held once, and only if some run reached it
-        assert reached == set(range(len(chain)))
-        assert len(chain.states) == len(chain.probabilities) == len(chain)
-        assert len({id(state) for state in chain.states}) == len(chain)
+        assert reached == set(range(len(chain.states)))
+        assert len(chain.states) == len(chain.probabilities)
+        assert len({id(state) for state in chain.states}) == len(chain.states)
 
     @pytest.mark.parametrize(
         "case", _REFERENCE_CASES, ids=lambda case: "-".join(f"{v}" for v in case.values())
@@ -737,9 +740,9 @@ class TestSampler:
         chain = AttemptChain(config)
         batch = sample_batch(chain, 20)
         assert batch.max() > 100
-        assert len(chain) == 1
+        assert len(chain.states) == 1
         longest = int(batch.max())
-        assert list(chain.nodes(longest)) == [0] * longest
+        assert [node for _round, _outcome, node in chain.attempts(longest)] == [0] * longest
 
     def test_tree_sort_always_one_trial(self):
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=3, seed=5)
@@ -747,16 +750,16 @@ class TestSampler:
         for code in sample_batch(chain, 50).tolist():
             assert code.bit_length() == 3 + 1  # a leading 1, one bit per storage qubit
         # each outcome prefix is split once, however many runs share it
-        assert len(chain) <= 1 + 2 + 4
+        assert len(chain.states) <= 1 + 2 + 4
 
     def test_tree_position_is_a_prefix_code_short_of_a_leaf(self):
         chain = AttemptChain(SchemeConfig(scheme=ICO_TREE_SORT, n=3, seed=5))
         for code in (0, -3, 8, 13):
             with pytest.raises(ValueError, match=r"in \[1, 8\)"):
                 chain.at(code)
-        assert len(chain) == len(chain.probabilities) == 0
+        assert len(chain.states) == len(chain.probabilities) == 0
         chain.at(7)
-        assert len(chain) == len(chain.probabilities) == 3
+        assert len(chain.states) == len(chain.probabilities) == 3
 
     def test_tree_probability_is_the_plus_branch_norm(self):
         # bit for bit, at every prefix of a random input
