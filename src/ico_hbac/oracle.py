@@ -5,7 +5,8 @@ the four-product switch channel, and the thermal reset as a partial trace
 followed by a tensor product.  Sizes are capped at ``n = 6``
 (128 x 128); this module exists for correctness checks, not scale.
 :func:`compare` runs its random trials as bounded stacks of density matrices
-through the same literal channel, since ``@`` broadcasts over leading axes.
+through the same literal channel, since ``@`` broadcasts over leading axes,
+and through the fast path's branch kernels, which take stacks of rows too.
 Its random inputs are rows of :func:`uniform_rows`, the package's own Philox
 streams, so ``numpy.random`` is never loaded.  :func:`validation_checks` is
 the ``validate`` command's battery: :func:`compare` plus the structural
@@ -14,6 +15,7 @@ invariants of the fast path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,12 +34,13 @@ from .switch import (
     MINUS,
     SIGNS,
     PLUS,
+    _minus_branch,
+    _plus_branch,
     branch_transfer,
     BlockUnitarySpec,
     ideal_pair,
     k_pair,
     standard_pair,
-    switch_branches,
     tree_pair,
 )
 
@@ -121,33 +124,45 @@ def dense_reset(rho: np.ndarray, params: ThermalParams) -> np.ndarray:
     return np.kron(traced, thermal)
 
 
-def switch_channel(rho: np.ndarray, spec: BlockUnitarySpec, sign: str) -> np.ndarray:
-    """Dense two-order interference channel conditioned on one control outcome.
+@functools.lru_cache(maxsize=1)  # compare runs all stacks of one spec in a row
+def _ordered_products(spec: BlockUnitarySpec) -> tuple[np.ndarray, np.ndarray]:
+    """``U_A U_B`` and ``U_B U_A`` of ``spec``, read-only."""
+    u_a = materialize(spec, "A")
+    u_b = materialize(spec, "B")
+    products = (u_a @ u_b, u_b @ u_a)
+    for product in products:
+        product.setflags(write=False)
+    return products
+
+
+def switch_channel(rho: np.ndarray, spec: BlockUnitarySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Dense two-order interference channel, conditioned on each control outcome.
 
     Both unitaries share the block layout ``spec``: ``U_A`` carries sigma_y
     and ``U_B`` sigma_z on their pair blocks.
 
     ``rho`` is one density matrix or a stack of them, shape ``(..., dim, dim)``.
-    Returns the literal four-term combination
+    Returns ``(plus, minus)``, in :data:`SIGNS` order: the literal four-term
+    combination
 
         (U_A U_B rho U_B' U_A' + U_B U_A rho U_A' U_B'
          +/- U_A U_B rho U_A' U_B' +/- U_B U_A rho U_B' U_A') / 4
 
     (primes denoting adjoints), unnormalized: its trace is the outcome
-    probability (per matrix of a stack).
+    probability (per matrix of a stack).  Both outcomes share the two left
+    products, so a call makes six matrix products, each over the whole
+    stack; the ordered products of the last ``spec`` are kept.
     """
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     if rho.shape[-2:] != (spec.dim, spec.dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match dimension {spec.dim}")
-    u_a = materialize(spec, "A")
-    u_b = materialize(spec, "B")
-    ab = u_a @ u_b
-    ba = u_b @ u_a
-    direct = ab @ rho @ ab.conj().T + ba @ rho @ ba.conj().T
-    cross = ab @ rho @ ba.conj().T + ba @ rho @ ab.conj().T
-    factor = 1.0 if sign == PLUS else -1.0
-    return (direct + factor * cross) / 4.0
+    ab, ba = _ordered_products(spec)
+    ab_adjoint, ba_adjoint = ab.conj().T, ba.conj().T
+    left_ab, left_ba = ab @ rho, ba @ rho
+    direct = left_ab @ ab_adjoint + left_ba @ ba_adjoint
+    cross = left_ab @ ba_adjoint + left_ba @ ab_adjoint
+    del left_ab, left_ba  # two stacks fewer alive while the outcomes are formed
+    plus, minus = ((direct + factor * cross) / 4.0 for factor in (1.0, -1.0))
+    return plus, minus
 
 
 def spec_families(n: int) -> list[tuple[str, BlockUnitarySpec]]:
@@ -192,12 +207,13 @@ def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
     and the worst off-diagonal magnitude (which must vanish for diagonal
     inputs under these block unitaries).  Trial ``r`` of the whole run,
     counted across families and ``n``, is row ``r`` of :func:`uniform_rows`,
-    normalized.  The fast path runs once per trial; the dense channel runs
-    once per sign on each chunk of trials, stacked up to ``_STACK_BYTES`` per
-    complex array, and the uniforms are drawn ``_STACK_BYTES`` of float64 at a
-    time, so memory is bounded by the dimension and not by ``trials``.  The
-    states, and every reported value, are those of a per-trial loop.
-    Deterministic for a fixed seed.
+    normalized.  Trials run in stacks: each stack of density matrices holds
+    at most ``_STACK_BYTES``, or one matrix when a single matrix is larger
+    (``n = 6``), and goes through one :func:`switch_channel` call for both
+    signs and one call of each fast-path branch kernel.  The uniforms are
+    drawn ``_STACK_BYTES`` of float64 at a time, so memory is bounded by the
+    dimension and not by ``trials``.  The states, and every reported value,
+    are those of a per-trial loop.  Deterministic for a fixed seed.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
@@ -223,21 +239,18 @@ def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
                     drawn = uniform_rows(seed, row, min(per_draw, trials - start), dim)
                     row += len(drawn)
                 vecs = drawn[start % per_draw : start % per_draw + chunk]
-                branches = []
-                for vec in vecs:
-                    vec /= vec.sum()  # in place: the stack below holds the normalized rows
-                    branches.append(switch_branches(DiagonalState(vec), spec))
+                vecs /= vecs.sum(axis=1, keepdims=True)  # in place: rows of the stack below
                 rho = np.zeros((len(vecs), dim, dim), dtype=complex)
                 rho[:, diagonal, diagonal] = vecs
-                for sign, outputs in zip(SIGNS, zip(*branches)):
-                    dense = switch_channel(rho, spec, sign)
-                    populations = np.array([branch.populations for branch in outputs])
-                    norms = np.array([branch.norm for branch in outputs])
+                fast = (_plus_branch(vecs, spec), _minus_branch(vecs, spec))
+                for sign, dense, populations in zip(SIGNS, switch_channel(rho, spec), fast):
                     key = (label, sign)
                     by_case[key] = _worst(
                         by_case.get(key, 0.0),
                         np.abs(dense[:, diagonal, diagonal].real - populations).max(),
-                        np.abs(np.trace(dense, axis1=1, axis2=2).real - norms).max(),
+                        np.abs(
+                            np.trace(dense, axis1=1, axis2=2).real - populations.sum(axis=1)
+                        ).max(),
                     )
                     max_offdiagonal = _worst(max_offdiagonal, offdiagonal_magnitude(dense))
     return CompareReport(max_offdiagonal, by_case)

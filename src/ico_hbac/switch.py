@@ -15,6 +15,9 @@ per-entry population rule:
 The rule reads nothing but which entries sit under scalar blocks, so a
 :class:`BlockUnitarySpec` is exactly that boolean mask.  A branch is an
 unnormalized :class:`DiagonalState` whose norm is its outcome probability.
+The kernels behind :func:`switch_branches` take one population row or a
+stack of rows ``(..., dim)``: the sampling chain calls them on rows, and
+the dense oracle on whole stacks of random states.
 """
 
 from __future__ import annotations
@@ -77,6 +80,16 @@ class BlockUnitarySpec:
         starts.setflags(write=False)
         return starts
 
+    @cached_property
+    def partner(self) -> np.ndarray:
+        """The entry each entry trades with: its pair mate, or itself under a scalar block."""
+        partner = np.arange(self.dim)
+        starts = self.pair_starts
+        partner[starts] = starts + 1
+        partner[starts + 1] = starts
+        partner.setflags(write=False)
+        return partner
+
 
 def standard_pair(n: int) -> BlockUnitarySpec:
     """Scalar ends with Pauli pairs across the whole interior."""
@@ -87,11 +100,8 @@ def standard_pair(n: int) -> BlockUnitarySpec:
 
 
 def ideal_pair(n: int) -> BlockUnitarySpec:
-    """Two leading scalars, Pauli pairs everywhere else (same as k_pair(n, 1))."""
-    _check_exponent(n)
-    mask = np.zeros(2 ** (n + 1), dtype=bool)
-    mask[:2] = True
-    return BlockUnitarySpec(mask)
+    """Two leading scalars, Pauli pairs everywhere else."""
+    return k_pair(n, 1)
 
 
 def k_pair(n: int, k: int) -> BlockUnitarySpec:
@@ -121,14 +131,14 @@ def tree_pair(n: int, level: int = 0) -> BlockUnitarySpec:
 
 
 def _plus_branch(lam: np.ndarray, spec: BlockUnitarySpec) -> np.ndarray:
+    """Plus-branch populations of one row ``lam`` or of each row of a stack ``(..., dim)``."""
     return np.where(spec.one_mask, lam, 0.0)
 
 
 def _minus_branch(lam: np.ndarray, spec: BlockUnitarySpec) -> np.ndarray:
-    out = np.zeros_like(lam)
-    starts = spec.pair_starts
-    out[starts] = lam[starts + 1]
-    out[starts + 1] = lam[starts]
+    """Minus-branch populations of one row or of each row of a stack, as a fresh writable array."""
+    out = lam.take(spec.partner, axis=-1)
+    np.copyto(out, 0.0, where=spec.one_mask)
     return out
 
 
@@ -142,11 +152,7 @@ def switch_branches(
     lam = state.populations
     if lam.size != spec.dim:
         raise ValueError(f"state dimension {lam.size} != spec dimension {spec.dim}")
-    plus_vec = _plus_branch(lam, spec)
-    minus_vec = _minus_branch(lam, spec)
-    plus = DiagonalState(plus_vec)
-    minus = DiagonalState(minus_vec)
-    return plus, minus
+    return DiagonalState(_plus_branch(lam, spec)), DiagonalState(_minus_branch(lam, spec))
 
 
 def branch_transfer(
@@ -172,12 +178,9 @@ def branch_transfer(
         mask = spec.one_mask
         np.fill_diagonal(matrix, ground * mask[0::2] + excited * mask[1::2])
     else:
-        starts = spec.pair_starts
-        # a full-register entry j comes from reduced column j//2 with weight
-        # ground (j even) or excited (j odd) and lands on row partner(j)//2
-        for src, partner in ((starts, starts + 1), (starts + 1, starts)):
-            rows = partner // 2
-            cols = src // 2
-            weights = np.where(src % 2 == 0, ground, excited)
-            np.add.at(matrix, (rows, cols), weights)
+        # a paired full-register entry j comes from reduced column j//2 with
+        # weight ground (j even) or excited (j odd) and lands on row partner[j]//2
+        src = np.flatnonzero(~spec.one_mask)
+        weights = np.where(src % 2 == 0, ground, excited)
+        np.add.at(matrix, (spec.partner[src] // 2, src // 2), weights)
     return TransferMatrix(matrix, "plus" if sign == PLUS else "minus")

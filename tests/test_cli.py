@@ -18,7 +18,7 @@ import ico_hbac.floattext as floattext
 import ico_hbac.jsontext as jsontext
 import ico_hbac.oracle as oracle
 from ico_hbac.hbac_core import fixed_point
-from ico_hbac.register import DiagonalState, make_thermal_params
+from ico_hbac.register import make_thermal_params
 from ico_hbac.switch import standard_pair
 
 
@@ -604,20 +604,18 @@ class TestValidateCommand:
         assert "FAIL" in out
 
     def test_faulty_fast_path_fails_its_own_line(self, capsys, monkeypatch):
-        # a fast path that leaves the first standard pair unswapped in the
-        # minus branch: norms still partition, only the diagonal is wrong
-        real = oracle.switch_branches
+        # a stacked minus kernel that leaves the first standard pair unswapped
+        # in every row: norms still partition, only the diagonal is wrong
+        real = oracle._minus_branch
 
-        def faulty(state, spec):
-            plus, minus = real(state, spec)
-            if not np.array_equal(spec.one_mask, standard_pair(spec.n).one_mask):
-                return plus, minus
-            start = spec.pair_starts[0]
-            vec = minus.populations.copy()
-            vec[[start, start + 1]] = state.populations[[start, start + 1]]
-            return plus, DiagonalState(vec, minus.norm)
+        def faulty(lam, spec):
+            minus = real(lam, spec)
+            if np.array_equal(spec.one_mask, standard_pair(spec.n).one_mask):
+                pair = spec.pair_starts[0] + np.arange(2)
+                minus[..., pair] = lam[..., pair]
+            return minus
 
-        monkeypatch.setattr(oracle, "switch_branches", faulty)
+        monkeypatch.setattr(oracle, "_minus_branch", faulty)
         code, out, _ = run_cli(capsys, "validate", "--nmax", "2", "--trials", "5")
         assert code == 3
         failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
@@ -634,10 +632,11 @@ class TestValidateCommand:
     def test_nan_in_the_dense_channel_fails(self, capsys, monkeypatch, entry):
         real = oracle.switch_channel
 
-        def poisoned(rho, spec, sign):
-            dense = real(rho, spec, sign)
-            dense[(..., *entry)] = math.nan
-            return dense
+        def poisoned(rho, spec):
+            outputs = real(rho, spec)
+            for dense in outputs:
+                dense[(..., *entry)] = math.nan
+            return outputs
 
         monkeypatch.setattr(oracle, "switch_channel", poisoned)
         code, out, _ = run_cli(capsys, "validate", "--nmax", "1", "--trials", "2")

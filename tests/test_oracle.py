@@ -56,8 +56,8 @@ def per_trial_compare(nmax: int, trials: int, seed: int):
                 vec /= vec.sum()
                 state = DiagonalState(vec)
                 rho = np.diag(vec).astype(complex)
-                for sign, branch in zip(SIGNS, switch_branches(state, spec)):
-                    dense = switch_channel(rho, spec, sign)
+                outputs = zip(SIGNS, switch_channel(rho, spec), switch_branches(state, spec))
+                for sign, dense, branch in outputs:
                     diagonal = np.diag(dense).real
                     deviation = float(np.abs(diagonal - branch.populations).max())
                     deviation = max(deviation, abs(float(np.trace(dense).real) - branch.norm))
@@ -128,20 +128,16 @@ class TestMaterialize:
 class TestSwitchChannel:
     def test_frozen_example(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        spec = standard_pair(1)
-        plus = switch_channel(rho, spec, PLUS)
+        plus, minus = switch_channel(rho, standard_pair(1))
         assert np.trace(plus).real == pytest.approx(0.5, abs=1e-15)
         assert np.abs(np.diag(plus).real - [0.4, 0.0, 0.0, 0.1]).max() < 1e-15
-        minus = switch_channel(rho, spec, MINUS)
         assert np.abs(np.diag(minus).real - [0.0, 0.2, 0.3, 0.0]).max() < 1e-15
 
     def test_ground_state_is_plus_deterministic(self):
         vec = np.zeros(8)
         vec[0] = 1.0
         rho = np.diag(vec).astype(complex)
-        spec = standard_pair(2)
-        plus = switch_channel(rho, spec, PLUS)
-        minus = switch_channel(rho, spec, MINUS)
+        plus, minus = switch_channel(rho, standard_pair(2))
         assert np.abs(plus - rho).max() < 1e-15
         assert np.abs(minus).max() < 1e-15
 
@@ -152,8 +148,7 @@ class TestSwitchChannel:
             vec = rng.random(2 ** (n + 1))
             vec /= vec.sum()
             rho = np.diag(vec).astype(complex)
-            plus = switch_channel(rho, spec, PLUS)
-            minus = switch_channel(rho, spec, MINUS)
+            plus, minus = switch_channel(rho, spec)
             assert (np.trace(plus) + np.trace(minus)).real == pytest.approx(1.0, abs=1e-13)
             for branch, probability in ((plus, np.trace(plus).real), (minus, np.trace(minus).real)):
                 defects = density_defects(branch, norm=probability)
@@ -164,13 +159,13 @@ class TestSwitchChannel:
     def test_dimension_mismatch(self):
         rho = np.eye(4, dtype=complex) / 4.0
         with pytest.raises(ValueError):
-            switch_channel(rho, standard_pair(2), PLUS)
+            switch_channel(rho, standard_pair(2))
         with pytest.raises(ValueError):  # a stack of non-square matrices
-            switch_channel(np.zeros((3, 8, 9), dtype=complex), standard_pair(2), PLUS)
+            switch_channel(np.zeros((3, 8, 9), dtype=complex), standard_pair(2))
         with pytest.raises(ValueError):  # a stack of the wrong dimension
-            switch_channel(np.zeros((3, 4, 4), dtype=complex), standard_pair(2), PLUS)
+            switch_channel(np.zeros((3, 4, 4), dtype=complex), standard_pair(2))
         with pytest.raises(ValueError):
-            switch_channel(np.zeros(8, dtype=complex), standard_pair(2), PLUS)
+            switch_channel(np.zeros(8, dtype=complex), standard_pair(2))
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_stack_equals_single_calls(self, n):
@@ -182,15 +177,27 @@ class TestSwitchChannel:
         diagonal[:, np.arange(dim), np.arange(dim)] = rng.random((5, dim))
         general = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
         for _label, spec in spec_families(n):
-            for sign in SIGNS:
-                for stack in (diagonal, general):
-                    singles = np.stack([switch_channel(rho, spec, sign) for rho in stack])
-                    assert np.array_equal(switch_channel(stack, spec, sign), singles)
+            for stack in (diagonal, general):
+                singles = [switch_channel(rho, spec) for rho in stack]
+                for stacked, per_matrix in zip(switch_channel(stack, spec), zip(*singles)):
+                    assert np.array_equal(stacked, np.stack(per_matrix))
 
-    def test_bad_sign(self):
-        rho = np.eye(4, dtype=complex) / 4.0
-        with pytest.raises(ValueError):
-            switch_channel(rho, standard_pair(1), "0")
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_equals_the_four_term_formula(self, n):
+        # both outcomes of one call against the channel written out term by
+        # term, for one matrix and for a stack
+        rng = np.random.default_rng(61 + n)
+        dim = 2 ** (n + 1)
+        stack = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+        for _label, spec in spec_families(n):
+            u_a, u_b = materialize(spec, "A"), materialize(spec, "B")
+            a_h, b_h = u_a.conj().T, u_b.conj().T
+            for rho in (stack[0], stack):
+                direct = u_a @ u_b @ rho @ b_h @ a_h + u_b @ u_a @ rho @ a_h @ b_h
+                cross = u_a @ u_b @ rho @ a_h @ b_h + u_b @ u_a @ rho @ b_h @ a_h
+                plus, minus = switch_channel(rho, spec)
+                assert np.array_equal(plus, (direct + cross) / 4.0)
+                assert np.array_equal(minus, (direct - cross) / 4.0)
 
 
 class TestDenseReset:
@@ -230,7 +237,7 @@ class TestMinusStep:
                 p /= p.sum()
                 # any reset-slot state: dense_reset traces it out
                 rho = np.kron(np.diag(p), np.diag([0.3, 0.7])).astype(complex)
-                state = switch_channel(dense_reset(rho, params), spec, MINUS)
+                _plus, state = switch_channel(dense_reset(rho, params), spec)
                 state = state / np.trace(state).real
                 for rounds in range(3):
                     if rounds:
@@ -293,26 +300,30 @@ class TestCompare:
         assert np.array_equal(stacked, np.stack(singles))
         assert np.array_equal(stacked, np.stack(reference))
 
-    @pytest.mark.parametrize("nmax,trials", [(4, 20), (5, 3)])
+    @pytest.mark.parametrize("nmax,trials", [(4, 20), (5, 3), (6, 2)])
     def test_stacks_stay_within_the_byte_cap(self, monkeypatch, nmax, trials):
-        # compare goes through the module-global name, once per stack and
-        # sign, so a wrapper there (as the benchmark tracer installs) sees
-        # every call
+        # compare goes through the module-global name, once per stack for
+        # both signs, so a wrapper there (as the benchmark tracer installs)
+        # sees every call; a stack holds one matrix when one matrix is over
+        # the cap (n = 6: 256 KiB)
         seen = []
         real = oracle.switch_channel
 
         def counting(rho, *args, **kwargs):
-            seen.append(rho.nbytes)
+            seen.append((rho.nbytes, rho[0].nbytes))
             return real(rho, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "switch_channel", counting)
         compare(nmax=nmax, trials=trials, seed=1)
-        assert max(seen) <= oracle._STACK_BYTES
+        assert all(stack <= max(oracle._STACK_BYTES, matrix) for stack, matrix in seen)
+        assert max(stack for stack, _matrix in seen) == max(
+            oracle._STACK_BYTES, (2 ** (nmax + 1)) ** 2 * np.dtype(complex).itemsize
+        )
         stacks = sum(
             len(spec_families(n)) * math.ceil(trials / chunk_size(2 ** (n + 1)))
             for n in range(1, nmax + 1)
         )
-        assert len(seen) == 2 * stacks
+        assert len(seen) == stacks
 
 
 class TestDiagonalHelpers:
@@ -335,9 +346,8 @@ class TestDiagonalHelpers:
         spec = ideal_pair(2)
         vec = np.array([0.3, 0.25, 0.2, 0.1, 0.05, 0.05, 0.03, 0.02])
         state = DiagonalState(vec)
-        plus, minus = switch_branches(state, spec)
-        for sign, branch in ((PLUS, plus), (MINUS, minus)):
-            dense = switch_channel(np.diag(vec).astype(complex), spec, sign)
+        dense_branches = switch_channel(np.diag(vec).astype(complex), spec)
+        for dense, branch in zip(dense_branches, switch_branches(state, spec)):
             assert np.abs(np.diag(dense).real - branch.populations).max() < 1e-14
 
     def test_k_and_tree_specs_cover_expected_scalars(self):

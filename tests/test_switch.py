@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 import ico_hbac.switch as switch
 from ico_hbac.hbac_core import build_transfer
-from ico_hbac.oracle import switch_channel
+from ico_hbac.oracle import spec_families, switch_channel
 from ico_hbac.register import DiagonalState, ReducedState, make_thermal_params, reduce, reset
 from ico_hbac.switch import (
     MINUS,
     PLUS,
-    SIGNS,
     BlockUnitarySpec,
     branch_transfer,
     ideal_pair,
@@ -143,6 +142,12 @@ class TestSpecFamilies:
             assert np.array_equal(spec.pair_starts, starts)
             assert not spec.one_mask.flags.writeable
             assert not spec.pair_starts.flags.writeable
+            partner = []  # a scalar entry trades with itself, a pair's entries with each other
+            for block in blocks:
+                at = len(partner)
+                partner += [at] if block == ONE else [at + 1, at]
+            assert spec.partner.tolist() == partner
+            assert not spec.partner.flags.writeable
             assert spec.dim == mask.size == 2 ** (n + 1)
             assert spec.n == n
 
@@ -208,6 +213,38 @@ class TestSwitchBranches:
         with pytest.raises(ValueError):
             switch_branches(state, standard_pair(2))
 
+    @pytest.mark.parametrize("height", (1, 3, 64))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_stacked_kernels_equal_per_row_branches(self, n, height):
+        # the oracle runs the branch kernels on whole stacks of rows: every
+        # row, and every row sum, is the per-row branch and its norm, bit for bit
+        rng = np.random.default_rng(70 + n)
+        for _label, spec in spec_families(n):
+            rows = rng.random((height, spec.dim))
+            rows /= rows.sum(axis=1, keepdims=True)
+            stacked = (switch._plus_branch(rows, spec), switch._minus_branch(rows, spec))
+            per_row = zip(*(switch_branches(DiagonalState(row), spec) for row in rows))
+            for populations, branches in zip(stacked, per_row):
+                expected = np.stack([branch.populations for branch in branches])
+                assert populations.tobytes() == expected.tobytes()
+                norms = np.array([branch.norm for branch in branches])
+                assert populations.sum(axis=1).tobytes() == norms.tobytes()
+
+    def test_minus_kernel_returns_a_fresh_writable_row(self):
+        # the sampling chain divides a minus row in place, and the parent row
+        # it came from is read-only
+        spec = standard_pair(3)
+        row = np.linspace(1.0, 2.0, spec.dim)
+        row.setflags(write=False)
+        out = switch._minus_branch(row, spec)
+        assert out.flags.writeable
+        assert not np.shares_memory(out, row)
+        assert not np.shares_memory(out, spec.partner)
+        out /= 2.0
+        assert np.array_equal(row, np.linspace(1.0, 2.0, spec.dim))
+        assert out[0] == out[-1] == 0.0
+        assert out[1] == row[2] / 2.0
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(min_value=1, max_value=4),
@@ -231,8 +268,7 @@ class TestSwitchBranches:
         vec /= vec.sum()
         plus, minus = assert_branches_restore_the_input(spec, vec)
         rho = np.diag(vec).astype(complex)
-        for sign, branch in zip(SIGNS, (plus, minus)):
-            dense = switch_channel(rho, spec, sign)
+        for dense, branch in zip(switch_channel(rho, spec), (plus, minus)):
             assert np.abs(np.diag(dense).real - branch.populations).max() < 1e-14
 
 
