@@ -24,8 +24,6 @@ from .register import (
 
 DENSE_MATRIX_CAP = 12
 
-_TRANSFER_KINDS = ("full", "plus", "minus")
-
 
 class ConvergenceError(RuntimeError):
     """Iteration exhausted its step budget; carries the last iterate."""
@@ -40,38 +38,23 @@ class ConvergenceError(RuntimeError):
 class TransferMatrix:
     """Reduced-space linear map of one protocol round (``2**n x 2**n``).
 
-    ``kind`` is ``"full"`` for the unconditioned round and ``"plus"`` /
-    ``"minus"`` for a round conditioned on one control outcome.
+    ``entries`` is a square, power-of-two, nonnegative matrix, stored
+    read-only; a state's image is ``entries @ state.populations``.  Built by
+    :func:`build_transfer` for the unconditioned round and by
+    ``switch.branch_transfer`` for a round conditioned on one outcome.
     """
 
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in _TRANSFER_KINDS:
-            raise ValueError(f"kind must be one of {_TRANSFER_KINDS}, got {self.kind!r}")
         arr = np.array(self.entries, dtype=np.float64, copy=True)
         size = arr.shape[0] if arr.ndim == 2 else 0
         if arr.shape != (size, size) or size < 1 or size & (size - 1):
             raise ValueError(f"expected a square power-of-two shape, got {arr.shape}")
         if float(arr.min()) < 0.0:
             raise ValueError("transfer matrix entries must be nonnegative")
-        if self.kind == "full":
-            column_sums = arr.sum(axis=0)
-            if float(np.abs(column_sums - 1.0).max()) > 1e-12:
-                raise ValueError("full transfer matrix must be column-stochastic")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0].bit_length() - 1
-
-    def apply(self, state: ReducedState) -> ReducedState:
-        if state.n != self.n:
-            raise ValueError(f"state has n={state.n}, matrix has n={self.n}")
-        vec = self.entries @ state.populations
-        return ReducedState(vec)
 
 
 def _swap_interior(arr: np.ndarray) -> None:
@@ -128,7 +111,7 @@ def build_transfer(n: int, params: ThermalParams) -> TransferMatrix:
     matrix[inner, inner - 1] = excited
     matrix[inner, inner + 1] = ground
     matrix[size - 1, size - 2] = matrix[size - 1, size - 1] = excited
-    return TransferMatrix(matrix, "full")
+    return TransferMatrix(matrix)
 
 
 def fixed_point(n: int, params: ThermalParams) -> ReducedState:

@@ -276,9 +276,8 @@ def validation_checks(nmax: int, trials: int, seed: int) -> list[tuple[str, bool
 
     def gap(config, start):
         """Closed-form success probability against the plus norm of one round from ``start``."""
-        probability = success_probability(config)
         plus, _minus = run_round(start, config)
-        return abs(probability - plus.norm)
+        return abs(success_probability(config) - plus.norm)
 
     epsilons = (0.1, 0.5, 1.0)
     rows = iter(uniform_rows(seed, 0, 6 * len(epsilons), 2**6))  # one row per (eps, n <= 6)
@@ -301,7 +300,7 @@ def validation_checks(nmax: int, trials: int, seed: int) -> list[tuple[str, bool
             vec = next(rows)[: 2**n]
             vec /= vec.sum()
             state = ReducedState(vec)
-            direct = transfer.apply(state).populations
+            direct = transfer.entries @ state.populations
             matrix_free = _worst(
                 matrix_free, np.abs(direct - hbac_round(state, params).populations).max()
             )

@@ -123,10 +123,6 @@ class _Populations:
     def n(self) -> int:
         return self.populations.size.bit_length() - 1 - self.RESET_SLOTS
 
-    @property
-    def dim(self) -> int:
-        return self.populations.size
-
     def normalized(self):
         if self.norm <= 0.0:
             raise ValueError("cannot normalize a zero-norm state")

@@ -37,7 +37,6 @@ from .register import (
     _check_exponent,
     ground_state,
     make_thermal_params,
-    reduce,
     reset,
     thermal_full,
     thermal_reduced,
@@ -67,8 +66,6 @@ IDEAL = "ideal"
 PAIR_CHOICES = (STANDARD, IDEAL)
 
 INITIAL_SELECTORS = ("uniform", "thermal", "fixed-point")
-
-SUPPORT_TOLERANCE = 1e-12
 
 
 class MaxAttemptsError(RuntimeError):
@@ -314,71 +311,45 @@ def expected_trials(success_probability: float, desired: float) -> int:
 def run_round(
     state: DiagonalState | ReducedState, config: SchemeConfig
 ) -> tuple[DiagonalState, DiagonalState]:
-    """One protocol round: thermal reset (bath schemes only), then the switch split."""
+    """One protocol round: thermal reset (bath schemes only), then the switch split.
+
+    A bath scheme takes the reduced register (``ReducedState``), a bath-free
+    scheme the full register (``DiagonalState``); either kind elsewhere raises
+    ``TypeError``.
+    """
     spec = scheme_spec(config)
     if spec is None:
         raise ValueError("plain bath cooling has no switch round")
-    if config.scheme in BATH_SCHEMES:
-        reduced = reduce(state) if isinstance(state, DiagonalState) else state
-        if reduced.n != config.n:
-            raise ValueError(f"state has n={reduced.n}, config has n={config.n}")
-        lam = reset(reduced, config.params)
-    else:
-        if not isinstance(state, DiagonalState):
-            raise TypeError("bath-free schemes act on the full register")
-        if state.n != config.n:
-            raise ValueError(f"state has n={state.n}, config has n={config.n}")
-        lam = state
-    return switch_branches(lam, spec)
-
-
-def pi_pulse_correct(state: DiagonalState, measured_qubit_outcome: str) -> DiagonalState:
-    """Collapse a heralded extremal state to pure ground on the unmeasured qubits.
-
-    The reset-slot qubit is read out in the energy basis.  A ``"g"`` result
-    leaves the rest all ground; an ``"e"`` result leaves them all excited, and
-    the deterministic flip maps that to all ground.  The surviving register of
-    one fewer qubit is returned as a normalized pure ground state.
-    """
-    if measured_qubit_outcome not in ("g", "e"):
-        raise ValueError(f"outcome must be 'g' or 'e', got {measured_qubit_outcome!r}")
-    if state.n < 1:
-        raise ValueError("need at least two qubits to measure one away")
-    lam = state.populations
-    leak = float(lam[1:-1].sum())
-    if leak > SUPPORT_TOLERANCE * max(state.norm, 1e-300):
-        raise ValueError(
-            f"state is not supported on the two extremal labels (leak {leak:.3e})"
-        )
-    weight = lam[0] if measured_qubit_outcome == "g" else lam[-1]
-    if weight <= 0.0:
-        raise ValueError(f"measured outcome {measured_qubit_outcome!r} has zero probability")
-    return ground_state(state.n - 1)
+    bath = config.scheme in BATH_SCHEMES
+    if not isinstance(state, ReducedState if bath else DiagonalState):
+        raise TypeError(f"{config.scheme} acts on the {'reduced' if bath else 'full'} register")
+    if state.n != config.n:
+        raise ValueError(f"state has n={state.n}, config has n={config.n}")
+    return switch_branches(reset(state, config.params) if bath else state, spec)
 
 
 _SLICE = 1 << 14  # trajectories drawn together: bounds the kernel's temporaries (~5 MB)
 
 
 # kept out of sampling while bench/tracer.py reads schemes.sample_batch spans (ROADMAP D2)
-def sample_batch(chain, count: int, start_index: int = 0) -> np.ndarray:
+def sample_batch(chain, count: int) -> np.ndarray:
     """Draw ``count`` runs against ``chain``, a ``sampling.AttemptChain``, one stream per index.
 
-    Run ``i`` draws from the Philox stream keyed by
-    ``(chain.config.seed, start_index + i)``, so results are identical however
-    a batch is split.  Each run is one entry of the returned 1-D int64 array;
-    ``sampling`` says what the integer means.  A heralded run that exhausts
-    ``max_attempts``, or reaches a plus probability of exactly zero on a retry
-    that cannot raise it, raises :class:`MaxAttemptsError` for the lowest such
-    index.  Chain states are computed only up to the last attempt some run
-    reached.
+    Run ``i`` draws from the Philox stream keyed by ``(chain.config.seed, i)``,
+    so results are identical however the batch is sliced; ``chain.draw``
+    takes any other stream indices.  Each run is one entry of the returned
+    1-D int64 array; ``sampling`` says what the integer means.  A heralded
+    run that exhausts ``max_attempts``, or reaches a plus probability of
+    exactly zero on a retry that cannot raise it, raises
+    :class:`MaxAttemptsError` for the lowest such index.  Chain states are
+    computed only up to the last attempt some run reached.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     runs = np.empty(count, dtype=np.int64)
     for offset in range(0, count, _SLICE):
         end = min(offset + _SLICE, count)
-        streams = np.arange(start_index + offset, start_index + end, dtype=np.uint64)
-        runs[offset:end] = chain.draw(streams)
+        runs[offset:end] = chain.draw(np.arange(offset, end, dtype=np.uint64))
     return runs
 
 

@@ -183,4 +183,4 @@ def branch_transfer(
         src = np.flatnonzero(~spec.one_mask)
         weights = np.where(src % 2 == 0, ground, excited)
         np.add.at(matrix, (spec.partner[src] // 2, src // 2), weights)
-    return TransferMatrix(matrix, "plus" if sign == PLUS else "minus")
+    return TransferMatrix(matrix)

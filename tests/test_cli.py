@@ -714,6 +714,7 @@ class TestParsing:
         assert cli._fmt(1.0) == "1"
         assert cli._fmt(None) == ""
         assert cli._fmt(True) == "1"
+        assert cli._fmt(12) == "12"
 
 
 # SHA-256 of stdout, recorded before the output path was rewritten to stream:

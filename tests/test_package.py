@@ -32,7 +32,7 @@ def test_state_kinds_bind_their_own_post_init(name):
     [
         (ico_hbac.DiagonalState, ("populations", "norm")),
         (ico_hbac.ReducedState, ("populations", "norm")),
-        (ico_hbac.TransferMatrix, ("entries", "kind")),
+        (ico_hbac.TransferMatrix, ("entries",)),
         (ico_hbac.ThermalParams, ("epsilon",)),
         (oracle.CompareReport, ("max_offdiagonal", "by_case")),
     ],
@@ -119,8 +119,12 @@ def _names_read(tree: ast.Module):
             yield from (alias.name for alias in node.names)
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
 def test_every_private_module_name_is_read():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    trees = _trees()
     read = {name for tree in trees.values() for name in _names_read(tree)}
     unread = [
         f"{module}:{name}"
@@ -129,6 +133,53 @@ def test_every_private_module_name_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def _public_definitions(tree: ast.Module):
+    """``(label, name)`` of every public top-level function or class, and of
+    every public method or property of a top-level class (``Class.name``)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+# public names that no program code reads, each kept for a reason
+_KEPT_UNREAD = {
+    "cli.py:_Parser.error": "argparse calls it",
+    "hbac_core.py:iterate": "acceptance criterion 1 reproduces the fixed point with it",
+    "oracle.py:CompareReport.max_abs_deviation": "acceptance criterion 3 reads it",
+    "oracle.py:conjugate": "dense oracle reference",
+    "oracle.py:dense_from_diagonal": "dense oracle reference",
+    "oracle.py:dense_reset": "dense oracle reference",
+    "oracle.py:density_defects": "dense oracle reference",
+    "oracle.py:unitarity_defect": "dense oracle reference",
+}
+
+
+def test_every_public_name_is_read():
+    # API surface only tests reach is deleted with its tests, unless kept above;
+    # re-exports in __init__.py do not count as a read
+    trees = _trees()
+    read = {
+        name
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for name in _names_read(tree)
+    }
+    unread = [
+        f"{module}:{label}"
+        for module, tree in trees.items()
+        for label, name in _public_definitions(tree)
+        if name not in read
+    ]
+    assert sorted(unread) == sorted(_KEPT_UNREAD)
 
 
 _SMALL_RUN = "--scheme hbac-ico --n 3 --eps 0.5"

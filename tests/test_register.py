@@ -99,7 +99,7 @@ class TestStates:
             ):
                 cls([1.0] * size)
         smallest = cls([1.0] * minimum)
-        assert (smallest.n, smallest.dim) == (0, minimum)
+        assert (smallest.n, smallest.populations.size) == (0, minimum)
         assert type(smallest.normalized()) is cls
 
     def test_rejects_nan(self):

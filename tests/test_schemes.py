@@ -35,7 +35,6 @@ from ico_hbac.schemes import (
     expected_trials,
     final_state,
     initial_state,
-    pi_pulse_correct,
     plus_weight_vector,
     run_round,
     run_scheme,
@@ -274,11 +273,13 @@ class TestRunRound:
         with pytest.raises(ValueError):
             run_round(ReducedState(np.full(4, 0.25)), bath)
 
-    def test_accepts_full_state_for_bath_scheme(self):
-        config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5)
-        full = DiagonalState(np.full(8, 0.125))
-        plus, minus = run_round(full, config)
-        assert plus.norm + minus.norm == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("scheme,k", [(HBAC_ICO, None), (HBAC_KICO, 1)])
+    def test_rejects_full_state_for_bath_scheme(self, scheme, k):
+        # a bath scheme resets the reduced register itself: a full-register
+        # state is refused as a bath-free scheme refuses a reduced one
+        config = SchemeConfig(scheme=scheme, n=2, epsilon=0.5, k=k)
+        with pytest.raises(TypeError):
+            run_round(DiagonalState(np.full(8, 0.125)), config)
 
 
 def _minus_row(state: ReducedState, params, spec, rounds: int = 0) -> np.ndarray:
@@ -397,38 +398,9 @@ class TestMinusStep:
             chain.states[-1][0] = 0.0
 
 
-class TestPiPulse:
-    def test_both_outcomes_yield_pure_ground(self):
-        state = DiagonalState([0.8, 0.0, 0.0, 0.2])
-        for outcome in ("g", "e"):
-            out = pi_pulse_correct(state, outcome)
-            assert out.n == 0
-            assert out.norm == pytest.approx(1.0)
-            assert out.populations[0] == 1.0
-
-    def test_leak_guard(self):
-        vec = np.array([0.8, 1e-6, 0.0, 0.2 - 1e-6])
-        with pytest.raises(ValueError):
-            pi_pulse_correct(DiagonalState(vec), "g")
-
-    def test_zero_weight_outcome(self):
-        state = DiagonalState([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            pi_pulse_correct(state, "e")
-        assert pi_pulse_correct(state, "g").populations[0] == 1.0
-
-    def test_bad_outcome_label(self):
-        state = DiagonalState([0.8, 0.0, 0.0, 0.2])
-        with pytest.raises(ValueError):
-            pi_pulse_correct(state, "x")
-
-    def test_unnormalized_branch_state(self):
-        # typical use: an unnormalized plus branch straight from a round
-        config = SchemeConfig(scheme=HBAC_ICO, n=4, epsilon=0.5)
-        plus, _ = run_round(fixed_point(4, make_thermal_params(0.5)), config)
-        out = pi_pulse_correct(plus, "g")
-        assert out.n == 3
-        assert out.populations[0] == 1.0
+def _streams(start: int, stop: int) -> np.ndarray:
+    """Philox stream indices ``start .. stop - 1``, as ``AttemptChain.draw`` takes them."""
+    return np.arange(start, stop, dtype=np.uint64)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -470,10 +442,10 @@ def reference_walk(config: SchemeConfig, count: int, start_index: int = 0):
     return chain, runs
 
 
-def _sampled(config: SchemeConfig, count: int, start_index: int = 0):
+def _sampled(config: SchemeConfig, count: int):
     """(chain, [(trials_used, run)]) from ``sample_batch`` and ``AttemptChain.trials``."""
     chain = AttemptChain(config)
-    batch = sample_batch(chain, count, start_index=start_index)
+    batch = sample_batch(chain, count)
     return chain, [(chain.trials(run), run) for run in batch.tolist()]
 
 
@@ -555,8 +527,8 @@ class TestSampler:
 
     def test_fixed_seed_reproduces_trajectory(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.5, seed=11)
-        first = sample_batch(AttemptChain(config), 1, start_index=4)
-        second = sample_batch(AttemptChain(config), 1, start_index=4)
+        first = AttemptChain(config).draw(_streams(4, 5))
+        second = AttemptChain(config).draw(_streams(4, 5))
         assert first.tolist() == second.tolist()
         # two independently built chains hold the same states at every attempt
         chain_a, chain_b = AttemptChain(config), AttemptChain(config)
@@ -568,19 +540,28 @@ class TestSampler:
 
     def test_distinct_indices_are_independent(self):
         config = SchemeConfig(scheme=HBAC_ICO, n=2, epsilon=0.3, seed=11)
-        trials = [int(sample_batch(AttemptChain(config), 1, start_index=i)[0]) for i in range(200)]
+        trials = [int(AttemptChain(config).draw(_streams(i, i + 1))[0]) for i in range(200)]
         assert len(set(trials)) > 1
+
+    def test_batch_run_i_draws_stream_i(self):
+        # sample_batch is AttemptChain.draw over streams 0 .. count - 1
+        for config in (
+            SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, seed=5),
+            SchemeConfig(scheme=ICO_TREE_SORT, n=4, epsilon=0.5, seed=5),
+        ):
+            batch = sample_batch(AttemptChain(config), 40)
+            assert batch.tolist() == AttemptChain(config).draw(_streams(0, 40)).tolist()
 
     def test_batch_matches_individual_sampling(self):
         config = SchemeConfig(scheme=HBAC_KICO, n=3, epsilon=0.4, k=2, seed=3, repump_rounds=2)
         chain = AttemptChain(config)
         batch = sample_batch(chain, 50)
-        singles = [int(sample_batch(AttemptChain(config), 1, start_index=i)[0]) for i in range(50)]
+        singles = [int(AttemptChain(config).draw(_streams(i, i + 1))[0]) for i in range(50)]
         assert batch.tolist() == singles
         split = np.concatenate(
             [
                 sample_batch(AttemptChain(config), 20),
-                sample_batch(AttemptChain(config), 30, start_index=20),
+                AttemptChain(config).draw(_streams(20, 50)),
             ]
         )
         assert split.tolist() == batch.tolist()
@@ -595,7 +576,11 @@ class TestSampler:
             SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, seed=9),
             SchemeConfig(scheme=ICO_TREE_SORT, n=6, epsilon=0.5, seed=9),
         ):
-            assert _sampled(config, 100, start_index=3)[1] == reference_walk(config, 100, 3)[1]
+            assert _sampled(config, 100)[1] == reference_walk(config, 100)[1]
+            # streams 3 .. 102 in one draw: the same runs as the walk from index 3
+            chain = AttemptChain(config)
+            runs = chain.draw(_streams(3, 103)).tolist()
+            assert [(chain.trials(run), run) for run in runs] == reference_walk(config, 100, 3)[1]
 
     def test_empirical_round_success_matches_branch_norm(self):
         # at every round of the deterministic retry chain, the empirical
@@ -780,7 +765,7 @@ class TestSampler:
         config = SchemeConfig(scheme=ICO_TREE_SORT, n=n, epsilon=0.5, seed=21)
         chain = AttemptChain(config)
         for index in range(20):
-            code = int(sample_batch(AttemptChain(config), 1, start_index=index)[0])
+            code = int(AttemptChain(config).draw(_streams(index, index + 1))[0])
             # the outcome of each level, 1 for plus, after the leading 1 bit
             outcomes = [int(bit) for bit in bin(code)[3:]]
             state = initial_state(config).normalized().populations
@@ -893,13 +878,30 @@ class TestRunScheme:
         assert 1.0 - (1.0 - probability) ** (m - 1) < 0.99
 
     def test_final_state_purity_after_pi_pulse(self):
-        # the heralded branch itself collapses to the reported pure final state
+        # the heralded branch sits on the two extremal labels only, so reading
+        # the reset slot (and a pi-pulse after "e") leaves the reported final
+        # state: the surviving qubits pure ground
         config = SchemeConfig(scheme=HBAC_ICO, n=4, epsilon=0.5)
         plus, _ = run_round(fixed_point(4, make_thermal_params(0.5)), config)
-        corrected = pi_pulse_correct(plus.normalized(), "e")
+        populations = plus.normalized().populations
+        assert float(populations[1:-1].sum()) == 0.0
+        assert populations[0] > 0.0 and populations[-1] > 0.0
         final = final_state(config)
-        assert corrected.n == final.n
-        assert np.array_equal(corrected.populations, final.populations)
+        assert np.array_equal(final.populations, ground_state(3).populations)
+        assert abs(final.populations[0] - 1.0) < 1e-12
+        assert float(final.populations[1:].sum()) < 1e-12
+
+    @pytest.mark.parametrize("outcome", ["g", "e"])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_either_slot_reading_leaves_the_final_state(self, n, outcome):
+        # reading the top qubit of the heralded branch finds every other qubit
+        # in the same level, so "g", or "e" then a pi-pulse on each survivor
+        # (label x -> 2**n - 1 - x), leaves exactly the final state run reports
+        config = SchemeConfig(scheme=HBAC_ICO, n=n, epsilon=0.5)
+        plus, _ = run_round(fixed_point(n, make_thermal_params(0.5)), config)
+        ground_half, excited_half = plus.normalized().populations.reshape(2, -1)
+        survivors = ground_half if outcome == "g" else excited_half[::-1]
+        assert np.array_equal(survivors / survivors.sum(), final_state(config).populations)
 
     def test_k_switch_heralded_qubits_are_ground(self):
         # conditioned on plus, all support sits in the first 2**k labels, so
@@ -911,7 +913,7 @@ class TestRunScheme:
                 populations = plus.normalized().populations
                 assert float(populations[2**k :].sum()) == 0.0
                 final = final_state(config)
-                assert final.dim == 2 ** (n + 1 - k)
+                assert final.populations.size == 2 ** (n + 1 - k)
                 assert final.populations[0] == 1.0
 
 
