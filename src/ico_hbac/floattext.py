@@ -1,7 +1,8 @@
 """Exact ``format(x, ".17g")`` text for blocks of floats: the CSV float kernel.
 
-``float_rows`` renders each row of a 2-D float array as its entries'
-``.17g`` texts joined by ``|``, with elementwise numpy over the whole block.
+``float_rows`` renders each row of a 2-D array of finite, non-negative
+floats (register populations) as its entries' ``.17g`` texts joined by
+``|``, with elementwise numpy over the whole block.
 Each entry's 17 significant digits come from a 128-bit product with a 64-bit
 power of ten, rounded half to even (the fixed-precision method of Adams,
 "Ryu revisited: printf floating point conversion", OOPSLA 2019); an entry
@@ -16,7 +17,6 @@ fixed-width records.  The tables are built on first use, not at import.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -90,27 +90,22 @@ def _frame_table():
     return np.frombuffer("".join(frame.ljust(16, "\0") for frame in frames).encode(), dtype="V16")
 
 
-def _decimal_digits(values, positive=False):
-    """``(N, X)``: ``|x|`` is ``N * 10**(X - 16)`` to 17 significant digits, ties to even.
+def _decimal_digits(values):
+    """``(N, X)``: ``x`` is ``N * 10**(X - 16)`` to 17 significant digits, ties to even.
 
-    Zero and non-finite entries get ``N = X = 0``; ``positive`` says there are
-    none, and no negative entries either.  A finite nonzero ``|x|`` is
-    ``m * 2**(e - 64)`` with ``2**63 <= m < 2**64``.  ``X`` is estimated as
-    ``floor(log10|x|)``, and ``N`` is read from the high word of the 128-bit
-    product of ``m`` and ``10**(16 - X)`` from ``_power_of_ten``, formed from
-    32-bit halves.  That word is within half a unit of the exact product, and
-    exact when the power is.  An entry this cannot decide takes ``N`` and
-    ``X`` from ``'%.16e' % |x|``, the same correctly rounded digits: its
-    fraction lies within that error of one half, or ``N`` before rounding is
-    outside ``[10**16, 10**17 - 1)`` (the estimate of ``X`` was one off, or
-    rounding may carry it to ``10**17``).
+    Every entry is finite and non-negative; zeros get ``N = X = 0``.  A
+    nonzero ``x`` is ``m * 2**(e - 64)`` with ``2**63 <= m < 2**64``.  ``X``
+    is estimated as ``floor(log10 x)``, and ``N`` is read from the high word
+    of the 128-bit product of ``m`` and ``10**(16 - X)`` from
+    ``_power_of_ten``, formed from 32-bit halves.  That word is within half a
+    unit of the exact product, and exact when the power is.  An entry this
+    cannot decide takes ``N`` and ``X`` from ``'%.16e' % x``, the same
+    correctly rounded digits: its fraction lies within that error of one
+    half, or ``N`` before rounding is outside ``[10**16, 10**17 - 1)`` (the
+    estimate of ``X`` was one off, or rounding may carry it to ``10**17``).
     """
-    if positive:
-        magnitude = safe = values
-    else:
-        magnitude = np.abs(values)
-        nonzero = np.isfinite(magnitude) & (magnitude != 0.0)
-        safe = np.where(nonzero, magnitude, 1.0)
+    nonzero = values != 0.0
+    safe = np.where(nonzero, values, 1.0)
     fraction, binary = np.frexp(safe)
     decimal = np.floor(np.log10(safe)).astype(np.int64)
     p_low, p_high, drop, exact = (column.take(decimal + 324) for column in _power_of_ten())
@@ -148,10 +143,9 @@ def _decimal_digits(values, positive=False):
     undecided = (rest + (low >> np.uint64(63)) == half) & ~exact
     outside = (truncated - np.uint64(10**16)) >= np.uint64(9 * 10**16 - 1)
     fallback = np.flatnonzero(outside | undecided)
-    if not positive:
-        digits *= nonzero
+    digits *= nonzero
     # each text is d.dddddddddddddddde±XX[X]
-    texts = ["%.16e" % value for value in magnitude[fallback].tolist()]
+    texts = ["%.16e" % value for value in values[fallback].tolist()]
     digits[fallback] = [int(text[0] + text[2:18]) for text in texts]
     decimal[fallback] = [int(text[19:]) for text in texts]
     return digits, decimal
@@ -189,7 +183,13 @@ def _ascii_digits(digits):
 
 
 def float_rows(block) -> list[str]:
-    """Each row of the 2-D float array ``block`` as ``"|".join(format(x, ".17g") for x in row)``."""
+    """Each row of the 2-D float array ``block`` as ``"|".join(format(x, ".17g") for x in row)``.
+
+    Every entry must be finite with its sign bit clear, as a population is:
+    any other entry raises ``ValueError``.
+    """
+    if np.signbit(block).any() or not np.isfinite(block).all():
+        raise ValueError("float_rows renders finite, non-negative floats only")
     # the rows are decoded once the kernel's temporaries are freed, so these
     # long-lived strings reuse the memory the temporaries leave instead of
     # growing the heap past it
@@ -208,58 +208,40 @@ def _float_record(block):
     Every step is elementwise numpy over the block.  ``_decimal_digits``
     gives each entry's 17 digits and decimal exponent ``X``, and
     ``_ascii_digits`` their ASCII text.  Each entry then becomes a record of
-    bytes, one row per byte: a sign; ``0.000`` up to the first digit when
+    bytes, one row per byte: ``0.000`` up to the first digit when
     ``-4 <= X < 0``; the digits, with the dot after ``X + 1`` of them (after
     one in exponent form) and without trailing zeros or a bare dot; ``e±XX[X]``
-    when ``X < -4`` or ``X >= 17``; ``nan`` or ``inf`` instead of the digits;
-    then a ``|``, or a newline at the end of a row.  Rows that no entry of the
-    block uses are left out: the sign and non-finite passes run only when an
-    entry is not finite and positive, and the prefix and exponent bytes come
-    from ``_frame_table`` only where an entry has them.  ``float_rows`` then
-    drops the NULs with one ``bytes.translate``.
+    when ``X < -4`` or ``X >= 17``; then a ``|``, or a newline at the end of
+    a row.  The prefix and exponent bytes come from ``_frame_table``, and
+    only the rows that some entry of the block uses are kept.
+    ``float_rows`` then drops the NULs with one ``bytes.translate``.
     """
     values = block.ravel()
     size = values.size
-    positive = size > 0 and 0.0 < values.min() and values.max() < math.inf
-    digits, decimal = _decimal_digits(values, positive)
+    digits, decimal = _decimal_digits(values)
     ascii_digits, keep = _ascii_digits(digits)
     del digits
     frame = _frame_table().take(decimal + 324).view(np.uint8).reshape(size, 16)
     del decimal
     before_dot = frame[:, 10]
     np.maximum(keep, before_dot, out=keep)
-    special = not positive and not np.isfinite(values).all()  # some entry is nan or infinite
-    if special:
-        keep *= np.isfinite(values)
     has_dot = (keep > before_dot) & (before_dot > 0)
     dot = before_dot + (17 - before_dot) * ~has_dot  # 17: no dot
     ascii_digits[1:18] *= np.arange(17, dtype=np.uint8)[:, None] < keep
 
     # the frame bytes some entry uses: prefix, then e, sign and exponent digits
     seen = [np.bitwise_or.reduce(word) for word in frame.view(np.uint64).T]
-    seen = np.array(seen).view(np.uint8)
-    if special:
-        seen[:3] = 1  # nan and inf take the first three prefix bytes
-    used = np.flatnonzero(seen[:10])
+    used = np.flatnonzero(np.array(seen).view(np.uint8)[:10])
     prefix, suffix = used[used < 5], used[used >= 5]
-    negative = None if positive else np.signbit(values) & ~np.isnan(values)
-    sign = int(not positive and negative.any())
-    record = np.empty((sign + prefix.size + 18 + suffix.size + 1, size), dtype=np.uint8)
-    if sign:
-        np.multiply(negative, np.uint8(ord("-")), out=record[0])
-    record[sign : sign + prefix.size] = frame[:, prefix].T
+    record = np.empty((prefix.size + 18 + suffix.size + 1, size), dtype=np.uint8)
+    record[: prefix.size] = frame[:, prefix].T
     # body column c holds digit c before the dot and digit c - 1 after it
-    body = record[sign + prefix.size : sign + prefix.size + 18]
+    body = record[prefix.size : prefix.size + 18]
     np.subtract(ascii_digits[1:], ascii_digits[:-1], out=body)
     body *= np.arange(18, dtype=np.uint8)[:, None] < dot
     body += ascii_digits[:-1]
     body[dot, np.arange(size)] = has_dot * np.uint8(ord("."))
-    record[sign + prefix.size + 18 : -1] = frame[:, suffix].T
-    if special:
-        nan, finite = np.isnan(values), np.isfinite(values)
-        for offset, (in_nan, in_inf) in enumerate(zip(b"nan", b"inf")):
-            cell = record[sign + offset]
-            cell[...] = np.where(finite, cell, np.where(nan, in_nan, in_inf))
+    record[prefix.size + 18 : -1] = frame[:, suffix].T
     record[-1] = ord("|")
     record[-1, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
     return record

@@ -98,8 +98,9 @@ class _Populations:
             raise ValueError(f"populations must be one-dimensional, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("populations contains non-finite entries")
-        if arr.size and float(arr.min()) < 0.0:
+        if arr.size and arr.min() < 0.0:
             raise ValueError("populations contains negative entries")
+        arr += 0.0  # -0.0 becomes 0.0, in place: no population carries a sign
         size, minimum = arr.size, 2**self.RESET_SLOTS
         if size < minimum or size & (size - 1):
             raise ValueError(

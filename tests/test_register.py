@@ -102,6 +102,14 @@ class TestStates:
         assert (smallest.n, smallest.populations.size) == (0, minimum)
         assert type(smallest.normalized()) is cls
 
+    @pytest.mark.parametrize("cls", [DiagonalState, ReducedState])
+    def test_negative_zero_is_stored_as_zero(self, cls):
+        given = np.array([0.5, -0.0, 0.25, 0.25])
+        state = cls(given)
+        assert not np.signbit(state.populations).any()
+        assert np.array_equal(state.populations, given)
+        assert np.signbit(given[1])  # the caller's array is left as it was
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             ReducedState([0.5, math.nan])

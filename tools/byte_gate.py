@@ -1,0 +1,123 @@
+"""Byte gate: the CLI's output bytes from two source trees, command by command.
+
+    python3 tools/byte_gate.py PARENT_SRC CHANGE_SRC
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are the ``src`` directories of two
+checkouts.  Every command of ``matrix()`` runs as a fresh
+``python3 -m ico_hbac.cli`` process from each tree, the trees in alternating
+order (the parent first on even commands), once writing to stdout and once
+with ``--output``.  For each command the gate compares the exit code, the
+SHA-256 of stdout, the ``--output`` bytes and the last line of stderr.  It
+prints every command whose results differ, then a count, and exits 1 if any
+differs.  The commands run in a temporary directory holding the pinned
+configs of ``tests/test_cli.py``, which also gives the pinned commands.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_SCHEME_SIZES = range(1, 7)
+_SEEDS = (1, 2, 3)
+
+
+def _scheme_variants(n: int):
+    """The scheme arguments ``sample`` and ``run`` take at ``n``: every scheme, and its pairs and ``k``."""
+    yield "--scheme", "hbac", "--eps", "0.5"
+    yield "--scheme", "hbac-ico", "--eps", "0.5"
+    yield "--scheme", "ico-alone"
+    yield "--scheme", "ico-alone", "--eps", "0.3", "--pair", "ideal"
+    yield "--scheme", "ico-tree-sort", "--eps", "0.5"
+    yield "--scheme", "hbac-kico", "--k", "1", "--eps", "0.5", "--repump-rounds", "1"
+    yield "--scheme", "hbac-kico", "--k", str(n), "--eps", "0.5"
+
+
+@functools.cache
+def _test_cli():
+    """``tests/test_cli.py``, which holds ``_PINNED_STDOUT`` and the ``_PINNED_CONFIGS`` they read."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import test_cli
+
+    return test_cli
+
+
+def _workload_commands():
+    sys.path.insert(0, str(ROOT))
+    from bench import workloads
+
+    for name in workloads.SIZES:
+        for seed in _SEEDS:
+            yield from (command.argv for command in workloads.build(name, seed).commands)
+
+
+def matrix() -> list[tuple[str, ...]]:
+    """Every command the gate runs, once each, in order."""
+    commands = [tuple(argv.split()) for argv, _digest in _test_cli()._PINNED_STDOUT]
+    commands += _workload_commands()
+    for n in _SCHEME_SIZES:
+        for fmt in ("csv", "json"):
+            for variant in _scheme_variants(n):
+                size = ("--n", str(n), *variant, "--format", fmt)
+                commands.append(("sample", *size, "--trials", "20", "--seed", "1"))
+                commands.append(("run", *size, "--desired-success", "0.9"))
+            commands.append(("fixed-point", "--n", str(n), "--eps", "0.5", "--format", fmt))
+            commands.append(("table1", "--n", str(n), "--eps", "0.5", "--k", "1", "--format", fmt))
+    for nmax in _SCHEME_SIZES:
+        commands += [("validate", "--nmax", str(nmax), "--seed", str(seed)) for seed in _SEEDS]
+    # a chain whose plus probability is exactly 0 from attempt 2 on, at the default --max-attempts
+    stuck = ("--scheme", "hbac-kico", "--n", "4", "--k", "2", "--eps", "0.5")
+    commands.append(("sample", *stuck, "--trials", "100", "--seed", "1"))
+    return list(dict.fromkeys(commands))
+
+
+def _outcome(src: str, argv: tuple[str, ...], workdir: Path) -> tuple:
+    """Exit code, stdout SHA-256 and last stderr line of ``argv``, then the same with ``--output``."""
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    output = workdir / "output.bin"
+    results = []
+    for extra in ((), ("--output", str(output))):
+        output.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ico_hbac.cli", *argv, *extra],
+            cwd=workdir, env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=600,
+        )
+        lines = proc.stderr.decode(errors="replace").splitlines()
+        results += [proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), lines[-1] if lines else ""]
+    written = hashlib.sha256(output.read_bytes()).hexdigest() if output.exists() else None
+    return (*results, written)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/byte_gate.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    trees = [str(Path(tree).resolve()) for tree in argv]
+    commands = matrix()
+    differ = 0
+    with tempfile.TemporaryDirectory() as directory:
+        workdir = Path(directory)
+        for name, config in _test_cli()._PINNED_CONFIGS.items():
+            (workdir / name).write_text(json.dumps(config))
+        for index, command in enumerate(commands):
+            order = trees if index % 2 == 0 else trees[::-1]
+            results = {tree: _outcome(tree, command, workdir) for tree in order}
+            parent, change = (results[tree] for tree in trees)
+            if parent != change:
+                differ += 1
+                print(" ".join(command))
+                print(f"  parent: {parent}\n  change: {change}")
+    print(f"{len(commands)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
