@@ -15,7 +15,9 @@ line is its cells joined by commas.  JSON mirrors the same data as structured
 objects with stable key order, with the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)`` plus a newline; ``jsontext.json_chunks``
 streams it, numpy vectors a slice at a time.  ``sample`` renders each
-distinct chain state once, before the output opens, in either format.  Each of its CSV
+distinct chain state once, before the output opens, in either format, and
+once the draw is done it swaps the chain's rows for their text a kernel
+slice at a time, so rows and texts are never all held at once.  Each of its CSV
 attempt lines is a cached ``pre`` (``head,round,outcome,probability,``), the
 trajectory index and a cached ``tail`` (``,state`` and CRLF), both built once
 per chain key and joined by one ``str.join`` per attempt.  Output of either
@@ -97,18 +99,23 @@ _FLOAT_SLICE = 4096
 
 
 def _join_states(vectors: list) -> list[str]:
-    """Each 1-D vector of one length as its ``.17g`` floats pipe-joined, several per kernel call."""
+    """Swap each 1-D vector of one length in ``vectors`` for its ``.17g`` floats pipe-joined.
+
+    Several vectors go to each kernel call, or one vector to several calls
+    when it is longer than a slice.  Each call's vectors leave the list as
+    soon as their text exists, so it never holds every vector beside every
+    text.  Returns ``vectors``, which then holds the texts.
+    """
     size = vectors[0].size
-    if size > _FLOAT_SLICE:  # one kernel call per slice of each state
-        cuts = [slice(start, start + _FLOAT_SLICE) for start in range(0, size, _FLOAT_SLICE)]
-        return ["|".join(_float_rows(state[None, cut])[0] for cut in cuts) for state in vectors]
-    per_call = _FLOAT_SLICE // size
+    per_call = max(1, _FLOAT_SLICE // size)
     block = np.empty((min(per_call, len(vectors)), size))  # refilled for every call
-    rows = []
     for start in range(0, len(vectors), per_call):
-        part = vectors[start : start + per_call]
-        rows += _float_rows(np.stack(part, out=block[: len(part)]))
-    return rows
+        part = np.stack(vectors[start : start + per_call], out=block[: len(vectors) - start])
+        pieces = [
+            _float_rows(part[:, cut : cut + _FLOAT_SLICE]) for cut in range(0, size, _FLOAT_SLICE)
+        ]
+        vectors[start : start + per_call] = map("|".join, zip(*pieces))
+    return vectors
 
 
 def _json_float(value):
@@ -414,22 +421,24 @@ def cmd_sample(args) -> int:
     want_json = spec["format"] == "json"
 
     # trajectories share the chain's states, so each is rendered once, before
-    # the output opens (for CSV several states per kernel call)
+    # the output opens (for CSV several states per kernel call); each row is
+    # swapped for its text in place, so rows and texts are never all held
+    texts = chain.release()
     if want_json:
         from .jsontext import json_text
 
-        texts = [json_text(row, _SAMPLE_STATE_DEPTH) for row in chain.states]
+        for node, row in enumerate(texts):
+            texts[node] = json_text(row, _SAMPLE_STATE_DEPTH)
     else:
         # a CSV attempt line is pre + trajectory index + tail, with pre
         # ``head,round,outcome,probability,`` and tail ``,state\r\n``, built
         # once per (round, outcome, node); a run holds references to them
-        tails = _join_states(chain.states)
-        for node, text in enumerate(tails):  # in place: one copy of a state's text at a time
-            tails[node] = f",{text}\r\n"
+        for node, text in enumerate(_join_states(texts)):  # one copy of a text at a time
+            texts[node] = f",{text}\r\n"
 
         @functools.cache
         def pair(number, outcome, node):
-            return f"{head},{number},{outcome},{_fmt(chain.probabilities[node])},", tails[node]
+            return f"{head},{number},{outcome},{_fmt(chain.probabilities[node])},", texts[node]
 
         @functools.cache
         def halves_of(run):

@@ -13,6 +13,8 @@ for every unresolved run at once, in counter blocks of four uniforms.  Only
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .hbac_core import _round_raw, fixed_point
@@ -56,7 +58,9 @@ class AttemptChain:
     The state an attempt sees depends only on the outcomes before it, so each
     distinct state is computed once, on first use, and kept once in
     ``states`` as a read-only float64 row of populations (its plus
-    probability in ``probabilities``).  A position is an int:
+    probability in ``probabilities``).  Once the draw is done, ``sample``
+    takes the rows with :meth:`release` and swaps each for its text, so the
+    chain then hands out no row.  A position is an int:
 
     * for heralded schemes, the 1-based attempt number along the
       deterministic failure chain (every earlier outcome was a minus); each
@@ -78,10 +82,12 @@ class AttemptChain:
         self.absorbing = config.scheme == ICO_ALONE or (
             config.scheme == HBAC_KICO and config.repump_rounds == 0
         )
-        self.states: list[np.ndarray] = []
+        self.states: list = []  # float64 rows, then their text once released
         self.probabilities: list[float] = []
+        self._released = False
         if config.scheme == ICO_TREE_SORT:
-            self._level_specs: dict[int, BlockUnitarySpec] = {}
+            # the cascade level's block spec, built on first use
+            self._level_spec = functools.cache(functools.partial(tree_pair, config.n))
             self._tree: dict[int, int] = {}  # prefix code -> index into states
             return
         if config.scheme == HBAC:
@@ -98,8 +104,21 @@ class AttemptChain:
 
     def at(self, position: int) -> tuple[np.ndarray, float]:
         """(pre-measurement populations, plus probability) at a chain position."""
+        self._require_rows()
         index = self._node(position)
         return self.states[index], self.probabilities[index]
+
+    def release(self) -> list:
+        """``states``, handed over so that each row can be swapped for its text in place.
+
+        ``sample`` calls this once the draw is done, and drops each row as
+        soon as its text exists, so rows and texts are never all held at
+        once.  The chain still decodes runs and keeps its probabilities, but
+        from then on :meth:`at` raises ``RuntimeError``, and so does any
+        position past the rows it held.
+        """
+        self._released = True
+        return self.states
 
     def draw(self, streams: np.ndarray) -> np.ndarray:
         """The run of each Philox stream index in ``streams``, as int64."""
@@ -114,15 +133,19 @@ class AttemptChain:
         """
         if self.config.scheme == ICO_TREE_SORT:
             signs = bin(run)[3:].replace("1", PLUS).replace("0", MINUS)
-            nodes = [self._node(run >> shift) for shift in range(run.bit_length() - 1, 0, -1)]
+            positions = [run >> shift for shift in range(run.bit_length() - 1, 0, -1)]
         else:
             signs = MINUS * (run - 1) + PLUS
-            nodes = [0] * run if self.config.scheme == ICO_ALONE else range(self._node(run) + 1)
-        return zip(range(1, len(signs) + 1), signs, nodes)
+            positions = range(1, run + 1)
+        return zip(range(1, len(signs) + 1), signs, map(self._node, positions))
 
     def trials(self, run: int) -> int:
         """Trials a run used: a tree-sort run applies every level in one."""
         return 1 if self.config.scheme == ICO_TREE_SORT else run
+
+    def _require_rows(self) -> None:
+        if self._released:
+            raise RuntimeError("the chain released its rows to be rendered; it holds their text")
 
     def _add(self, row: np.ndarray) -> None:
         row.setflags(write=False)
@@ -136,6 +159,7 @@ class AttemptChain:
         if self.config.scheme == ICO_ALONE:
             return 0  # every retry re-prepares the input
         while len(self.states) < position:
+            self._require_rows()
             self._add(_minus_step(self.states[-1], *self._step))
         return position - 1
 
@@ -144,6 +168,7 @@ class AttemptChain:
         if index is None:
             if not 1 <= code < 2**self.config.n:
                 raise ValueError(f"a prefix code is in [1, {2**self.config.n}), got {code}")
+            self._require_rows()
             level = code.bit_length() - 1
             if level:
                 parent = self.states[self._tree_node(code >> 1)]
@@ -163,12 +188,6 @@ class AttemptChain:
             # the plus branch's norm, by the same float operations
             self.probabilities.append(float(_plus_branch(row, self._level_spec(level)).sum()))
         return index
-
-    def _level_spec(self, level: int) -> BlockUnitarySpec:
-        """The cascade level's block spec, built on first use."""
-        if level not in self._level_specs:
-            self._level_specs[level] = tree_pair(self.config.n, level)
-        return self._level_specs[level]
 
 
 # Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11), as

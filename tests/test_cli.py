@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,10 @@ import ico_hbac.cli as cli
 import ico_hbac.floattext as floattext
 import ico_hbac.jsontext as jsontext
 import ico_hbac.oracle as oracle
+import ico_hbac.sampling as sampling
 from ico_hbac.hbac_core import fixed_point
 from ico_hbac.register import make_thermal_params
+from ico_hbac.schemes import SchemeConfig, sample_batch
 from ico_hbac.switch import standard_pair
 
 
@@ -341,6 +344,36 @@ class TestRejectionBeforeAllocation:
         assert (code, out) == (2, "")
         assert err == "error: hbac takes no initial state: it converges from any start\n"
         assert peak < 2**20
+
+
+class TestSampleMemory:
+    """``sample`` drops each chain row once its text exists, so rows and texts are never all held."""
+
+    # traced bytes beyond the texts and one kernel slice of rows: for CSV the
+    # float kernel's temporaries (about 0.4 MiB), the draw and the output
+    # chunks; for JSON the encoder's pieces and the output chunks
+    @pytest.mark.parametrize("fmt,trials,slack", [("csv", 20, 1.5), ("json", 3, 0.6)])
+    def test_peak_is_the_texts_and_one_slice_of_rows(self, capsys, tmp_path, fmt, trials, slack):
+        args = ["--n", "10", "--eps", "0.05", "--trials", str(trials), "--seed", "1"]
+        target = tmp_path / f"out.{fmt}"
+        code, out, err, peak = run_traced(
+            capsys, "sample", "--scheme", "hbac-ico", *args, "--format", fmt, "--output", str(target)
+        )
+        assert (code, out, err) == (0, "", "")
+        chain = sampling.AttemptChain(SchemeConfig(scheme="hbac-ico", n=10, epsilon=0.05, seed=1))
+        sample_batch(chain, trials)
+        rows = list(chain.states)
+        if fmt == "csv":
+            texts = cli._join_states(list(rows))
+            per_slice = cli._FLOAT_SLICE // rows[0].size
+        else:
+            texts = [jsontext.json_text(row, cli._SAMPLE_STATE_DEPTH) for row in rows]
+            per_slice = 1
+        text_bytes = sum(map(sys.getsizeof, texts))
+        bound = text_bytes + per_slice * rows[0].nbytes + slack * 2**20
+        # every row held beside every text would break the bound on its own
+        assert text_bytes + sum(row.nbytes for row in rows) > bound
+        assert peak <= bound
 
 
 class TestSampleCommand:
@@ -1419,7 +1452,17 @@ class TestFloatKernel:
 
     def test_states_longer_than_a_slice(self):
         vectors = [_vector(cli._FLOAT_SLICE + 5, seed) for seed in range(3)]
-        assert cli._join_states(vectors) == ["|".join(_texts(vector)) for vector in vectors]
+        expected = ["|".join(_texts(vector)) for vector in vectors]
+        # the vectors are swapped for their texts in the list they came in
+        assert cli._join_states(vectors) is vectors
+        assert vectors == expected
+
+    @pytest.mark.parametrize("size", [1, 7, cli._FLOAT_SLICE // 3, cli._FLOAT_SLICE])
+    def test_states_are_swapped_for_text_in_place(self, size):
+        vectors = [_vector(size, seed) for seed in range(2 * cli._FLOAT_SLICE // size + 3)]
+        expected = ["|".join(_texts(vector)) for vector in vectors]
+        assert cli._join_states(vectors) is vectors
+        assert vectors == expected
 
     @pytest.mark.parametrize("bad", [-1.0, -0.0, math.nan, math.inf, -math.inf])
     def test_entries_that_are_not_populations_raise(self, bad):

@@ -835,6 +835,61 @@ class TestSampler:
         assert np.abs(second_row - plain.populations).max() < 1e-14
 
 
+def _released(config: SchemeConfig, count: int):
+    """A drawn chain, its runs and their attempts, released with its rows swapped for text."""
+    chain = AttemptChain(config)
+    runs = sample_batch(chain, count).tolist()
+    attempts = {run: list(chain.attempts(run)) for run in runs}
+    probabilities = list(chain.probabilities)
+    rows = chain.release()
+    assert rows is chain.states
+    rows[:] = [f"text {node}" for node in range(len(rows))]  # as ``sample`` renders them
+    assert chain.probabilities == probabilities
+    return chain, runs, attempts
+
+
+class TestReleasedChain:
+    """After ``release`` the chain's list holds text: it hands out no row and grows no further."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(scheme=HBAC_ICO, epsilon=0.5),
+            dict(scheme=HBAC_KICO, epsilon=0.5, k=1, repump_rounds=1),
+            dict(scheme=ICO_ALONE, epsilon=0.5),
+        ],
+        ids=lambda case: case["scheme"],
+    )
+    def test_heralded_chain(self, case):
+        chain, runs, attempts = _released(SchemeConfig(n=3, seed=1, **case), 20)
+        held = len(chain.states)
+        for position in (1, max(runs), max(runs) + 1):
+            with pytest.raises(RuntimeError, match="released its rows"):
+                chain.at(position)
+        # runs still decode to the nodes they reached, and nothing was added
+        assert {run: list(chain.attempts(run)) for run in runs} == attempts
+        if case["scheme"] != ICO_ALONE:  # the bath-free retry never adds a row
+            with pytest.raises(RuntimeError, match="released its rows"):
+                list(chain.attempts(held + 1))
+        with pytest.raises(RuntimeError, match="released its rows"):
+            sample_batch(chain, 20)
+        assert len(chain.states) == len(chain.probabilities) == held
+
+    def test_tree_sort(self):
+        n = 4
+        chain, runs, attempts = _released(SchemeConfig(scheme=ICO_TREE_SORT, n=n, seed=1), 5)
+        held = len(chain.states)
+        reached = {run >> shift for run in runs for shift in range(1, n + 1)}
+        unreached = min(set(range(2 ** (n - 1), 2**n)) - reached)  # five runs miss a last-level prefix
+        for code in (1, max(reached), unreached):
+            with pytest.raises(RuntimeError, match="released its rows"):
+                chain.at(code)
+        assert {run: list(chain.attempts(run)) for run in runs} == attempts
+        with pytest.raises(RuntimeError, match="released its rows"):
+            list(chain.attempts(2 * unreached))
+        assert len(chain.states) == len(chain.probabilities) == held
+
+
 class TestRunScheme:
     def test_resource_rows(self):
         n, eps, k = 4, 0.3, 2

@@ -73,6 +73,13 @@ def matrix() -> list[tuple[str, ...]]:
             commands.append(("table1", "--n", str(n), "--eps", "0.5", "--k", "1", "--format", fmt))
     for nmax in _SCHEME_SIZES:
         commands += [("validate", "--nmax", str(nmax), "--seed", str(seed)) for seed in _SEEDS]
+    # several chain rows per float-kernel call, each swapped for its text once rendered:
+    # the heralded chain in JSON, the bath-free retry's one shared row, a re-pumped k-switch chain
+    wide = ("--n", "10", "--trials", "20", "--seed", "1")
+    commands.append(("sample", "--scheme", "hbac-ico", "--eps", "0.05", *wide, "--format", "json"))
+    commands.append(("sample", "--scheme", "ico-alone", "--eps", "0.3", *wide))
+    kico = ("sample", "--scheme", "hbac-kico", "--k", "1", "--eps", "0.5", "--repump-rounds", "1")
+    commands += [(*kico, *wide, "--format", fmt) for fmt in ("csv", "json")]
     # a chain whose plus probability is exactly 0 from attempt 2 on, at the default --max-attempts
     stuck = ("--scheme", "hbac-kico", "--n", "4", "--k", "2", "--eps", "0.5")
     commands.append(("sample", *stuck, "--trials", "100", "--seed", "1"))
