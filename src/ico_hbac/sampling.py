@@ -6,9 +6,10 @@ trials it used is all there is to record; plain cooling heralds at attempt 1.
 A tree-sort run applies every level in one trial, and its code is a leading 1
 bit, then one bit per level, 1 for plus.  :meth:`AttemptChain.attempts` and
 :meth:`AttemptChain.trials` decode a run.  The draws are the Philox4x64-10
-streams of ``numpy.random.Philox`` keyed ``(seed, index)``, computed in numpy
-for every unresolved run at once, in counter blocks of four uniforms.  Only
-``sample`` and ``oracle.uniform_rows`` import this module, when they run.
+streams of ``numpy.random.Philox`` keyed ``(seed, index)``, computed by
+``philox`` for every unresolved run at once, in counter blocks of four
+uniforms.  Only ``sample`` and ``oracle.uniform_rows`` import this module,
+when they run.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import numpy as np
 
 from .hbac_core import _round_raw, fixed_point
+from .philox import _philox_uniforms
 from .register import _reduce_raw, _reset_raw
 from .schemes import (
     HBAC,
@@ -190,49 +192,7 @@ class AttemptChain:
         return index
 
 
-# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11), as
-# numpy.random.Philox uses them.  They stay Python ints until the kernel runs:
-# building uint64 arrays at import costs every command about 0.2 MB of RSS.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
 _LANES = 1024  # (stream, block) pairs a kernel call fills once few runs are live
-
-
-def _philox_uniforms(seed: int, streams: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Counter block ``blocks[i]`` of the stream keyed ``(seed, streams[i])``, as uniforms.
-
-    Row ``i`` holds the four doubles that
-    ``Generator(Philox(key=[seed, streams[i]])).random()`` returns as its draws
-    ``4 * blocks[i]`` to ``4 * blocks[i] + 3``: numpy bumps the counter before
-    each block, so block ``b`` is counter ``(b + 1, 0, 0, 0)``, and a double is
-    the top 53 bits of a word times ``2**-53``.  The high word of each 64-bit
-    product is assembled from 32-bit halves.
-    """
-    low32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    # one row per product word
-    multiplier = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
-    weyl = np.array(_PHILOX_W, dtype=np.uint64)[:, None]
-    m_low, m_high = multiplier & low32, multiplier >> shift
-    key = np.empty((2, streams.size), dtype=np.uint64)
-    key[0] = seed
-    key[1] = streams
-    words = np.zeros((4, streams.size), dtype=np.uint64)
-    words[0] = blocks + 1
-    for round_index in range(10):
-        if round_index:
-            key += weyl
-        factor = words[0::2]
-        low, high = factor & low32, factor >> shift
-        low_m_low = low * m_low
-        high_m_low = high * m_low
-        cross = (low_m_low >> shift) + (high_m_low & low32) + low * m_high
-        top = high * m_high + (high_m_low >> shift) + (cross >> shift)
-        bottom = factor * multiplier
-        words = np.stack(
-            (top[1] ^ words[1] ^ key[0], bottom[1], top[0] ^ words[3] ^ key[1], bottom[0])
-        )
-    return ((words >> np.uint64(11)) * 2.0**-53).T
 
 
 def _exhausted(config: SchemeConfig, stream: int, zero_from: int | None = None):

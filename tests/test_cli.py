@@ -5,9 +5,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ import ico_hbac.oracle as oracle
 import ico_hbac.sampling as sampling
 from ico_hbac.hbac_core import fixed_point
 from ico_hbac.register import make_thermal_params
-from ico_hbac.schemes import SchemeConfig, sample_batch
+from ico_hbac.schemes import MAX_REPUMP_ROUNDS, SchemeConfig, sample_batch
 from ico_hbac.switch import standard_pair
 
 
@@ -758,6 +761,29 @@ class TestLargeEpsilon:
             assert code == 2
             assert out == ""
             assert err == f"error: epsilon={float(eps)} overflows the partition constant\n"
+
+
+class TestRepumpCap:
+    def test_a_billion_rounds_fail_fast_without_output(self, tmp_path):
+        # uncapped, every attempt of this run cooled the register 1e9 times:
+        # it was still running at 15 s
+        target = tmp_path / "out.csv"
+        argv = ["sample", "--scheme", "hbac-kico", "--n", "3", "--k", "1", "--eps", "0.5"]
+        argv += ["--repump-rounds", "1000000000", "--trials", "5", "--seed", "1"]
+        source = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-m", "ico_hbac.cli", *argv, "--output", str(target)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        message = f"error: repump_rounds is capped at {MAX_REPUMP_ROUNDS}, got 1000000000\n"
+        assert result.stderr == message
+        assert not target.exists()
 
 
 class TestParsing:

@@ -210,22 +210,25 @@ _SMALL_RUN = "--scheme hbac-ico --n 3 --eps 0.5"
         ("table1 --n 3 --eps 0.5", set()),
         (f"run {_SMALL_RUN}", set()),
         ("fixed-point --n 3 --eps 0.5", set()),
-        (f"sample {_SMALL_RUN} --trials 5 --seed 1", {"sampling"}),
+        (f"sample {_SMALL_RUN} --trials 5 --seed 1", {"sampling", "philox"}),
         ("table1 --n 3 --eps 0.5 --format json", {"jsontext"}),
         (f"run {_SMALL_RUN} --format json", {"jsontext"}),
         ("fixed-point --n 3 --eps 0.5 --format json", {"jsontext"}),
-        (f"sample {_SMALL_RUN} --trials 5 --seed 1 --format json", {"jsontext", "sampling"}),
-        ("validate --nmax 1 --trials 2", {"oracle", "sampling"}),
+        (
+            f"sample {_SMALL_RUN} --trials 5 --seed 1 --format json",
+            {"jsontext", "sampling", "philox"},
+        ),
+        ("validate --nmax 1 --trials 2", {"oracle", "sampling", "philox"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(run_probe, argv, loaded):
     # a command compiles every module it imports, so the validate battery
-    # (oracle), the JSON encoder (jsontext) and the attempt chain with its
-    # draws (sampling) load only where they run
+    # (oracle), the JSON encoder (jsontext), the attempt chain (sampling) and
+    # its Philox kernel (philox) load only where they run
     probe = (
         "import os, sys, ico_hbac.cli as cli\n"
         f"code = cli.main({argv.split()!r} + ['--output', os.devnull])\n"
-        "print(code, sorted(name for name in ('oracle', 'jsontext', 'sampling') "
+        "print(code, sorted(name for name in ('oracle', 'jsontext', 'sampling', 'philox') "
         "if 'ico_hbac.' + name in sys.modules))\n"
     )
     assert run_probe(probe).splitlines()[-1] == f"0 {sorted(loaded)}"

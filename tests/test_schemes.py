@@ -1,14 +1,15 @@
 """Unit tests for scheme configs, success laws, retries, and the sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ico_hbac import register, sampling, schemes
-from ico_hbac.hbac_core import fixed_point, hbac_round
+from ico_hbac import philox, register, sampling, schemes
+from ico_hbac.hbac_core import build_transfer, fixed_point, hbac_round
 from ico_hbac.register import (
     DiagonalState,
     ReducedState,
@@ -119,6 +120,14 @@ class TestConfigValidation:
             SchemeConfig(scheme=scheme, n=3, epsilon=0.5, initial=state)
         with pytest.raises(ValueError, match="hbac takes no initial state"):
             SchemeConfig(scheme=HBAC, n=3, epsilon=0.5, initial="uniform")
+
+    def test_repump_rounds_are_capped(self):
+        cap = schemes.MAX_REPUMP_ROUNDS
+        SchemeConfig(scheme=HBAC_KICO, n=3, epsilon=0.5, k=1, repump_rounds=cap)
+        with pytest.raises(ValueError, match=f"^repump_rounds is capped at {cap}, got {cap + 1}$"):
+            SchemeConfig(scheme=HBAC_KICO, n=3, epsilon=0.5, k=1, repump_rounds=cap + 1)
+        with pytest.raises(ValueError, match="^repump_rounds must be >= 0, got -1$"):
+            SchemeConfig(scheme=HBAC_ICO, n=3, epsilon=0.5, repump_rounds=-1)
 
     def test_desired_success_range(self):
         with pytest.raises(ValueError):
@@ -463,6 +472,22 @@ _REFERENCE_CASES = [
 ]
 
 
+def _assert_lanes_match_numpy(lanes: int, seed: int = 2**63 + 5) -> None:
+    """``_philox_uniforms`` over ``lanes`` lanes equals numpy's Philox, lane by lane.
+
+    Each stream fills three neighbouring lanes with its counter blocks 2, 1
+    and 0, so every lane block mixes streams and counter blocks.
+    """
+    lane = np.arange(lanes)
+    streams = (lane // 3 + 2**32 - 1).astype(np.uint64)
+    blocks = 2 - lane % 3
+    draws = {stream: _stream(seed, stream).random(12) for stream in set(streams.tolist())}
+    expected = [draws[s][4 * b : 4 * b + 4] for s, b in zip(streams.tolist(), blocks.tolist())]
+    got = _philox_uniforms(seed, streams, blocks)
+    assert got.shape == (lanes, 4)
+    assert np.array_equal(got, np.array(expected))
+
+
 class TestPhiloxKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     def test_blocks_match_numpy_philox(self, seed):
@@ -474,6 +499,16 @@ class TestPhiloxKernel:
             got = _philox_uniforms(seed, streams, np.full(streams.size, block))
             assert got.shape == (streams.size, 4)
             assert np.array_equal(got, expected[:, 4 * block : 4 * block + 4])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, philox._BLOCK + 3])
+    def test_lane_blocks_match_numpy_philox(self, extra):
+        # one lane short of a lane block, a block, one over, and two blocks and three
+        _assert_lanes_match_numpy(philox._BLOCK + extra)
+
+    def test_lane_blocks_of_seven(self, monkeypatch):
+        monkeypatch.setattr(philox, "_BLOCK", 7)
+        for lanes in (1, 6, 7, 8, 17, 100):
+            _assert_lanes_match_numpy(lanes)
 
     def test_blocks_of_one_stream_may_differ_per_lane(self):
         # lanes pair any stream with any counter block, as the heralded walk's lookahead does
@@ -833,6 +868,112 @@ class TestSampler:
         assert (sample_batch(base_chain, 100) >= 2).any()
         second_row, _probability = base_chain.at(2)
         assert np.abs(second_row - plain.populations).max() < 1e-14
+
+
+class TestDrawMemory:
+    # the draw holds its slice's uniforms and the kernel's fixed lane-block
+    # buffers; a kernel that runs a whole 16,384-lane slice at once, with fresh
+    # temporaries at every step of its rounds, peaks at 4.85 and 5.31 MiB here
+    @pytest.mark.parametrize(
+        "case,bound_mib",
+        [
+            (dict(scheme=HBAC_ICO, n=3, epsilon=0.5), 2.5),
+            (dict(scheme=ICO_TREE_SORT, n=8, epsilon=0.5), 3.0),
+        ],
+        ids=["hbac-ico", "tree-sort"],
+    )
+    def test_traced_peak_of_a_wide_batch(self, case, bound_mib):
+        chain = AttemptChain(SchemeConfig(seed=1, **case))
+        tracemalloc.start()
+        try:
+            sample_batch(chain, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
+
+
+def _chi_square_tail(statistic: float, dof: int) -> float:
+    """``P(X >= statistic)`` for ``X ~ chi2(dof)``: one minus the regularized gamma series.
+
+    ``P(s, x) = sum_j exp(-x) x**(s + j) / Gamma(s + j + 1)`` with ``s = dof/2``
+    and ``x = statistic/2``; every term is at most one, so none overflows.
+    """
+    s, x = dof / 2, statistic / 2
+    if x == 0.0:
+        return 1.0
+    lower, j = 0.0, 0
+    while True:
+        term = math.exp(-x + (s + j) * math.log(x) - math.lgamma(s + j + 1))
+        lower += term
+        if j > x and term < 1e-18:
+            return max(0.0, 1.0 - lower)
+        j += 1
+
+
+def _dense_trial_law(config: SchemeConfig, attempts: int) -> tuple[list[float], float]:
+    """``P(T = a)`` for ``a = 1 .. attempts`` and ``P(T > attempts)``, from dense matrices.
+
+    ``P(T = a) = p_a * prod_{j<a} (1 - p_j)``, where ``p_a`` is the plus
+    weight of the state before attempt ``a``; each failure applies the
+    minus-branch matrix, renormalizes, and runs ``repump_rounds`` cooling
+    rounds.  Nothing here reads ``AttemptChain``.
+    """
+    n, params, spec = config.n, config.params, scheme_spec(config)
+    plus = branch_transfer(n, params, spec, PLUS).entries.sum(axis=0)
+    rounds = np.linalg.matrix_power(build_transfer(n, params).entries, config.repump_rounds)
+    step = rounds @ branch_transfer(n, params, spec, MINUS).entries
+    state = fixed_point(n, params).populations
+    law, survival = [], 1.0
+    for _ in range(attempts):
+        p = float(plus @ state)
+        law.append(survival * p)
+        survival *= 1.0 - p
+        state = step @ state
+        state /= state.sum()
+    return law, survival
+
+
+class TestTrialLaw:
+    """Sampled trial counts against the exact law, bin by bin (chi-square, p >= 1e-4)."""
+
+    def test_chi_square_tail_matches_closed_forms(self):
+        # one minus a sum near one: exact to about 1e-15, far finer than the 1e-4 threshold
+        for statistic in (0.5, 3.0, 20.0, 90.0):
+            assert _chi_square_tail(statistic, 2) == pytest.approx(math.exp(-statistic / 2), abs=1e-13)
+            assert _chi_square_tail(statistic, 1) == pytest.approx(
+                math.erfc(math.sqrt(statistic / 2)), abs=1e-13
+            )
+        assert _chi_square_tail(0.0, 5) == 1.0
+        assert _chi_square_tail(1e4, 38) == 0.0
+
+    @pytest.mark.parametrize(
+        "case,runs",
+        [
+            # criterion 7's configuration and seed
+            (dict(scheme=HBAC_ICO, n=3, epsilon=0.5, seed=20240809), 100_000),
+            (dict(scheme=HBAC_KICO, n=4, k=2, repump_rounds=1, epsilon=0.5, seed=1), 50_000),
+        ],
+        ids=["hbac-ico", "hbac-kico-r1"],
+    )
+    def test_sampled_trials_follow_the_exact_law(self, case, runs):
+        config = SchemeConfig(**case)
+        trials = sample_batch(AttemptChain(config), runs)
+        observed = np.bincount(trials)[1:]
+        law, tail = _dense_trial_law(config, observed.size)
+        # pool neighbouring attempts until each bin expects at least 5 runs;
+        # what is left, with the mass past the last sampled attempt, joins the last bin
+        bins, count, mass = [], 0, 0.0
+        for seen, probability in zip(observed.tolist(), law):
+            count, mass = count + seen, mass + probability
+            if mass * runs >= 5:
+                bins.append([count, mass])
+                count, mass = 0, 0.0
+        bins[-1][0] += count
+        bins[-1][1] += mass + tail
+        statistic = sum((seen - runs * p) ** 2 / (runs * p) for seen, p in bins)
+        assert len(bins) > 10
+        assert _chi_square_tail(statistic, len(bins) - 1) >= 1e-4
 
 
 def _released(config: SchemeConfig, count: int):

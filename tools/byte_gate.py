@@ -83,6 +83,12 @@ def matrix() -> list[tuple[str, ...]]:
     # a chain whose plus probability is exactly 0 from attempt 2 on, at the default --max-attempts
     stuck = ("--scheme", "hbac-kico", "--n", "4", "--k", "2", "--eps", "0.5")
     commands.append(("sample", *stuck, "--trials", "100", "--seed", "1"))
+    # draws wider than the Philox kernel's lane block and than one sample_batch slice
+    wide_draw = ("--trials", "20000", "--seed", "1")
+    commands.append(("sample", "--scheme", "ico-tree-sort", "--n", "4", "--eps", "0.5", *wide_draw))
+    commands.append((*kico, "--n", "3", *wide_draw))
+    # the largest --eps accepted and the first two rejected
+    commands += [("table1", "--n", "3", "--eps", eps) for eps in ("709.7", "709.8", "710")]
     return list(dict.fromkeys(commands))
 
 
