@@ -49,8 +49,8 @@ from .floattext import float_rows as _float_rows
 from .hbac_core import fixed_point, hbac_round
 from .register import make_thermal_params
 from .schemes import (
+    _SCHEMES,
     HBAC,
-    HBAC_KICO,
     INITIAL_SELECTORS,
     PAIR_CHOICES,
     SCHEMES,
@@ -327,7 +327,7 @@ def cmd_table1(args) -> int:
             scheme=scheme,
             n=args.n,
             epsilon=args.epsilon,
-            k=args.k if scheme == HBAC_KICO else None,
+            k=args.k if _SCHEMES[scheme].takes_k else None,
             nondemolition=args.nondemolition,
         )
         report = run_scheme(config)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hbac_core import build_transfer, fixed_point, hbac_round
+from .philox import _philox_uniforms
 from .register import DiagonalState, ReducedState, ThermalParams, make_thermal_params
 from .schemes import (
     HBAC_ICO,
@@ -180,8 +181,6 @@ def uniform_rows(seed: int, first: int, count: int, width: int) -> np.ndarray:
     ``Generator(Philox(key=[seed, r])).random()``, so a row does not depend
     on which rows are drawn with it.
     """
-    from .sampling import _philox_uniforms  # at call time: after bench/tracer.py wraps its names
-
     blocks = width // 4  # counter blocks of four uniforms per row
     streams = np.repeat(np.arange(first, first + count, dtype=np.uint64), blocks)
     return _philox_uniforms(seed, streams, np.tile(np.arange(blocks), count)).reshape(count, width)

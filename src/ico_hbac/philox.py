@@ -4,7 +4,8 @@ One call fills any number of lanes, each a (stream, counter block) pair, with
 the four doubles ``numpy.random.Generator(numpy.random.Philox(key=[seed,
 stream])).random()`` draws from that block (Salmon, Moraes, Dror and Shaw,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11).  Only ``sampling``
-imports it, so only the commands that draw compile it.
+and ``oracle`` import it, so only the commands that draw (``sample`` and
+``validate``) compile it.
 """
 
 from __future__ import annotations

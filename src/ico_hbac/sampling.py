@@ -8,8 +8,8 @@ bit, then one bit per level, 1 for plus.  :meth:`AttemptChain.attempts` and
 :meth:`AttemptChain.trials` decode a run.  The draws are the Philox4x64-10
 streams of ``numpy.random.Philox`` keyed ``(seed, index)``, computed by
 ``philox`` for every unresolved run at once, in counter blocks of four
-uniforms.  Only ``sample`` and ``oracle.uniform_rows`` import this module,
-when they run.
+uniforms.  Only ``sample`` imports this module, when it runs.  Every branch
+here reads the scheme's ``retry`` (see ``schemes._Scheme``), not its name.
 """
 
 from __future__ import annotations
@@ -22,10 +22,7 @@ from .hbac_core import _round_raw, fixed_point
 from .philox import _philox_uniforms
 from .register import _reduce_raw, _reset_raw
 from .schemes import (
-    HBAC,
-    HBAC_KICO,
-    ICO_ALONE,
-    ICO_TREE_SORT,
+    _SCHEMES,
     MaxAttemptsError,
     SchemeConfig,
     initial_state,
@@ -78,30 +75,30 @@ class AttemptChain:
 
     def __init__(self, config: SchemeConfig):
         self.config = config
-        # zero heralding weight stays exactly zero on these retries: the
-        # bath-free retry re-prepares the input, and without re-pump rounds
-        # both k-switch branch maps are diagonal on the reduced register
-        self.absorbing = config.scheme == ICO_ALONE or (
-            config.scheme == HBAC_KICO and config.repump_rounds == 0
-        )
+        self._retry = _SCHEMES[config.scheme].retry
+        # zero heralding weight stays exactly zero on a re-prepared retry, and
+        # on a minus step without re-pump rounds when no Pauli pair straddles
+        # two reduced entries: the step then keeps each reduced entry or zeroes it
+        self.absorbing = self._retry == "reprepare"
         self.states: list = []  # float64 rows, then their text once released
         self.probabilities: list[float] = []
         self._released = False
-        if config.scheme == ICO_TREE_SORT:
+        if self._retry == "tree":
             # the cascade level's block spec, built on first use
             self._level_spec = functools.cache(functools.partial(tree_pair, config.n))
             self._tree: dict[int, int] = {}  # prefix code -> index into states
             return
-        if config.scheme == HBAC:
+        if self._retry is None:
             self.states.append(fixed_point(config.n, config.params).populations)
             self.probabilities.append(1.0)
             return
         self._weights = plus_weight_vector(config)
-        if config.scheme != ICO_ALONE:
-            params = config.params
+        if self._retry == "step":
+            params, spec = config.params, scheme_spec(config)
+            self.absorbing = not config.repump_rounds and not (spec.pair_starts % 2).any()
             ground, excited = params.ground_population, params.excited_population
             # _minus_step's arguments after the row
-            self._step = (ground, excited, scheme_spec(config), config.repump_rounds)
+            self._step = (ground, excited, spec, config.repump_rounds)
         self._add(initial_state(config).normalized().populations)
 
     def at(self, position: int) -> tuple[np.ndarray, float]:
@@ -124,7 +121,7 @@ class AttemptChain:
 
     def draw(self, streams: np.ndarray) -> np.ndarray:
         """The run of each Philox stream index in ``streams``, as int64."""
-        walk = _tree_outcomes if self.config.scheme == ICO_TREE_SORT else _heralded_trials
+        walk = _tree_outcomes if self._retry == "tree" else _heralded_trials
         return walk(self, streams)
 
     def attempts(self, run: int):
@@ -133,7 +130,7 @@ class AttemptChain:
         A heralded run failed every trial before its last; a tree-sort code
         holds one outcome per level after its leading 1 bit.
         """
-        if self.config.scheme == ICO_TREE_SORT:
+        if self._retry == "tree":
             signs = bin(run)[3:].replace("1", PLUS).replace("0", MINUS)
             positions = [run >> shift for shift in range(run.bit_length() - 1, 0, -1)]
         else:
@@ -143,7 +140,7 @@ class AttemptChain:
 
     def trials(self, run: int) -> int:
         """Trials a run used: a tree-sort run applies every level in one."""
-        return 1 if self.config.scheme == ICO_TREE_SORT else run
+        return 1 if self._retry == "tree" else run
 
     def _require_rows(self) -> None:
         if self._released:
@@ -156,9 +153,9 @@ class AttemptChain:
 
     def _node(self, position: int) -> int:
         """Index into ``states`` of the state at a chain position, computed on first use."""
-        if self.config.scheme == ICO_TREE_SORT:
+        if self._retry == "tree":
             return self._tree_node(position)
-        if self.config.scheme == ICO_ALONE:
+        if self._retry == "reprepare":
             return 0  # every retry re-prepares the input
         while len(self.states) < position:
             self._require_rows()

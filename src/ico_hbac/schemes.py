@@ -4,27 +4,17 @@ Five schemes are modeled.  Plain bath cooling converges to the geometric
 stationary profile and never produces an exactly pure qubit.  The
 switch-augmented variants condition on a control measurement: a plus outcome
 heralds pure output qubits, a minus outcome triggers a retry policy.  Each
-scheme exposes a closed-form per-attempt success probability and a resource
+scheme is one ``_Scheme`` record, read here and in ``sampling`` in place of
+its name, with a closed-form per-attempt success probability and a resource
 summary.  :func:`sample_batch` draws seeded Monte Carlo runs; the attempt
 chain it walks, its random draws and what a run means live in ``sampling``,
 which only the commands that sample import.
-
-Retry policies:
-
-* bath schemes keep the register and apply the minus-branch update (plus an
-  optional number of plain cooling rounds, ``repump_rounds``, to re-pump
-  toward the stationary profile); note that the k-switch branch maps are
-  diagonal on the reduced register, so after a failure the heralding weight
-  is exactly zero until at least one re-pump round runs;
-* the bath-free switch scheme re-prepares the input, because its minus branch
-  empties the heralding labels;
-* the tree-sort scheme succeeds on either outcome, so it always uses one
-  trial.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +47,44 @@ HBAC_ICO = "hbac-ico"
 ICO_ALONE = "ico-alone"
 ICO_TREE_SORT = "ico-tree-sort"
 HBAC_KICO = "hbac-kico"
-SCHEMES = (HBAC, HBAC_ICO, ICO_ALONE, ICO_TREE_SORT, HBAC_KICO)
-
-BATH_SCHEMES = frozenset({HBAC, HBAC_ICO, HBAC_KICO})
 
 STANDARD = "standard"
 IDEAL = "ideal"
-PAIR_CHOICES = (STANDARD, IDEAL)
+_PAIRS = {STANDARD: standard_pair, IDEAL: ideal_pair}  # ico-alone's two block layouts
+PAIR_CHOICES = tuple(_PAIRS)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Scheme:
+    """What one scheme does.  ``retry`` is what a minus outcome leads to:
+
+    * ``"step"``: keep the register and apply the minus-branch update, then
+      ``repump_rounds`` plain cooling rounds toward the stationary profile;
+    * ``"reprepare"``: re-prepare the input, because the bath-free minus
+      branch empties the heralding labels;
+    * ``"tree"``: none, since either outcome heralds: a run is one trial;
+    * ``None``: plain cooling, which has no switch step.
+    """
+
+    bath: bool  # cools against a bath on the reduced register, else acts on the full one
+    retry: str | None
+    spec: Callable[[SchemeConfig], BlockUnitarySpec | None]  # the switch block layout
+    pure: Callable[[SchemeConfig], tuple[int, int]]  # (input, output) exactly pure qubits
+    takes_k: bool = False
+
+
+_SCHEMES = {
+    HBAC: _Scheme(True, None, lambda c: None, lambda c: (0, 0)),
+    HBAC_ICO: _Scheme(True, "step", lambda c: standard_pair(c.n), lambda c: (1, c.n)),
+    ICO_ALONE: _Scheme(False, "reprepare", lambda c: _PAIRS[c.pair](c.n), lambda c: (1, c.n)),
+    ICO_TREE_SORT: _Scheme(
+        False, "tree", lambda c: tree_pair(c.n), lambda c: (1 if c.nondemolition else c.n, c.n)
+    ),
+    HBAC_KICO: _Scheme(
+        True, "step", lambda c: k_pair(c.n, c.k), lambda c: (1, c.n + 1 - c.k), takes_k=True
+    ),
+}
+SCHEMES = tuple(_SCHEMES)
 
 INITIAL_SELECTORS = ("uniform", "thermal", "fixed-point")
 
@@ -114,16 +135,17 @@ class SchemeConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         _check_exponent(self.n)
-        if self.scheme == HBAC_KICO:
+        record = _SCHEMES[self.scheme]
+        if record.takes_k:
             if self.k is None:
-                raise ValueError(f"k is required for {HBAC_KICO}")
+                raise ValueError(f"k is required for {self.scheme}")
             if not 1 <= self.k <= self.n:
                 raise ValueError(f"k must be in [1, {self.n}], got {self.k}")
         elif self.k is not None:
             raise ValueError(f"k is only meaningful for {HBAC_KICO}")
-        if self.scheme == HBAC and self.initial is not None:
-            raise ValueError(f"{HBAC} takes no initial state: it converges from any start")
-        if self.scheme in BATH_SCHEMES and self.epsilon is None:
+        if record.retry is None and self.initial is not None:
+            raise ValueError(f"{self.scheme} takes no initial state: it converges from any start")
+        if record.bath and self.epsilon is None:
             raise ValueError(f"{self.scheme} needs epsilon")
         if self.epsilon is not None:
             make_thermal_params(self.epsilon)
@@ -167,20 +189,12 @@ class SchemeReport:
 
 def scheme_spec(config: SchemeConfig) -> BlockUnitarySpec | None:
     """Block-unitary family used by the scheme's switch step (None for plain cooling)."""
-    if config.scheme == HBAC:
-        return None
-    if config.scheme == HBAC_ICO:
-        return standard_pair(config.n)
-    if config.scheme == HBAC_KICO:
-        return k_pair(config.n, config.k)
-    if config.scheme == ICO_ALONE:
-        return standard_pair(config.n) if config.pair == STANDARD else ideal_pair(config.n)
-    return tree_pair(config.n)
+    return _SCHEMES[config.scheme].spec(config)
 
 
 def _build_initial(config: SchemeConfig, initial: str | list) -> DiagonalState | ReducedState:
     """A selector's state, or a list of populations as a state, of the kind the scheme acts on."""
-    bath = config.scheme in BATH_SCHEMES
+    bath = _SCHEMES[config.scheme].bath
     n, params = config.n, config.params
     if isinstance(initial, list):
         expected = 2**n if bath else 2 ** (n + 1)
@@ -213,7 +227,7 @@ def initial_state(config: SchemeConfig) -> DiagonalState | ReducedState:
     """
     if config.initial is not None:
         return config.initial
-    if config.scheme in BATH_SCHEMES:
+    if _SCHEMES[config.scheme].bath:
         return _build_initial(config, "fixed-point")
     return _build_initial(config, "uniform" if config.epsilon is None else "thermal")
 
@@ -229,7 +243,7 @@ def plus_weight_vector(config: SchemeConfig) -> np.ndarray:
     if spec is None:
         raise ValueError("plain bath cooling has no switch step")
     mask = spec.one_mask
-    if config.scheme in BATH_SCHEMES:
+    if _SCHEMES[config.scheme].bath:
         params = config.params
         return (
             params.ground_population * mask[0::2] + params.excited_population * mask[1::2]
@@ -243,11 +257,10 @@ def success_probability(config: SchemeConfig) -> float:
     Heralded schemes return the plus-branch norm at the evaluation state; the
     deterministic schemes return 1 since every outcome heralds success.
     """
-    scheme = config.scheme
-    if scheme in (HBAC, ICO_TREE_SORT):
+    if _SCHEMES[config.scheme].retry in (None, "tree"):
         return 1.0
     params = config.params
-    if scheme == ICO_ALONE:
+    if config.scheme == ICO_ALONE:
         if config.initial is None and params is None:
             # two entries of uniform_full, each exactly 2**-(n + 1), over its exact sum 1
             return 2.0**-config.n
@@ -262,7 +275,7 @@ def success_probability(config: SchemeConfig) -> float:
         weight = vec[0] + (vec[-1] if config.pair == STANDARD else vec[1])
         return float(weight / lam.norm)
     eps = params.epsilon
-    if scheme == HBAC_ICO:
+    if config.scheme == HBAC_ICO:
         if config.initial is None:
             decay = math.exp(-2.0 * eps * 2**config.n)
             return (
@@ -328,7 +341,7 @@ def run_round(
     spec = scheme_spec(config)
     if spec is None:
         raise ValueError("plain bath cooling has no switch round")
-    bath = config.scheme in BATH_SCHEMES
+    bath = _SCHEMES[config.scheme].bath
     if not isinstance(state, ReducedState if bath else DiagonalState):
         raise TypeError(f"{config.scheme} acts on the {'reduced' if bath else 'full'} register")
     if state.n != config.n:
@@ -362,22 +375,10 @@ def sample_batch(chain, count: int) -> np.ndarray:
     return runs
 
 
-def _pure_qubits(config: SchemeConfig) -> tuple[int, int]:
-    """(input, output) counts of exactly pure qubits."""
-    n = config.n
-    if config.scheme == HBAC:
-        return 0, 0
-    if config.scheme == ICO_TREE_SORT:
-        return (1 if config.nondemolition else n), n
-    if config.scheme == HBAC_KICO:
-        return 1, n + 1 - config.k
-    return 1, n
-
-
 def run_scheme(config: SchemeConfig) -> SchemeReport:
     """Evaluate the scheme's resource row and success law."""
     probability = success_probability(config)
-    input_pure, output_pure = _pure_qubits(config)
+    input_pure, output_pure = _SCHEMES[config.scheme].pure(config)
     expected = math.inf if probability == 0.0 else 1.0 / probability
     trials_for_desired = (
         None
@@ -388,7 +389,7 @@ def run_scheme(config: SchemeConfig) -> SchemeReport:
         success_probability=probability,
         output_pure_qubits=output_pure,
         input_pure_qubits=input_pure,
-        bath_used=config.scheme in BATH_SCHEMES,
+        bath_used=_SCHEMES[config.scheme].bath,
         expected_trials=expected,
         trials_for_desired=trials_for_desired,
     )
@@ -400,7 +401,7 @@ def final_state(config: SchemeConfig) -> DiagonalState:
     Plain cooling leaves the sorted, freshly reset stationary profile; every
     other scheme leaves its exactly pure output qubits, all in ``|g>``.
     """
-    if config.scheme == HBAC:
+    if _SCHEMES[config.scheme].retry is None:
         params = config.params
         return two_sort(reset(fixed_point(config.n, params), params))
-    return ground_state(_pure_qubits(config)[1] - 1)
+    return ground_state(_SCHEMES[config.scheme].pure(config)[1] - 1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ico_hbac import philox, register, sampling, schemes
+from ico_hbac import oracle, philox, register, sampling, schemes
 from ico_hbac.hbac_core import build_transfer, fixed_point, hbac_round
 from ico_hbac.register import (
     DiagonalState,
@@ -917,9 +917,17 @@ def _dense_trial_law(config: SchemeConfig, attempts: int) -> tuple[list[float], 
     ``P(T = a) = p_a * prod_{j<a} (1 - p_j)``, where ``p_a`` is the plus
     weight of the state before attempt ``a``; each failure applies the
     minus-branch matrix, renormalizes, and runs ``repump_rounds`` cooling
-    rounds.  Nothing here reads ``AttemptChain``.
+    rounds.  A bath-free retry re-prepares the thermal input, so its ``p_a``
+    is one plus-branch trace of the dense switch channel.  Nothing here reads
+    ``AttemptChain``.
     """
     n, params, spec = config.n, config.params, scheme_spec(config)
+    if config.scheme == ICO_ALONE:
+        plus, _minus = oracle.switch_channel(
+            oracle.dense_from_diagonal(thermal_full(n, params)), spec
+        )
+        p = float(np.trace(plus).real)
+        return [p * (1.0 - p) ** a for a in range(attempts)], (1.0 - p) ** attempts
     plus = branch_transfer(n, params, spec, PLUS).entries.sum(axis=0)
     rounds = np.linalg.matrix_power(build_transfer(n, params).entries, config.repump_rounds)
     step = rounds @ branch_transfer(n, params, spec, MINUS).entries
@@ -932,6 +940,41 @@ def _dense_trial_law(config: SchemeConfig, attempts: int) -> tuple[list[float], 
         state = step @ state
         state /= state.sum()
     return law, survival
+
+
+def _dense_leaf_law(n: int, params) -> list[float]:
+    """Probability of every tree-sort code ``2**n .. 2**(n+1) - 1``, from the dense switch channel.
+
+    Each level splits every unnormalized branch of the level before into its
+    two outcomes, so a leaf's trace is the product of its per-level branch
+    norms.  Nothing here reads ``AttemptChain``.
+    """
+    branches = {1: oracle.dense_from_diagonal(thermal_full(n, params))}
+    for level in range(n):
+        spec = tree_pair(n, level)
+        for code in list(branches):
+            branches[2 * code + 1], branches[2 * code] = oracle.switch_channel(
+                branches.pop(code), spec
+            )
+    return [float(np.trace(branches[code]).real) for code in range(2**n, 2 ** (n + 1))]
+
+
+def _pooled_chi_square(observed: list[int], law: list[float], tail: float, runs: int):
+    """(statistic, bins) of ``observed`` counts against ``law``, bins pooled to 5 expected runs.
+
+    Neighbouring outcomes are pooled until each bin expects at least 5 runs;
+    what is left, with the ``tail`` mass past the last outcome, joins the
+    last bin.
+    """
+    bins, count, mass = [], 0, 0.0
+    for seen, probability in zip(observed, law):
+        count, mass = count + seen, mass + probability
+        if mass * runs >= 5:
+            bins.append([count, mass])
+            count, mass = 0, 0.0
+    bins[-1][0] += count
+    bins[-1][1] += mass + tail
+    return sum((seen - runs * p) ** 2 / (runs * p) for seen, p in bins), len(bins)
 
 
 class TestTrialLaw:
@@ -953,27 +996,65 @@ class TestTrialLaw:
             # criterion 7's configuration and seed
             (dict(scheme=HBAC_ICO, n=3, epsilon=0.5, seed=20240809), 100_000),
             (dict(scheme=HBAC_KICO, n=4, k=2, repump_rounds=1, epsilon=0.5, seed=1), 50_000),
+            (dict(scheme=HBAC_KICO, n=4, k=2, repump_rounds=2, epsilon=0.5, seed=1), 50_000),
+            (dict(scheme=HBAC_ICO, n=6, epsilon=0.2, seed=1), 50_000),
+            (dict(scheme=ICO_ALONE, n=3, epsilon=0.5, seed=1), 50_000),
+            (dict(scheme=ICO_ALONE, n=3, epsilon=0.5, pair=IDEAL, seed=1), 50_000),
         ],
-        ids=["hbac-ico", "hbac-kico-r1"],
+        ids=["hbac-ico", "hbac-kico-r1", "hbac-kico-r2", "hbac-ico-n6", "ico-alone", "ico-alone-ideal"],
     )
     def test_sampled_trials_follow_the_exact_law(self, case, runs):
         config = SchemeConfig(**case)
         trials = sample_batch(AttemptChain(config), runs)
         observed = np.bincount(trials)[1:]
         law, tail = _dense_trial_law(config, observed.size)
-        # pool neighbouring attempts until each bin expects at least 5 runs;
-        # what is left, with the mass past the last sampled attempt, joins the last bin
-        bins, count, mass = [], 0, 0.0
-        for seen, probability in zip(observed.tolist(), law):
-            count, mass = count + seen, mass + probability
-            if mass * runs >= 5:
-                bins.append([count, mass])
-                count, mass = 0, 0.0
-        bins[-1][0] += count
-        bins[-1][1] += mass + tail
-        statistic = sum((seen - runs * p) ** 2 / (runs * p) for seen, p in bins)
-        assert len(bins) > 10
-        assert _chi_square_tail(statistic, len(bins) - 1) >= 1e-4
+        statistic, bins = _pooled_chi_square(observed.tolist(), law, tail, runs)
+        assert bins > 10
+        assert _chi_square_tail(statistic, bins - 1) >= 1e-4
+
+    def test_sampled_tree_codes_follow_the_leaf_law(self):
+        n, runs = 5, 50_000
+        config = SchemeConfig(scheme=ICO_TREE_SORT, n=n, epsilon=0.5, seed=1)
+        codes = sample_batch(AttemptChain(config), runs)
+        observed = np.bincount(codes - 2**n, minlength=2**n)
+        law = _dense_leaf_law(n, config.params)
+        assert sum(law) == pytest.approx(1.0, abs=1e-12)
+        statistic, bins = _pooled_chi_square(observed.tolist(), law, 0.0, runs)
+        assert bins > 10
+        assert _chi_square_tail(statistic, bins - 1) >= 1e-4
+
+
+class TestAbsorbingRetry:
+    """``AttemptChain.absorbing`` against the dense conditioned failure map.
+
+    A retry is absorbing when some state has zero plus weight and the failure
+    map sends every such state to one with zero plus weight.  With a bath the
+    map is ``build_transfer**r @ branch_transfer(MINUS)`` on the reduced
+    register; the bath-free retry re-prepares its input, so the next attempt
+    sees the state the failed one saw, the identity on the full register.
+    """
+
+    @staticmethod
+    def _absorbing(plus: np.ndarray, failure: np.ndarray) -> bool:
+        zero = plus == 0.0
+        return bool(zero.any() and not (plus @ failure)[zero].any())
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_derived_flag_matches_the_dense_failure_map(self, n, rounds):
+        params = make_thermal_params(0.5)
+        repump = np.linalg.matrix_power(build_transfer(n, params).entries, rounds)
+        bath = [(dict(scheme=HBAC_ICO), standard_pair(n))]
+        bath += [(dict(scheme=HBAC_KICO, k=k), k_pair(n, k)) for k in range(1, n + 1)]
+        for case, spec in bath:
+            config = SchemeConfig(n=n, epsilon=0.5, repump_rounds=rounds, **case)
+            plus = branch_transfer(n, params, spec, PLUS).entries.sum(axis=0)
+            failure = repump @ branch_transfer(n, params, spec, MINUS).entries
+            assert AttemptChain(config).absorbing == self._absorbing(plus, failure), case
+        for pair, spec in ((STANDARD, standard_pair(n)), (IDEAL, ideal_pair(n))):
+            config = SchemeConfig(scheme=ICO_ALONE, n=n, pair=pair, repump_rounds=rounds)
+            plus = spec.one_mask.astype(np.float64)
+            assert AttemptChain(config).absorbing == self._absorbing(plus, np.eye(spec.dim)), pair
 
 
 def _released(config: SchemeConfig, count: int):

@@ -10,7 +10,8 @@ with ``--output``.  For each command the gate compares the exit code, the
 SHA-256 of stdout, the ``--output`` bytes and the last line of stderr.  It
 prints every command whose results differ, then a count, and exits 1 if any
 differs.  The commands run in a temporary directory holding the pinned
-configs of ``tests/test_cli.py``, which also gives the pinned commands.
+configs of ``tests/test_cli.py``, which also gives the pinned commands, and
+the gate's own ``_CONFIGS``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,56 @@ def _scheme_variants(n: int):
     yield "--scheme", "ico-tree-sort", "--eps", "0.5"
     yield "--scheme", "hbac-kico", "--k", "1", "--eps", "0.5", "--repump-rounds", "1"
     yield "--scheme", "hbac-kico", "--k", str(n), "--eps", "0.5"
+
+
+# explicit initial vectors for the schemes the pinned configs leave out, written
+# next to them: a reduced register for the k-switch, a full one for the others
+_CONFIGS = {
+    "hbac-kico-initial.json": {
+        "scheme": "hbac-kico", "n": 2, "k": 1, "epsilon": 0.5, "repump_rounds": 1,
+        "initial": [0.1, 0.2, 0.3, 0.4],
+    },
+    "ico-tree-sort-initial.json": {
+        "scheme": "ico-tree-sort", "n": 2, "epsilon": 0.5,
+        "initial": [0.3, 0.05, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
+    },
+    "ico-alone-ideal-initial.json": {
+        "scheme": "ico-alone", "n": 2, "pair": "ideal",
+        "initial": [0.05, 0.3, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
+    },
+}
+
+
+def _scheme_facts():
+    """Commands over every scheme fact: initial states, re-pump rounds, nondemolition, usage errors."""
+    draw = ("--trials", "20", "--seed", "1")
+    switched = (
+        ("--scheme", "hbac-kico", "--n", "3", "--k", "2", "--eps", "0.5", "--repump-rounds", "1"),
+        ("--scheme", "ico-tree-sort", "--n", "3", "--eps", "0.5"),
+        ("--scheme", "ico-alone", "--n", "3", "--eps", "0.5", "--pair", "ideal"),
+    )
+    for fmt in ("csv", "json"):
+        for variant in switched:
+            for selector in ("uniform", "thermal", "fixed-point"):
+                size = (*variant, "--initial", selector, "--format", fmt)
+                yield ("sample", *size, *draw)
+                yield ("run", *size)
+        for name in _CONFIGS:
+            yield ("sample", "--config", name, *draw, "--format", fmt)
+            yield ("run", "--config", name, "--format", fmt)
+        for n in _SCHEME_SIZES:
+            yield ("run", "--scheme", "ico-tree-sort", "--n", str(n), "--nondemolition", "--format", fmt)
+            yield ("table1", "--n", str(n), "--eps", "0.5", "--nondemolition", "--format", fmt)
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            for rounds in range(3):
+                kico = ("--scheme", "hbac-kico", "--n", str(n), "--k", str(k), "--eps", "0.5")
+                yield ("sample", *kico, "--repump-rounds", str(rounds), *draw)
+    for command in ("sample", "run"):
+        yield (command, "--scheme", "hbac", "--n", "2", "--eps", "0.5", "--initial", "uniform")
+        yield (command, "--scheme", "hbac-kico", "--n", "2", "--eps", "0.5")
+        for scheme in ("hbac", "hbac-ico", "ico-alone", "ico-tree-sort"):
+            yield (command, "--scheme", scheme, "--n", "2", "--eps", "0.5", "--k", "1")
 
 
 @functools.cache
@@ -89,6 +140,7 @@ def matrix() -> list[tuple[str, ...]]:
     commands.append((*kico, "--n", "3", *wide_draw))
     # the largest --eps accepted and the first two rejected
     commands += [("table1", "--n", "3", "--eps", eps) for eps in ("709.7", "709.8", "710")]
+    commands += _scheme_facts()
     return list(dict.fromkeys(commands))
 
 
@@ -118,7 +170,7 @@ def main(argv: list[str]) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as directory:
         workdir = Path(directory)
-        for name, config in _test_cli()._PINNED_CONFIGS.items():
+        for name, config in (_test_cli()._PINNED_CONFIGS | _CONFIGS).items():
             (workdir / name).write_text(json.dumps(config))
         for index, command in enumerate(commands):
             order = trees if index % 2 == 0 else trees[::-1]
