@@ -22,7 +22,6 @@ from .hbac_core import _round_raw, fixed_point
 from .philox import _philox_uniforms
 from .register import _reduce_raw, _reset_raw
 from .schemes import (
-    _SCHEMES,
     MaxAttemptsError,
     SchemeConfig,
     initial_state,
@@ -75,7 +74,7 @@ class AttemptChain:
 
     def __init__(self, config: SchemeConfig):
         self.config = config
-        self._retry = _SCHEMES[config.scheme].retry
+        self._retry = config._record.retry
         # zero heralding weight stays exactly zero on a re-prepared retry, and
         # on a minus step without re-pump rounds when no Pauli pair straddles
         # two reduced entries: the step then keeps each reduced entry or zeroes it

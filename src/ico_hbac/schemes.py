@@ -66,22 +66,25 @@ class _Scheme:
     * ``None``: plain cooling, which has no switch step.
     """
 
-    bath: bool  # cools against a bath on the reduced register, else acts on the full one
     retry: str | None
     spec: Callable[[SchemeConfig], BlockUnitarySpec | None]  # the switch block layout
     pure: Callable[[SchemeConfig], tuple[int, int]]  # (input, output) exactly pure qubits
     takes_k: bool = False
 
+    @property
+    def bath(self) -> bool:  # on the reduced register, which a minus step keeps, as cooling does
+        return self.retry in (None, "step")
+
 
 _SCHEMES = {
-    HBAC: _Scheme(True, None, lambda c: None, lambda c: (0, 0)),
-    HBAC_ICO: _Scheme(True, "step", lambda c: standard_pair(c.n), lambda c: (1, c.n)),
-    ICO_ALONE: _Scheme(False, "reprepare", lambda c: _PAIRS[c.pair](c.n), lambda c: (1, c.n)),
+    HBAC: _Scheme(None, lambda c: None, lambda c: (0, 0)),
+    HBAC_ICO: _Scheme("step", lambda c: standard_pair(c.n), lambda c: (1, c.n)),
+    ICO_ALONE: _Scheme("reprepare", lambda c: _PAIRS[c.pair](c.n), lambda c: (1, c.n)),
     ICO_TREE_SORT: _Scheme(
-        False, "tree", lambda c: tree_pair(c.n), lambda c: (1 if c.nondemolition else c.n, c.n)
+        "tree", lambda c: tree_pair(c.n), lambda c: (1 if c.nondemolition else c.n, c.n)
     ),
     HBAC_KICO: _Scheme(
-        True, "step", lambda c: k_pair(c.n, c.k), lambda c: (1, c.n + 1 - c.k), takes_k=True
+        "step", lambda c: k_pair(c.n, c.k), lambda c: (1, c.n + 1 - c.k), takes_k=True
     ),
 }
 SCHEMES = tuple(_SCHEMES)
@@ -135,17 +138,16 @@ class SchemeConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         _check_exponent(self.n)
-        record = _SCHEMES[self.scheme]
-        if record.takes_k:
+        if self._record.takes_k:
             if self.k is None:
                 raise ValueError(f"k is required for {self.scheme}")
             if not 1 <= self.k <= self.n:
                 raise ValueError(f"k must be in [1, {self.n}], got {self.k}")
         elif self.k is not None:
             raise ValueError(f"k is only meaningful for {HBAC_KICO}")
-        if record.retry is None and self.initial is not None:
+        if self._record.retry is None and self.initial is not None:
             raise ValueError(f"{self.scheme} takes no initial state: it converges from any start")
-        if record.bath and self.epsilon is None:
+        if self._record.bath and self.epsilon is None:
             raise ValueError(f"{self.scheme} needs epsilon")
         if self.epsilon is not None:
             make_thermal_params(self.epsilon)
@@ -174,6 +176,10 @@ class SchemeConfig:
     def params(self) -> ThermalParams | None:
         return None if self.epsilon is None else make_thermal_params(self.epsilon)
 
+    @property
+    def _record(self) -> _Scheme:
+        return _SCHEMES[self.scheme]
+
 
 @dataclass(frozen=True, eq=False)
 class SchemeReport:
@@ -189,12 +195,12 @@ class SchemeReport:
 
 def scheme_spec(config: SchemeConfig) -> BlockUnitarySpec | None:
     """Block-unitary family used by the scheme's switch step (None for plain cooling)."""
-    return _SCHEMES[config.scheme].spec(config)
+    return config._record.spec(config)
 
 
 def _build_initial(config: SchemeConfig, initial: str | list) -> DiagonalState | ReducedState:
     """A selector's state, or a list of populations as a state, of the kind the scheme acts on."""
-    bath = _SCHEMES[config.scheme].bath
+    bath = config._record.bath
     n, params = config.n, config.params
     if isinstance(initial, list):
         expected = 2**n if bath else 2 ** (n + 1)
@@ -227,7 +233,7 @@ def initial_state(config: SchemeConfig) -> DiagonalState | ReducedState:
     """
     if config.initial is not None:
         return config.initial
-    if _SCHEMES[config.scheme].bath:
+    if config._record.bath:
         return _build_initial(config, "fixed-point")
     return _build_initial(config, "uniform" if config.epsilon is None else "thermal")
 
@@ -243,7 +249,7 @@ def plus_weight_vector(config: SchemeConfig) -> np.ndarray:
     if spec is None:
         raise ValueError("plain bath cooling has no switch step")
     mask = spec.one_mask
-    if _SCHEMES[config.scheme].bath:
+    if config._record.bath:
         params = config.params
         return (
             params.ground_population * mask[0::2] + params.excited_population * mask[1::2]
@@ -257,7 +263,7 @@ def success_probability(config: SchemeConfig) -> float:
     Heralded schemes return the plus-branch norm at the evaluation state; the
     deterministic schemes return 1 since every outcome heralds success.
     """
-    if _SCHEMES[config.scheme].retry in (None, "tree"):
+    if config._record.retry in (None, "tree"):
         return 1.0
     params = config.params
     if config.scheme == ICO_ALONE:
@@ -341,7 +347,7 @@ def run_round(
     spec = scheme_spec(config)
     if spec is None:
         raise ValueError("plain bath cooling has no switch round")
-    bath = _SCHEMES[config.scheme].bath
+    bath = config._record.bath
     if not isinstance(state, ReducedState if bath else DiagonalState):
         raise TypeError(f"{config.scheme} acts on the {'reduced' if bath else 'full'} register")
     if state.n != config.n:
@@ -378,7 +384,7 @@ def sample_batch(chain, count: int) -> np.ndarray:
 def run_scheme(config: SchemeConfig) -> SchemeReport:
     """Evaluate the scheme's resource row and success law."""
     probability = success_probability(config)
-    input_pure, output_pure = _SCHEMES[config.scheme].pure(config)
+    input_pure, output_pure = config._record.pure(config)
     expected = math.inf if probability == 0.0 else 1.0 / probability
     trials_for_desired = (
         None
@@ -389,7 +395,7 @@ def run_scheme(config: SchemeConfig) -> SchemeReport:
         success_probability=probability,
         output_pure_qubits=output_pure,
         input_pure_qubits=input_pure,
-        bath_used=_SCHEMES[config.scheme].bath,
+        bath_used=config._record.bath,
         expected_trials=expected,
         trials_for_desired=trials_for_desired,
     )
@@ -401,7 +407,7 @@ def final_state(config: SchemeConfig) -> DiagonalState:
     Plain cooling leaves the sorted, freshly reset stationary profile; every
     other scheme leaves its exactly pure output qubits, all in ``|g>``.
     """
-    if _SCHEMES[config.scheme].retry is None:
+    if config._record.retry is None:
         params = config.params
         return two_sort(reset(fixed_point(config.n, params), params))
-    return ground_state(_SCHEMES[config.scheme].pure(config)[1] - 1)
+    return ground_state(config._record.pure(config)[1] - 1)

@@ -1030,8 +1030,8 @@ class TestAbsorbingRetry:
     A retry is absorbing when some state has zero plus weight and the failure
     map sends every such state to one with zero plus weight.  With a bath the
     map is ``build_transfer**r @ branch_transfer(MINUS)`` on the reduced
-    register; the bath-free retry re-prepares its input, so the next attempt
-    sees the state the failed one saw, the identity on the full register.
+    register.  The bath-free retry re-prepares its input, so every attempt
+    sees the input's plus weight from the dense channel.
     """
 
     @staticmethod
@@ -1051,10 +1051,29 @@ class TestAbsorbingRetry:
             plus = branch_transfer(n, params, spec, PLUS).entries.sum(axis=0)
             failure = repump @ branch_transfer(n, params, spec, MINUS).entries
             assert AttemptChain(config).absorbing == self._absorbing(plus, failure), case
-        for pair, spec in ((STANDARD, standard_pair(n)), (IDEAL, ideal_pair(n))):
-            config = SchemeConfig(scheme=ICO_ALONE, n=n, pair=pair, repump_rounds=rounds)
-            plus = spec.one_mask.astype(np.float64)
-            assert AttemptChain(config).absorbing == self._absorbing(plus, np.eye(spec.dim)), pair
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("pair", [STANDARD, IDEAL])
+    def test_reprepared_retry_repeats_the_dense_plus_weight(self, pair, n):
+        params = make_thermal_params(0.5)
+        spec = (standard_pair if pair == STANDARD else ideal_pair)(n)
+        basis = np.eye(spec.dim)[:, :, None] * np.eye(spec.dim)  # every |x><x|
+        plus, _minus = oracle.switch_channel(basis, spec)
+        weights = np.trace(plus, axis1=1, axis2=2).real
+        thermal = thermal_full(n, params).populations
+        dark = np.isclose(weights, 0.0, atol=1e-12).astype(np.float64)  # zero plus weight
+        for start, expected in ((thermal, weights @ thermal), (dark, 0.0)):
+            config = SchemeConfig(
+                scheme=ICO_ALONE, n=n, epsilon=0.5, pair=pair, initial=start.tolist(), seed=1
+            )
+            chain = AttemptChain(config)
+            assert chain.absorbing
+            for attempt in (1, 2, 3):
+                row, probability = chain.at(attempt)
+                np.testing.assert_array_equal(row, start / start.sum())
+                assert probability == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        with pytest.raises(MaxAttemptsError, match="exactly 0 from attempt 1 on"):
+            sample_batch(chain, 5)
 
 
 def _released(config: SchemeConfig, count: int):
