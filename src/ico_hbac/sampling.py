@@ -58,7 +58,7 @@ class AttemptChain:
     ``states`` as a read-only float64 row of populations (its plus
     probability in ``probabilities``).  Once the draw is done, ``sample``
     takes the rows with :meth:`release` and swaps each for its text, so the
-    chain then hands out no row.  A position is an int:
+    chain then holds no row and no text.  A position is an int:
 
     * for heralded schemes, the 1-based attempt number along the
       deterministic failure chain (every earlier outcome was a minus); each
@@ -79,9 +79,8 @@ class AttemptChain:
         # on a minus step without re-pump rounds when no Pauli pair straddles
         # two reduced entries: the step then keeps each reduced entry or zeroes it
         self.absorbing = self._retry == "reprepare"
-        self.states: list = []  # float64 rows, then their text once released
+        self.states: list | None = []  # float64 rows; None once released
         self.probabilities: list[float] = []
-        self._released = False
         if self._retry == "tree":
             # the cascade level's block spec, built on first use
             self._level_spec = functools.cache(functools.partial(tree_pair, config.n))
@@ -107,16 +106,16 @@ class AttemptChain:
         return self.states[index], self.probabilities[index]
 
     def release(self) -> list:
-        """``states``, handed over so that each row can be swapped for its text in place.
+        """The rows, handed over so that each can be swapped for its text in place.
 
         ``sample`` calls this once the draw is done, and drops each row as
         soon as its text exists, so rows and texts are never all held at
-        once.  The chain still decodes runs and keeps its probabilities, but
-        from then on :meth:`at` raises ``RuntimeError``, and so does any
-        position past the rows it held.
+        once.  ``states`` is then None: the chain still decodes runs and
+        keeps its probabilities, but from then on :meth:`at` raises
+        ``RuntimeError``, and so does any position past the rows it held.
         """
-        self._released = True
-        return self.states
+        rows, self.states = self.states, None
+        return rows
 
     def draw(self, streams: np.ndarray) -> np.ndarray:
         """The run of each Philox stream index in ``streams``, as int64."""
@@ -142,8 +141,8 @@ class AttemptChain:
         return 1 if self._retry == "tree" else run
 
     def _require_rows(self) -> None:
-        if self._released:
-            raise RuntimeError("the chain released its rows to be rendered; it holds their text")
+        if self.states is None:
+            raise RuntimeError("the chain released its rows to be rendered")
 
     def _add(self, row: np.ndarray) -> None:
         row.setflags(write=False)
@@ -156,7 +155,7 @@ class AttemptChain:
             return self._tree_node(position)
         if self._retry == "reprepare":
             return 0  # every retry re-prepares the input
-        while len(self.states) < position:
+        while len(self.probabilities) < position:
             self._require_rows()
             self._add(_minus_step(self.states[-1], *self._step))
         return position - 1
@@ -191,11 +190,11 @@ class AttemptChain:
 _LANES = 1024  # (stream, block) pairs a kernel call fills once few runs are live
 
 
-def _exhausted(config: SchemeConfig, stream: int, zero_from: int | None = None):
+def _exhausted(config: SchemeConfig, zero_from: int | None = None):
     message = f"no plus outcome within {config.max_attempts} attempts"
     if zero_from is not None:
         message += f": the plus probability is exactly 0 from attempt {zero_from} on"
-    return MaxAttemptsError(message, config.max_attempts, stream)
+    return MaxAttemptsError(message, config.max_attempts)
 
 
 def _heralded_trials(chain: AttemptChain, streams: np.ndarray) -> np.ndarray:
@@ -218,14 +217,14 @@ def _heralded_trials(chain: AttemptChain, streams: np.ndarray) -> np.ndarray:
             first, column = attempt, 0
         _state, probability = chain.at(attempt)
         if probability == 0.0 and chain.absorbing:
-            raise _exhausted(config, int(streams[live[0]]), zero_from=attempt)
+            raise _exhausted(config, zero_from=attempt)
         plus = uniforms[:, column] < probability
         if plus.any():
             trials[live[plus]] = attempt
             live, uniforms = live[~plus], uniforms[~plus]
             if not live.size:
                 return trials
-    raise _exhausted(config, int(streams[live[0]]))
+    raise _exhausted(config)
 
 
 def _tree_outcomes(chain: AttemptChain, streams: np.ndarray) -> np.ndarray:

@@ -99,14 +99,12 @@ MAX_REPUMP_ROUNDS = 10_000
 class MaxAttemptsError(RuntimeError):
     """A trajectory exhausted its attempt budget without a plus outcome.
 
-    ``trajectory`` is the failed run's trials used, its whole budget, and
-    ``index`` its stream index: the lowest of the batch that failed.
+    ``trajectory`` is the failed run's trials used, its whole budget.
     """
 
-    def __init__(self, message: str, trajectory: int, index: int):
+    def __init__(self, message: str, trajectory: int):
         super().__init__(message)
         self.trajectory = trajectory
-        self.index = index
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +133,20 @@ class SchemeConfig:
     max_attempts: int = 100_000
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        record = _SCHEMES.get(self.scheme)
+        if record is None:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         _check_exponent(self.n)
-        if self._record.takes_k:
+        if record.takes_k:
             if self.k is None:
                 raise ValueError(f"k is required for {self.scheme}")
             if not 1 <= self.k <= self.n:
                 raise ValueError(f"k must be in [1, {self.n}], got {self.k}")
         elif self.k is not None:
             raise ValueError(f"k is only meaningful for {HBAC_KICO}")
-        if self._record.retry is None and self.initial is not None:
+        if record.retry is None and self.initial is not None:
             raise ValueError(f"{self.scheme} takes no initial state: it converges from any start")
-        if self._record.bath and self.epsilon is None:
+        if record.bath and self.epsilon is None:
             raise ValueError(f"{self.scheme} needs epsilon")
         if self.epsilon is not None:
             make_thermal_params(self.epsilon)
@@ -266,7 +265,7 @@ def success_probability(config: SchemeConfig) -> float:
     if config._record.retry in (None, "tree"):
         return 1.0
     params = config.params
-    if config.scheme == ICO_ALONE:
+    if config._record.retry == "reprepare":
         if config.initial is None and params is None:
             # two entries of uniform_full, each exactly 2**-(n + 1), over its exact sum 1
             return 2.0**-config.n
@@ -276,10 +275,9 @@ def success_probability(config: SchemeConfig) -> float:
             g, e, n = params.ground_population, params.excited_population, config.n
             last = (e,) * (n + 1) if config.pair == STANDARD else (g,) * n + (e,)
             return math.prod((g,) * (n + 1)) + math.prod(last)
-        lam = initial_state(config)
-        vec = lam.populations
-        weight = vec[0] + (vec[-1] if config.pair == STANDARD else vec[1])
-        return float(weight / lam.norm)
+        return float(
+            plus_weight_vector(config) @ config.initial.populations / config.initial.norm
+        )
     eps = params.epsilon
     if config.scheme == HBAC_ICO:
         if config.initial is None:
@@ -369,8 +367,8 @@ def sample_batch(chain, count: int) -> np.ndarray:
     1-D int64 array; ``sampling`` says what the integer means.  A heralded
     run that exhausts ``max_attempts``, or reaches a plus probability of
     exactly zero on a retry that cannot raise it, raises
-    :class:`MaxAttemptsError` for the lowest such index.  Chain states are
-    computed only up to the last attempt some run reached.
+    :class:`MaxAttemptsError`.  Chain states are computed only up to the
+    last attempt some run reached.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

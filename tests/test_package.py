@@ -224,16 +224,31 @@ def _scheme_name_comparisons(tree: ast.Module):
             yield node.lineno
 
 
-def test_only_schemes_compares_a_scheme_name():
-    # what a scheme does is its record in schemes; every other module reads
-    # the record, so a new fact is added in one place
+def test_no_module_compares_a_scheme_name():
+    # what a scheme does is its record in schemes, which every module reads,
+    # so a new fact is added in one place.  The one exception is the
+    # hbac-ico / hbac-kico split in success_probability: nine rewrites of it
+    # onto the record each raised tree-sort-json's peak RSS by 0.08-0.15 MB
+    # when compiled from source, and not with bytecode caches (ROADMAP N)
+    schemes = _trees()["schemes.py"]
+    law = next(
+        node
+        for node in schemes.body
+        if isinstance(node, ast.FunctionDef) and node.name == "success_probability"
+    )
+    (split,) = [
+        node.lineno
+        for node in ast.walk(law)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.comparators[0], ast.Name)
+        and node.comparators[0].id == "HBAC_ICO"
+    ]
     compared = [
         f"{module}:{line}"
         for module, tree in _trees().items()
-        if module != "schemes.py"
         for line in sorted(set(_scheme_name_comparisons(tree)))
     ]
-    assert compared == []
+    assert compared == [f"schemes.py:{split}"]
 
 
 _SMALL_RUN = "--scheme hbac-ico --n 3 --eps 0.5"

@@ -11,7 +11,7 @@ SHA-256 of stdout, the ``--output`` bytes and the last line of stderr.  It
 prints every command whose results differ, then a count, and exits 1 if any
 differs.  The commands run in a temporary directory holding the pinned
 configs of ``tests/test_cli.py``, which also gives the pinned commands, and
-the gate's own ``_CONFIGS``.
+the gate's own ``_CONFIGS``, ``_REFUSED_CONFIGS`` and ``_RAW_CONFIGS``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,6 +59,25 @@ _CONFIGS = {
         "initial": [0.05, 0.3, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
     },
 }
+# run specs that ``run`` refuses, one check each
+_REFUSED_CONFIGS = {
+    "not-an-object.json": [1, 2],
+    "unknown-key.json": {"scheme": "hbac", "n": 2, "epsilon": 0.5, "colour": 1},
+    "bool-n.json": {"scheme": "hbac", "n": True, "epsilon": 0.5},
+    "string-n.json": {"scheme": "hbac", "n": "2", "epsilon": 0.5},
+    "text-initial-entry.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.5, "x"]},
+    "other-pair.json": {"scheme": "ico-alone", "n": 2, "pair": "other"},
+    "no-scheme.json": {"n": 2, "epsilon": 0.5},
+    "short-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.5, 0.2, 0.3]},
+    "zero-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.0, 0.0]},
+    "negative-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.6, -0.1]},
+    "nan-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [math.nan, 0.5]},
+    # ico-alone's plus weight is entries 0 and -1 of the full register: zero, then subnormal
+    "ico-alone-zero-plus.json": {"scheme": "ico-alone", "n": 1, "initial": [0.0, 0.5, 0.5, 0.0]},
+    "ico-alone-tiny-plus.json": {"scheme": "ico-alone", "n": 1, "initial": [5e-321, 0.5, 0.5, 0.0]},
+}
+# config files that are not JSON, written as they are
+_RAW_CONFIGS = {"malformed.json": '{"scheme": "hbac", "n": '}
 
 
 def _scheme_facts():
@@ -90,6 +110,34 @@ def _scheme_facts():
         yield (command, "--scheme", "hbac-kico", "--n", "2", "--eps", "0.5")
         for scheme in ("hbac", "hbac-ico", "ico-alone", "ico-tree-sort"):
             yield (command, "--scheme", scheme, "--n", "2", "--eps", "0.5", "--k", "1")
+
+
+def _usage_errors():
+    """Commands that exit 2 with one line on stderr, or 4 for an output in a missing directory."""
+    for name in (*_REFUSED_CONFIGS, *_RAW_CONFIGS):
+        yield ("run", "--config", name, "--desired-success", "0.9")
+    hbac = ("--scheme", "hbac", "--eps", "0.5")
+    kico = ("--scheme", "hbac-kico", "--k", "1", "--eps", "0.5")
+    yield ("run", *hbac)  # no --n
+    yield ("sample", *hbac, "--n", "2", "--trials", "0")
+    yield ("run", "--scheme", "hbac-kico", "--n", "3", "--k", "4", "--eps", "0.5")
+    yield ("run", "--scheme", "hbac-ico", "--n", "2")
+    yield ("run", "--scheme", "hbac-ico", "--n", "2", "--eps", "0.5", "--desired-success", "1.5")
+    for rounds in ("-1", "10001"):
+        yield ("run", *kico, "--n", "2", "--repump-rounds", rounds)
+    yield ("sample", *hbac, "--n", "2", "--max-attempts", "0")
+    yield ("sample", *hbac, "--n", "2", "--seed", str(2**64))
+    yield ("run", "--scheme", "ico-alone", "--n", "2", "--initial", "thermal")
+    # exhausts the attempt budget on a plus probability that is never zero
+    yield ("sample", "--scheme", "hbac-ico", "--n", "3", "--eps", "0.5", "--trials", "200",
+           "--seed", "3", "--max-attempts", "5")
+    yield ("run", *hbac, "--n", "25")
+    yield ("fixed-point", "--n", "0", "--eps", "0.5")
+    yield from (("table1", "--n", "3", "--eps", eps) for eps in ("0", "-1", "nan"))
+    for flag, value in (("--nmax", "0"), ("--nmax", "7"), ("--trials", "0"), ("--seed", "-1")):
+        yield ("validate", flag, value)
+    yield ("sample", *hbac, "--n", "2", "--trials", str(2**59))  # numpy's named MemoryError
+    yield ("run", *hbac, "--n", "2", "--output", "missing-directory/out.csv")
 
 
 @functools.cache
@@ -141,6 +189,7 @@ def matrix() -> list[tuple[str, ...]]:
     # the largest --eps accepted and the first two rejected
     commands += [("table1", "--n", "3", "--eps", eps) for eps in ("709.7", "709.8", "710")]
     commands += _scheme_facts()
+    commands += _usage_errors()
     return list(dict.fromkeys(commands))
 
 
@@ -170,8 +219,10 @@ def main(argv: list[str]) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as directory:
         workdir = Path(directory)
-        for name, config in (_test_cli()._PINNED_CONFIGS | _CONFIGS).items():
+        for name, config in (_test_cli()._PINNED_CONFIGS | _CONFIGS | _REFUSED_CONFIGS).items():
             (workdir / name).write_text(json.dumps(config))
+        for name, text in _RAW_CONFIGS.items():
+            (workdir / name).write_text(text)
         for index, command in enumerate(commands):
             order = trees if index % 2 == 0 else trees[::-1]
             results = {tree: _outcome(tree, command, workdir) for tree in order}
