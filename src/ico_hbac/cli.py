@@ -27,6 +27,12 @@ reproduce identical bytes.  A CSV float is the bytes of
 ``format(x, ".17g")``; vectors of them are rendered by the numpy kernel of
 ``floattext``, ``_FLOAT_SLICE`` floats per call.
 
+``table1``, ``run`` and the ``sample`` summary declare each quantity once, as
+a ``(name, value)`` pair.  Its JSON field is the CSV quantity's name with
+``_`` in place of ``-``; a non-finite value is ``null``, and so is
+``table1``'s ``none`` bath.  Every flag but ``--config`` and ``--nmax`` is
+built from its run-spec key in ``_RUNSPEC``.
+
 Exit codes: 0 success, 2 usage or domain error (or memory ran out), 3 validation
 failure, 4 I/O.
 """
@@ -118,9 +124,14 @@ def _join_states(vectors: list) -> list[str]:
     return vectors
 
 
-def _json_float(value):
-    value = float(value)
-    return value if math.isfinite(value) else None
+def _json_fields(quantities) -> dict:
+    """JSON fields of ``(name, value)`` quantities: ``-`` becomes ``_``, a non-finite float None."""
+    return {
+        name.replace("-", "_"): (
+            None if isinstance(value, float) and not math.isfinite(value) else value
+        )
+        for name, value in quantities
+    }
 
 
 def _head(scheme: str, n: int, k, epsilon) -> str:
@@ -267,7 +278,7 @@ def load_runspec(path: str) -> dict:
 
 def _merge_runspec(args) -> dict:
     spec = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         spec.update(load_runspec(args.config))
     for key in _RUNSPEC:
         value = getattr(args, key, None)
@@ -332,25 +343,17 @@ def cmd_table1(args) -> int:
         )
         report = run_scheme(config)
         head = _head(scheme, args.n, config.k, args.epsilon)
-        values = {
-            "bath": args.epsilon if report.bath_used else "none",
-            "input-pure-qubits": report.input_pure_qubits,
-            "output-pure-qubits": report.output_pure_qubits,
-            "success-probability": report.success_probability,
-            "expected-trials": report.expected_trials,
-        }
-        for quantity, value in values.items():
-            lines.append(_line(head, None, quantity, report.success_probability, None, value))
-        json_rows.append(
-            {
-                "scheme": scheme,
-                "bath": args.epsilon if report.bath_used else None,
-                "input_pure_qubits": report.input_pure_qubits,
-                "output_pure_qubits": report.output_pure_qubits,
-                "success_probability": report.success_probability,
-                "expected_trials": _json_float(report.expected_trials),
-            }
-        )
+        quantities = [
+            ("bath", args.epsilon if report.bath_used else None),
+            ("input-pure-qubits", report.input_pure_qubits),
+            ("output-pure-qubits", report.output_pure_qubits),
+            ("success-probability", report.success_probability),
+            ("expected-trials", report.expected_trials),
+        ]
+        for name, value in quantities:
+            cell = "none" if value is None else value
+            lines.append(_line(head, None, name, report.success_probability, None, cell))
+        json_rows.append({"scheme": scheme, **_json_fields(quantities)})
     obj = {
         "command": "table1",
         "n": args.n,
@@ -375,13 +378,13 @@ def cmd_run(args) -> int:
         ("input-pure-qubits", report.input_pure_qubits),
         ("output-pure-qubits", report.output_pure_qubits),
         ("bath-used", report.bath_used),
+        ("trials-for-desired", report.trials_for_desired),
     ]
-    if report.trials_for_desired is not None:
-        quantities.append(("trials-for-desired", report.trials_for_desired))
 
     def lines():
         for name, value in quantities:
-            yield _line(head, None, name, report.success_probability, None, value)
+            if value is not None:
+                yield _line(head, None, name, report.success_probability, None, value)
         yield from _vector_lines(head, "final-state", final.populations)
 
     obj = None
@@ -390,12 +393,7 @@ def cmd_run(args) -> int:
             "command": "run",
             "runspec": spec,
             "report": {
-                "success_probability": report.success_probability,
-                "expected_trials": _json_float(report.expected_trials),
-                "input_pure_qubits": report.input_pure_qubits,
-                "output_pure_qubits": report.output_pure_qubits,
-                "bath_used": report.bath_used,
-                "trials_for_desired": report.trials_for_desired,
+                **_json_fields(quantities),
                 "final_state_qubits": final.n + 1,
                 "final_state": final.populations,
             },
@@ -464,11 +462,7 @@ def cmd_sample(args) -> int:
         obj = {
             "command": "sample",
             "runspec": spec,
-            "summary": {
-                "trajectories": len(runs),
-                "mean_trials": mean_trials,
-                "expected_trials": _json_float(expected),
-            },
+            "summary": _json_fields(summary.items()),
             # generators: each trajectory is built as it is written
             "trajectories": (
                 {
@@ -511,22 +505,25 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_runspec_flags(parser, include_trials: bool) -> None:
-    parser.add_argument("--config", help="JSON run specification; flags override its keys")
-    for name, key in _RUNSPEC.items():
-        if name == "trials" and not include_trials:  # only ``sample`` has a flag for it
-            continue
+def _add_flags(parser, names, required=()) -> None:
+    """A flag for each run-spec key of ``names``, in that order, typed from ``_RUNSPEC``.
+
+    No flag has a default (a ``set_defaults`` gives one), so ``_merge_runspec``
+    can tell a flag that was given from one that was not.
+    """
+    for name in names:
+        key = _RUNSPEC[name]
         flags = ("--eps",) if name == "epsilon" else ()
         flags += ("--" + name.replace("_", "-"),)
         if key.types is bool:
-            options = {"action": "store_const", "const": True, "default": None}
+            options = {"action": "store_const", "const": True}
         elif key.choices:
             options = {"choices": key.choices}
         else:
             options = {"type": float if key.types == (int, float) else key.types}
         if name == "initial":
             options["help"] = "initial-state selector; explicit vectors go in the config file"
-        parser.add_argument(*flags, dest=name, **options)
+        parser.add_argument(*flags, dest=name, required=name in required, **options)
 
 
 def build_parser() -> _Parser:
@@ -537,35 +534,28 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     fp = sub.add_parser("fixed-point", help="stationary cooling profile and its residual")
-    fp.add_argument("--n", type=int, required=True)
-    fp.add_argument("--eps", "--epsilon", dest="epsilon", type=float, required=True)
-    fp.add_argument("--format", choices=FORMATS, default="csv")
-    fp.add_argument("--output")
-    fp.set_defaults(func=cmd_fixed_point)
+    _add_flags(fp, ("n", "epsilon", "format", "output"), required=("n", "epsilon"))
+    fp.set_defaults(func=cmd_fixed_point, format="csv")
 
     t1 = sub.add_parser("table1", help="resource comparison of the five schemes")
-    t1.add_argument("--n", type=int, required=True)
-    t1.add_argument("--eps", "--epsilon", dest="epsilon", type=float, required=True)
-    t1.add_argument("--k", type=int, default=1)
-    t1.add_argument("--nondemolition", action="store_true")
-    t1.add_argument("--format", choices=FORMATS, default="csv")
-    t1.add_argument("--output")
-    t1.set_defaults(func=cmd_table1)
+    _add_flags(
+        t1, ("n", "epsilon", "k", "nondemolition", "format", "output"), required=("n", "epsilon")
+    )
+    t1.set_defaults(func=cmd_table1, format="csv", k=1, nondemolition=False)
 
-    run_p = sub.add_parser("run", help="evaluate one scheme configuration")
-    _add_runspec_flags(run_p, include_trials=False)
-    run_p.set_defaults(func=cmd_run)
-
-    sample_p = sub.add_parser("sample", help="Monte Carlo trajectory batches")
-    _add_runspec_flags(sample_p, include_trials=True)
-    sample_p.set_defaults(func=cmd_sample)
+    for name, func, text in (
+        ("run", cmd_run, "evaluate one scheme configuration"),
+        ("sample", cmd_sample, "Monte Carlo trajectory batches"),
+    ):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", help="JSON run specification; flags override its keys")
+        _add_flags(command, [key for key in _RUNSPEC if key != "trials" or name == "sample"])
+        command.set_defaults(func=func)
 
     val = sub.add_parser("validate", help="oracle equivalence and invariant battery")
     val.add_argument("--nmax", type=int, default=3)
-    val.add_argument("--trials", type=int, default=100)
-    val.add_argument("--seed", type=int, default=7)
-    val.add_argument("--output")
-    val.set_defaults(func=cmd_validate)
+    _add_flags(val, ("trials", "seed", "output"))
+    val.set_defaults(func=cmd_validate, trials=100, seed=7)
 
     return parser
 

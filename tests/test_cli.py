@@ -1,5 +1,6 @@
 """CLI tests: argument handling, output formats, determinism, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -802,6 +803,99 @@ class TestParsing:
         assert cli._fmt(None) == ""
         assert cli._fmt(True) == "1"
         assert cli._fmt(12) == "12"
+
+    def test_every_flag_is_typed_from_the_runspec(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for command, sub in commands.choices.items():
+            for action in sub._actions:
+                if isinstance(action, argparse._HelpAction) or action.dest in ("config", "nmax"):
+                    continue
+                key = cli._RUNSPEC[action.dest]
+                flag = "--" + action.dest.replace("_", "-")
+                assert action.option_strings in ([flag], ["--eps", flag]), (command, flag)
+                if key.types is bool:
+                    expected = (argparse._StoreConstAction, None, None, True)
+                elif key.choices:
+                    expected = (argparse._StoreAction, None, key.choices, None)
+                else:
+                    number = float if key.types == (int, float) else key.types
+                    expected = (argparse._StoreAction, number, None, None)
+                derived = (type(action), action.type, action.choices, action.const)
+                assert derived == expected, (command, flag)
+                if command in ("run", "sample"):
+                    # a flag overrides a config key only when it is given
+                    assert action.default is None, (command, flag)
+
+
+# Each CSV quantity row and its JSON field: ``inf`` and ``none`` are JSON
+# null, ``1`` and ``0`` JSON true and false where the field is a bool.
+_CSV_AS_JSON = {"inf": None, "none": None, "1": True, "0": False}
+_ZERO_PLUS_CONFIGS = {
+    "ico-alone-zero-plus.json": {"scheme": "ico-alone", "n": 1, "initial": [0.0, 0.5, 0.5, 0.0]},
+    "hbac-ico-zero-plus.json": {
+        "scheme": "hbac-ico", "n": 2, "epsilon": 0.5, "initial": [0.0, 0.5, 0.5, 0.0],
+    },
+}
+_SCHEME_ARGS = (
+    ("--scheme", "hbac", "--eps", "0.5"),
+    ("--scheme", "hbac-ico", "--eps", "0.5"),
+    ("--scheme", "ico-alone"),
+    ("--scheme", "ico-tree-sort", "--eps", "0.5"),
+    ("--scheme", "hbac-kico", "--k", "1", "--eps", "0.5"),
+)
+_QUANTITY_COMMANDS = [
+    ("run", "--n", "2", *scheme, *desired)
+    for scheme in _SCHEME_ARGS
+    for desired in ((), ("--desired-success", "0.9"))
+] + [
+    ("run", "--config", "ico-alone-zero-plus.json"),
+    ("table1", "--n", "3", "--eps", "0.5"),
+    ("table1", "--n", "3", "--eps", "0.5", "--k", "2", "--nondemolition"),
+    ("sample", "--scheme", "hbac-ico", "--n", "2", "--eps", "0.5", "--trials", "5", "--seed", "1"),
+    ("sample", "--config", "hbac-ico-zero-plus.json", "--trials", "5", "--seed", "1"),
+]
+
+
+def _quantity_groups(command, csv_text, json_text):
+    """(CSV quantity rows, JSON fields) pairs: one per ``table1`` scheme, else one."""
+    rows = [row for row in parse_csv(csv_text) if row["round"] == ""]
+    doc = json.loads(json_text)
+    if command == "table1":
+        groups = []
+        for fields in doc["rows"]:
+            scheme = fields.pop("scheme")
+            groups.append(([row for row in rows if row["scheme"] == scheme], fields))
+        return groups
+    if command == "run":
+        fields = doc["report"]
+        del fields["final_state"], fields["final_state_qubits"]
+        return [(rows, fields)]
+    return [(rows, doc["summary"])]
+
+
+class TestQuantityNames:
+    @pytest.mark.parametrize("argv", _QUANTITY_COMMANDS, ids=" ".join)
+    def test_json_field_is_the_csv_quantity_renamed(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, config in _ZERO_PLUS_CONFIGS.items():
+            (tmp_path / name).write_text(json.dumps(config))
+        code, csv_text, _ = run_cli(capsys, *argv)
+        json_code, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == json_code == 0
+        for rows, fields in _quantity_groups(argv[0], csv_text, json_text):
+            names = [row["outcome"].replace("-", "_") for row in rows]
+            assert rows and len(set(names)) == len(names)
+            # run's trials-for-desired has no CSV row without --desired-success
+            unwritten = {"trials_for_desired"} - set(names) if argv[0] == "run" else set()
+            assert set(fields) == set(names) | unwritten
+            assert all(fields[name] is None for name in unwritten)
+            for row, name in zip(rows, names):
+                field = fields[name]
+                if field is None or isinstance(field, bool):
+                    assert _CSV_AS_JSON.get(row["value"], row["value"]) is field, name
+                else:
+                    assert float(row["value"]) == field, name
 
 
 # SHA-256 of stdout, recorded before the output path was rewritten to stream:

@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _SCHEME_SIZES = range(1, 7)
 _SEEDS = (1, 2, 3)
+_COMMANDS = ("fixed-point", "table1", "run", "sample", "validate")
 
 
 def _scheme_variants(n: int):
@@ -58,6 +59,9 @@ _CONFIGS = {
         "scheme": "ico-alone", "n": 2, "pair": "ideal",
         "initial": [0.05, 0.3, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
     },
+    # a plus probability of zero from the first attempt: ``sample`` still heralds
+    # (the chain re-pumps) but its analytic expected-trials is infinite
+    "hbac-ico-zero-plus.json": {"scheme": "hbac-ico", "n": 2, "epsilon": 0.5, "initial": [0, 0.5, 0.5, 0]},
 }
 # run specs that ``run`` refuses, one check each
 _REFUSED_CONFIGS = {
@@ -138,6 +142,13 @@ def _usage_errors():
         yield ("validate", flag, value)
     yield ("sample", *hbac, "--n", "2", "--trials", str(2**59))  # numpy's named MemoryError
     yield ("run", *hbac, "--n", "2", "--output", "missing-directory/out.csv")
+    # argparse's own errors: a missing required flag, a bad choice, a bad type
+    yield ("fixed-point", "--n", "3")
+    yield ("table1", "--eps", "0.5")
+    yield ("table1", "--n", "3", "--eps", "0.5", "--format", "xml")
+    yield ("table1", "--n", "3", "--eps", "0.5", "--k", "x")
+    yield ("fixed-point", "--n", "3", "--eps", "x")
+    yield ("validate", "--trials", "x")
 
 
 @functools.cache
@@ -188,6 +199,10 @@ def matrix() -> list[tuple[str, ...]]:
     commands.append((*kico, "--n", "3", *wide_draw))
     # the largest --eps accepted and the first two rejected
     commands += [("table1", "--n", "3", "--eps", eps) for eps in ("709.7", "709.8", "710")]
+    # the help texts, and validate at its default seed and trials
+    commands += [("--help",), *((command, "--help") for command in _COMMANDS), ("validate",)]
+    # an infinite expected-trials, written as null in JSON
+    commands += [("run", "--config", "ico-alone-zero-plus.json", "--format", fmt) for fmt in ("csv", "json")]
     commands += _scheme_facts()
     commands += _usage_errors()
     return list(dict.fromkeys(commands))
