@@ -33,8 +33,9 @@ a ``(name, value)`` pair.  Its JSON field is the CSV quantity's name with
 ``table1``'s ``none`` bath.  Every flag but ``--config`` and ``--nmax`` is
 built from its run-spec key in ``_RUNSPEC``.
 
-Exit codes: 0 success, 2 usage or domain error (or memory ran out), 3 validation
-failure, 4 I/O.
+Exit codes: 0 success, 2 the input was refused (a ``register.Refusal``, an
+exhausted attempt budget, or memory that ran out), 3 validation failure, 4 I/O.
+Any other exception is a bug: it exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 
 from .floattext import float_rows as _float_rows
 from .hbac_core import fixed_point, hbac_round
-from .register import make_thermal_params
+from .register import Refusal, make_thermal_params
 from .schemes import (
     _SCHEMES,
     HBAC,
@@ -76,13 +77,9 @@ EXIT_IO = 4
 FORMATS = ("csv", "json")
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise Refusal(message)
 
 
 # ---------------------------------------------------------------------------
@@ -241,29 +238,29 @@ _DEFAULTS = {
 def validate_runspec(raw: dict) -> dict:
     """Check the key names, value types, allowed strings and bounds of a run specification."""
     if not isinstance(raw, dict):
-        raise UsageError("run specification must be a JSON object")
+        raise Refusal("run specification must be a JSON object")
     unknown = sorted(set(raw) - set(_RUNSPEC))
     if unknown:
-        raise UsageError(f"unknown run specification keys: {unknown}")
+        raise Refusal(f"unknown run specification keys: {unknown}")
     for name, value in raw.items():
         key = _RUNSPEC[name]
         if isinstance(value, bool) and key.types is not bool:
-            raise UsageError(f"run specification key {name!r} has wrong type bool")
+            raise Refusal(f"run specification key {name!r} has wrong type bool")
         if not isinstance(value, key.types):
-            raise UsageError(
+            raise Refusal(
                 f"run specification key {name!r} expects {key.types}, got {type(value).__name__}"
             )
         if isinstance(value, list):
             for entry in value:
                 if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                    raise UsageError(
+                    raise Refusal(
                         f"run specification key {name!r} expects a list of numbers, "
                         f"got {type(entry).__name__} {entry!r}"
                     )
         elif key.choices and value not in key.choices:
-            raise UsageError(f"{name} must be one of {key.choices}, got {value!r}")
+            raise Refusal(f"{name} must be one of {key.choices}, got {value!r}")
         if key.minimum is not None and value < key.minimum:
-            raise UsageError(f"{name} must be >= {key.minimum}, got {value}")
+            raise Refusal(f"{name} must be >= {key.minimum}, got {value}")
     return dict(raw)
 
 
@@ -271,8 +268,8 @@ def load_runspec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise Refusal(f"config file {path}: {exc}") from exc
     return validate_runspec(raw)
 
 
@@ -285,9 +282,9 @@ def _merge_runspec(args) -> dict:
         if value is not None:
             spec[key] = value
     if "scheme" not in spec:
-        raise UsageError("a scheme is required (flag --scheme or config key 'scheme')")
+        raise Refusal("a scheme is required (flag --scheme or config key 'scheme')")
     if "n" not in spec:
-        raise UsageError("a register exponent is required (flag --n or config key 'n')")
+        raise Refusal("a register exponent is required (flag --n or config key 'n')")
     return validate_runspec(spec)
 
 
@@ -565,7 +562,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, TypeError, MaxAttemptsError) as exc:
+    except (Refusal, MaxAttemptsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -23,7 +23,14 @@ import numpy as np
 
 from .hbac_core import build_transfer, fixed_point, hbac_round
 from .philox import _philox_uniforms
-from .register import DiagonalState, ReducedState, ThermalParams, make_thermal_params
+from .register import (
+    DiagonalState,
+    ReducedState,
+    Refusal,
+    ThermalParams,
+    _check_seed,
+    make_thermal_params,
+)
 from .schemes import (
     HBAC_ICO,
     HBAC_KICO,
@@ -46,6 +53,11 @@ from .switch import (
 )
 
 DENSE_EXPONENT_CAP = 6
+
+# most random trials compare runs per family and n: its time is linear in them, and
+# validate --nmax 6 at this cap takes about 36 s (2-CPU machine, one BLAS thread), so
+# a larger count could keep an accepted validate running for hours
+MAX_COMPARE_TRIALS = 1_000
 
 _STACK_BYTES = 1 << 16  # bytes of one stacked complex array in compare: bounds its temporaries
 
@@ -215,15 +227,14 @@ def compare(nmax: int = 3, trials: int = 100, seed: int = 7) -> CompareReport:
     are those of a per-trial loop.  Deterministic for a fixed seed.
     """
     if nmax < 1:
-        raise ValueError(f"nmax must be >= 1, got {nmax}")
+        raise Refusal(f"nmax must be >= 1, got {nmax}")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if seed >= 2**64:  # a Philox key word
-        raise ValueError(f"seed must be < 2**64, got {seed}")
+        raise Refusal(f"trials must be >= 1, got {trials}")
+    _check_seed(seed)
     if nmax > DENSE_EXPONENT_CAP:
-        raise ValueError(f"nmax={nmax} exceeds the dense cap {DENSE_EXPONENT_CAP}")
+        raise Refusal(f"nmax={nmax} exceeds the dense cap {DENSE_EXPONENT_CAP}")
+    if trials > MAX_COMPARE_TRIALS:
+        raise Refusal(f"trials is capped at {MAX_COMPARE_TRIALS}, got {trials}")
     by_case: dict[tuple[str, str], float] = {}
     max_offdiagonal = 0.0
     row = 0  # uniform_rows row of the next trial

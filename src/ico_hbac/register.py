@@ -27,10 +27,24 @@ MAX_REGISTER_EXPONENT = 24  # largest n of every state, spec and command
 NORM_TOLERANCE = 1e-12
 
 
+class Refusal(ValueError):
+    """An outside input out of its range: a run spec, a flag or a caller's argument.
+
+    The command line turns this, and only this of the ``ValueError`` family,
+    into exit 2 with its message; any other exception is a bug.
+    """
+
+
 def _check_exponent(n: int) -> None:
     """Reject an exponent outside ``[1, MAX_REGISTER_EXPONENT]`` before any allocation."""
     if not 1 <= n <= MAX_REGISTER_EXPONENT:
-        raise ValueError(f"n must be in [1, {MAX_REGISTER_EXPONENT}], got {n}")
+        raise Refusal(f"n must be in [1, {MAX_REGISTER_EXPONENT}], got {n}")
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed that is not a Philox key word."""
+    if not 0 <= seed < 2**64:
+        raise Refusal(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -47,16 +61,16 @@ class ThermalParams:
     def __post_init__(self):
         epsilon = self.epsilon
         if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-            raise ValueError(f"epsilon must be a number, got {epsilon!r}")
+            raise Refusal(f"epsilon must be a number, got {epsilon!r}")
         if not math.isfinite(epsilon) or epsilon <= 0:
-            raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+            raise Refusal(f"epsilon must be finite and > 0, got {epsilon}")
         object.__setattr__(self, "epsilon", float(epsilon))
         try:
             z = 2.0 * math.cosh(self.epsilon)
         except OverflowError:
             z = math.inf
         if not math.isfinite(z):
-            raise ValueError(f"epsilon={self.epsilon} overflows the partition constant")
+            raise Refusal(f"epsilon={self.epsilon} overflows the partition constant")
 
     @property
     def ground_population(self) -> float:

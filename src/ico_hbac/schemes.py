@@ -23,8 +23,10 @@ from .hbac_core import fixed_point, two_sort
 from .register import (
     DiagonalState,
     ReducedState,
+    Refusal,
     ThermalParams,
     _check_exponent,
+    _check_seed,
     ground_state,
     make_thermal_params,
     reset,
@@ -135,39 +137,38 @@ class SchemeConfig:
     def __post_init__(self):
         record = _SCHEMES.get(self.scheme)
         if record is None:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+            raise Refusal(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         _check_exponent(self.n)
         if record.takes_k:
             if self.k is None:
-                raise ValueError(f"k is required for {self.scheme}")
+                raise Refusal(f"k is required for {self.scheme}")
             if not 1 <= self.k <= self.n:
-                raise ValueError(f"k must be in [1, {self.n}], got {self.k}")
+                raise Refusal(f"k must be in [1, {self.n}], got {self.k}")
         elif self.k is not None:
-            raise ValueError(f"k is only meaningful for {HBAC_KICO}")
+            raise Refusal(f"k is only meaningful for {HBAC_KICO}")
         if record.retry is None and self.initial is not None:
-            raise ValueError(f"{self.scheme} takes no initial state: it converges from any start")
+            raise Refusal(f"{self.scheme} takes no initial state: it converges from any start")
         if record.bath and self.epsilon is None:
-            raise ValueError(f"{self.scheme} needs epsilon")
+            raise Refusal(f"{self.scheme} needs epsilon")
         if self.epsilon is not None:
             make_thermal_params(self.epsilon)
         if self.desired_success is not None and not 0.0 < self.desired_success < 1.0:
-            raise ValueError(f"desired_success must be in (0, 1), got {self.desired_success}")
+            raise Refusal(f"desired_success must be in (0, 1), got {self.desired_success}")
         if self.pair not in PAIR_CHOICES:
-            raise ValueError(f"pair must be one of {PAIR_CHOICES}, got {self.pair!r}")
+            raise Refusal(f"pair must be one of {PAIR_CHOICES}, got {self.pair!r}")
         if self.repump_rounds < 0:
-            raise ValueError(f"repump_rounds must be >= 0, got {self.repump_rounds}")
+            raise Refusal(f"repump_rounds must be >= 0, got {self.repump_rounds}")
         if self.repump_rounds > MAX_REPUMP_ROUNDS:
-            raise ValueError(
+            raise Refusal(
                 f"repump_rounds is capped at {MAX_REPUMP_ROUNDS}, got {self.repump_rounds}"
             )
         if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise Refusal(f"max_attempts must be >= 1, got {self.max_attempts}")
+        _check_seed(self.seed)
         if self.initial is not None:
             object.__setattr__(self, "initial", _build_initial(self, self.initial))
             if self.initial.norm <= 0.0:
-                raise ValueError(
+                raise Refusal(
                     f"initial state must have a positive norm, got {self.initial.norm}"
                 )
 
@@ -204,20 +205,23 @@ def _build_initial(config: SchemeConfig, initial: str | list) -> DiagonalState |
     if isinstance(initial, list):
         expected = 2**n if bath else 2 ** (n + 1)
         if len(initial) != expected:
-            raise ValueError(
+            raise Refusal(
                 f"explicit initial vector must have length {expected} for this scheme, "
                 f"got {len(initial)}"
             )
-        return (ReducedState if bath else DiagonalState)(initial)
+        try:
+            return (ReducedState if bath else DiagonalState)(initial)
+        except (ValueError, OverflowError) as exc:  # the caller's entries, not a kernel's
+            raise Refusal(str(exc)) from exc
     if not isinstance(initial, str) or initial not in INITIAL_SELECTORS:
-        raise ValueError(
+        raise Refusal(
             f"initial must be one of {INITIAL_SELECTORS} or a list of populations, "
             f"got {initial!r}"
         )
     if initial == "uniform":
         return uniform_reduced(n) if bath else uniform_full(n)
     if params is None:
-        raise ValueError(f"a {initial} initial state needs epsilon")
+        raise Refusal(f"a {initial} initial state needs epsilon")
     if initial == "thermal":
         return thermal_reduced(n, params) if bath else thermal_full(n, params)
     profile = fixed_point(n, params)
@@ -309,13 +313,13 @@ def expected_trials(success_probability: float, desired: float) -> int:
     if not 0.0 < desired < 1.0:
         raise ValueError(f"desired success must be in (0, 1), got {desired}")
     if success_probability == 0.0:
-        raise ValueError("success probability is 0: no attempt count suffices")
+        raise Refusal("success probability is 0: no attempt count suffices")
     if success_probability == 1.0:
         return 1
     failure_log = math.log1p(-success_probability)
     estimate = math.log1p(-desired) / failure_log
     if math.isinf(2.0 * estimate):
-        raise ValueError(
+        raise Refusal(
             f"success probability {success_probability!r} is too small to count attempts"
         )
 
@@ -372,6 +376,8 @@ def sample_batch(chain, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if count >= 2**60:  # at 8 bytes a run, numpy's size of the array overflows a signed word
+        raise Refusal(f"trials must be < 2**60, got {count}")
     runs = np.empty(count, dtype=np.int64)
     for offset in range(0, count, _SLICE):
         end = min(offset + _SLICE, count)

@@ -1,7 +1,9 @@
 """CLI tests: argument handling, output formats, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
+import datetime
 import hashlib
 import io
 import json
@@ -23,10 +25,18 @@ import ico_hbac.floattext as floattext
 import ico_hbac.jsontext as jsontext
 import ico_hbac.oracle as oracle
 import ico_hbac.sampling as sampling
-from ico_hbac.hbac_core import fixed_point
-from ico_hbac.register import make_thermal_params
-from ico_hbac.schemes import MAX_REPUMP_ROUNDS, SchemeConfig, sample_batch
-from ico_hbac.switch import standard_pair
+from ico_hbac.hbac_core import TransferMatrix, fixed_point
+from ico_hbac.oracle import MAX_COMPARE_TRIALS
+from ico_hbac.register import DiagonalState, ReducedState, Refusal, make_thermal_params
+from ico_hbac.schemes import (
+    MAX_REPUMP_ROUNDS,
+    SchemeConfig,
+    expected_trials,
+    initial_state,
+    sample_batch,
+    scheme_spec,
+)
+from ico_hbac.switch import standard_pair, switch_branches, tree_pair
 
 
 def run_cli(capsys, *argv):
@@ -720,8 +730,9 @@ class TestValidateCommand:
         [
             ("--nmax", "0", "nmax must be >= 1, got 0"),
             ("--trials", "0", "trials must be >= 1, got 0"),
-            ("--seed", "-1", "seed must be >= 0, got -1"),
-            ("--seed", str(2**64), f"seed must be < 2**64, got {2**64}"),
+            ("--seed", "-1", "seed must be a 64-bit unsigned integer, got -1"),
+            ("--seed", str(2**64), f"seed must be a 64-bit unsigned integer, got {2**64}"),
+            ("--trials", str(MAX_COMPARE_TRIALS + 1), f"trials is capped at {MAX_COMPARE_TRIALS}, got {MAX_COMPARE_TRIALS + 1}"),
         ],
     )
     def test_empty_run_is_usage_error(self, capsys, flag, value, message):
@@ -764,6 +775,19 @@ class TestLargeEpsilon:
             assert err == f"error: epsilon={float(eps)} overflows the partition constant\n"
 
 
+def _child_cli(*argv):
+    """A fresh ``python -m ico_hbac.cli`` run of ``argv``, ended after 10 s."""
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "ico_hbac.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+
+
 class TestRepumpCap:
     def test_a_billion_rounds_fail_fast_without_output(self, tmp_path):
         # uncapped, every attempt of this run cooled the register 1e9 times:
@@ -771,20 +795,236 @@ class TestRepumpCap:
         target = tmp_path / "out.csv"
         argv = ["sample", "--scheme", "hbac-kico", "--n", "3", "--k", "1", "--eps", "0.5"]
         argv += ["--repump-rounds", "1000000000", "--trials", "5", "--seed", "1"]
-        source = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
-        result = subprocess.run(
-            [sys.executable, "-m", "ico_hbac.cli", *argv, "--output", str(target)],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        result = _child_cli(*argv, "--output", str(target))
         assert result.returncode == 2
         assert result.stdout == ""
         message = f"error: repump_rounds is capped at {MAX_REPUMP_ROUNDS}, got 1000000000\n"
         assert result.stderr == message
         assert not target.exists()
+
+
+class TestValidateTrialsCap:
+    def test_a_huge_count_fails_fast_without_output(self, tmp_path):
+        # uncapped, this run was still going when a 60 s timeout ended it
+        target = tmp_path / "report.txt"
+        trials = "100000000000000000000000"
+        result = _child_cli("validate", "--nmax", "1", "--trials", trials, "--output", str(target))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: trials is capped at {MAX_COMPARE_TRIALS}, got {trials}\n"
+        assert not target.exists()
+
+    def test_the_cap_itself_runs(self, capsys):
+        code, out, _err = run_cli(capsys, "validate", "--nmax", "1", "--trials", str(MAX_COMPARE_TRIALS))
+        assert code == 0
+        assert out.endswith("checks passed\n")
+
+
+class TestRefusal:
+    @pytest.mark.parametrize("trials", [2**60, 2**63 - 1, 10**20])
+    def test_a_run_array_numpy_cannot_size_is_refused(self, capsys, trials):
+        # numpy's "array is too big" and "Maximum allowed dimension exceeded"
+        argv = ["sample", "--scheme", "hbac", "--n", "2", "--eps", "0.5", "--trials", str(trials)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must be < 2**60, got {trials}\n"
+
+    def test_the_largest_sizable_run_array_is_out_of_memory(self, capsys):
+        argv = ["sample", "--scheme", "hbac", "--n", "2", "--eps", "0.5", "--trials", str(2**60 - 1)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sample ran out of memory: Unable to allocate 8.00 EiB")
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError, ZeroDivisionError])
+    def test_any_other_exception_is_a_bug_and_escapes(self, monkeypatch, error):
+        def broken(*_args):
+            raise error("a kernel bug")
+
+        monkeypatch.setattr(cli, "fixed_point", broken)
+        with pytest.raises(error, match="a kernel bug"):
+            cli.main(["fixed-point", "--n", "2", "--eps", "0.5"])
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            lambda: cli.validate_runspec({"colour": 1}),
+            lambda: cli.build_parser().parse_args(["table1", "--n", "x"]),
+            lambda: SchemeConfig(scheme="other", n=2),
+            lambda: SchemeConfig(scheme="hbac", n=2, epsilon=0.5, seed=2**64),
+            lambda: make_thermal_params(math.nan),
+            lambda: fixed_point(25, make_thermal_params(0.5)),
+            lambda: SchemeConfig(scheme="hbac-ico", n=1, epsilon=0.5, initial=[0.6, -0.1]),
+            lambda: SchemeConfig(scheme="hbac-ico", n=1, epsilon=0.5, initial=[10**400, 1]),
+            lambda: SchemeConfig(scheme="ico-alone", n=1, initial="thermal"),
+            lambda: expected_trials(0.0, 0.9),
+            lambda: oracle.compare(nmax=1, trials=1, seed=-1),
+        ],
+    )
+    def test_outside_input_raises_the_refusal(self, refused):
+        with pytest.raises(Refusal):
+            refused()
+
+    @pytest.mark.parametrize(
+        "internal",
+        [
+            lambda: switch_branches(DiagonalState(np.full(4, 0.25)), standard_pair(2)),
+            lambda: sampling._minus_step(np.array([1.0, 0.0]), 1.0, 0.0, standard_pair(1), 0),
+            lambda: floattext.float_rows(np.array([[-1.0]])),
+            lambda: jsontext.json_text(math.inf, 0),
+            lambda: TransferMatrix(np.ones((2, 3))),
+            lambda: ReducedState(np.array([0.5, -0.5])),
+        ],
+    )
+    def test_internal_invariants_stay_plain_errors(self, internal):
+        with pytest.raises((ValueError, TypeError)) as raised:
+            internal()
+        assert not isinstance(raised.value, Refusal)
+
+
+def _or_edge(valid, edges):
+    """``valid`` four times in five, else one of ``edges``."""
+    return st.integers(0, 4).flatmap(lambda pick: valid if pick else st.sampled_from(edges))
+
+
+# what the property test draws for each flag: mostly in range, else on an edge or past
+# it, at n <= 6 and at most 20 trials; and how many times in ten each flag is given
+_DRAWN = {
+    "scheme": st.sampled_from(cli.SCHEMES),
+    "n": _or_edge(st.integers(1, 6), ("-1", "0")),
+    "k": _or_edge(st.integers(1, 3), ("-1", "0", "7")),
+    "epsilon": _or_edge(
+        st.floats(0.01, 3.0).map(repr), ("0", "-1", "nan", "inf", "1e-300", "709.7", "709.8")
+    ),
+    "initial": st.sampled_from(cli.INITIAL_SELECTORS),
+    "seed": _or_edge(st.integers(0, 2**64 - 1), ("-1", str(2**64))),
+    "desired_success": _or_edge(
+        st.floats(0.01, 0.99).map(repr), ("0", "1e-300", "0.999999", "1", "1.5", "nan")
+    ),
+    "pair": st.sampled_from(cli.PAIR_CHOICES),
+    "nondemolition": st.just(True),
+    "repump_rounds": _or_edge(st.integers(0, 3), ("-1",)),
+    "max_attempts": _or_edge(st.integers(1, 40), ("0",)),
+    "trials": _or_edge(st.integers(1, 20), ("-1", "0")),
+    "format": st.sampled_from(cli.FORMATS),
+    "output": st.just("missing-directory/out"),
+    "nmax": _or_edge(st.integers(1, 2), ("0", "7")),
+}
+_GIVEN = {"scheme": 9, "n": 9, "epsilon": 9, "k": 1, "initial": 3, "output": 1}
+_SUBCOMMANDS = cli.build_parser()._subparsers._group_actions[0].choices
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for action in _SUBCOMMANDS[command]._actions:
+        # only the k-switch reads k: other schemes get it once in ten
+        given = 9 if action.dest == "k" and "hbac-kico" in argv else _GIVEN.get(action.dest, 5)
+        if action.dest in _DRAWN and draw(st.integers(0, 9)) < given:
+            value = draw(_DRAWN[action.dest])
+            argv += [action.option_strings[0], *(() if value is True else (str(value),))]
+    return argv
+
+
+@st.composite
+def _sample_argvs(draw):
+    """``sample`` commands that its checks accept, at n <= 4: the test compares their rows."""
+    scheme = draw(st.sampled_from(cli.SCHEMES))
+    n = draw(st.integers(1, 4))
+    argv = ["sample", "--scheme", scheme, "--n", str(n), "--eps", repr(draw(st.floats(0.05, 3.0)))]
+    argv += ["--trials", str(draw(st.integers(1, 20))), "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+    argv += ["--format", draw(st.sampled_from(cli.FORMATS))]
+    if scheme in ("hbac-ico", "hbac-kico"):
+        argv += ["--repump-rounds", str(draw(st.integers(0, 3)))]
+    if scheme == "hbac-kico":
+        argv += ["--k", str(draw(st.integers(1, n)))]
+    if scheme == "ico-alone":
+        argv += ["--pair", draw(st.sampled_from(cli.PAIR_CHOICES))]
+    if scheme != "hbac" and draw(st.booleans()):
+        argv += ["--initial", draw(st.sampled_from(cli.INITIAL_SELECTORS))]
+    return argv
+
+
+def _sampled_attempts(text: str, fmt: str):
+    """Each trajectory of a ``sample`` output as its attempts' (round, outcome, probability, state)."""
+    if fmt == "json":
+        return [
+            [
+                (attempt["round"], attempt["outcome"], attempt["probability"], attempt["state"])
+                for attempt in trajectory["attempts"]
+            ]
+            for trajectory in json.loads(text)["trajectories"]
+        ]
+    trajectories = {}
+    for line in text.splitlines()[1:]:
+        cells = line.split(",")
+        if cells[5] in ("+", "-"):
+            attempt = (int(cells[4]), cells[5], float(cells[6]), list(map(float, cells[8].split("|"))))
+            trajectories.setdefault(cells[7], []).append(attempt)
+    return list(trajectories.values())
+
+
+def _dense_attempts(config, outcomes):
+    """(plus probability, pre-measurement populations) of each attempt, by the dense oracle."""
+    retry, n, params = config._record.retry, config.n, config.params
+    p = initial_state(config).normalized().populations
+    sort = oracle.materialize(standard_pair(n), "two-sort")
+
+    def cool(state):  # reset, then the two-sort unitary
+        return oracle.conjugate(sort, oracle.dense_reset(state, params))
+
+    def reduced(state):  # the reset slot traced out
+        return np.einsum("ajbj->ab", state.reshape(2**n, 2, 2**n, 2)).diagonal().real
+
+    if retry is None:  # the stationary profile, which always heralds
+        assert np.abs(reduced(cool(np.diag(np.kron(p, [1.0, 0.0])).astype(complex))) - p).max() < 1e-12
+        return [(1.0, p)]
+    rows = []
+    for level, outcome in enumerate(outcomes):
+        rho = np.diag(np.kron(p, [1.0, 0.0]) if retry == "step" else p).astype(complex)
+        if retry == "step":
+            rho = oracle.dense_reset(rho, params)
+        plus, minus = oracle.switch_channel(rho, tree_pair(n, level) if retry == "tree" else scheme_spec(config))
+        rows.append((np.trace(plus).real, p))
+        branch = plus if outcome == "+" else minus
+        state = branch / np.trace(branch).real
+        if retry == "step":
+            for _ in range(config.repump_rounds):
+                state = cool(state)
+            p = reduced(state)
+        elif retry == "tree":
+            p = state.diagonal().real
+    return rows
+
+
+class TestEveryAcceptedArgv:
+    @settings(max_examples=150, deadline=datetime.timedelta(seconds=5))
+    @given(st.one_of(_argvs(), _sample_argvs()))
+    def test_finishes_or_is_refused_in_one_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)  # an exception that escapes fails the test
+        if code:
+            assert code in (2, 3, 4)
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith("\n")
+        else:
+            assert err.getvalue() == ""
+        if code or argv[0] != "sample":
+            return
+        spec = cli._merge_runspec(cli.build_parser().parse_args(argv))
+        config = cli._config_from_runspec(spec)
+        if config.n > 4:
+            return
+        dense = {}
+        for attempts in _sampled_attempts(out.getvalue(), spec["format"]):
+            outcomes = tuple(outcome for _round, outcome, _p, _state in attempts)
+            if outcomes not in dense:
+                dense[outcomes] = _dense_attempts(config, outcomes)
+            assert [number for number, *_ in attempts] == list(range(1, len(attempts) + 1))
+            for (*_, probability, state), (expected, populations) in zip(attempts, dense[outcomes]):
+                assert abs(probability - expected) < 1e-12
+                assert np.abs(np.array(state) - populations).max() < 1e-12
 
 
 class TestParsing:
@@ -831,12 +1071,53 @@ class TestParsing:
 # Each CSV quantity row and its JSON field: ``inf`` and ``none`` are JSON
 # null, ``1`` and ``0`` JSON true and false where the field is a bool.
 _CSV_AS_JSON = {"inf": None, "none": None, "1": True, "0": False}
-_ZERO_PLUS_CONFIGS = {
-    "ico-alone-zero-plus.json": {"scheme": "ico-alone", "n": 1, "initial": [0.0, 0.5, 0.5, 0.0]},
-    "hbac-ico-zero-plus.json": {
-        "scheme": "hbac-ico", "n": 2, "epsilon": 0.5, "initial": [0.0, 0.5, 0.5, 0.0],
+# run specs that tools/byte_gate.py runs as well.  Explicit initial vectors for the
+# schemes _PINNED_CONFIGS leave out: a reduced register for the k-switch, a full one
+# for the others
+_CONFIGS = {
+    "hbac-kico-initial.json": {
+        "scheme": "hbac-kico", "n": 2, "k": 1, "epsilon": 0.5, "repump_rounds": 1,
+        "initial": [0.1, 0.2, 0.3, 0.4],
     },
+    "ico-tree-sort-initial.json": {
+        "scheme": "ico-tree-sort", "n": 2, "epsilon": 0.5,
+        "initial": [0.3, 0.05, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
+    },
+    "ico-alone-ideal-initial.json": {
+        "scheme": "ico-alone", "n": 2, "pair": "ideal",
+        "initial": [0.05, 0.3, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
+    },
+    # a plus probability of zero from the first attempt: ``sample`` still heralds
+    # (the chain re-pumps) but its analytic expected-trials is infinite
+    "hbac-ico-zero-plus.json": {"scheme": "hbac-ico", "n": 2, "epsilon": 0.5, "initial": [0, 0.5, 0.5, 0]},
 }
+# run specs that ``run --desired-success 0.9`` refuses, one check each
+_REFUSED_CONFIGS = {
+    "not-an-object.json": [1, 2],
+    "unknown-key.json": {"scheme": "hbac", "n": 2, "epsilon": 0.5, "colour": 1},
+    "bool-n.json": {"scheme": "hbac", "n": True, "epsilon": 0.5},
+    "string-n.json": {"scheme": "hbac", "n": "2", "epsilon": 0.5},
+    "text-initial-entry.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.5, "x"]},
+    "other-pair.json": {"scheme": "ico-alone", "n": 2, "pair": "other"},
+    "no-scheme.json": {"n": 2, "epsilon": 0.5},
+    "short-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.5, 0.2, 0.3]},
+    "zero-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.0, 0.0]},
+    "negative-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.6, -0.1]},
+    "nan-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [math.nan, 0.5]},
+    # ico-alone's plus weight is entries 0 and -1 of the full register: zero, then subnormal
+    "ico-alone-zero-plus.json": {"scheme": "ico-alone", "n": 1, "initial": [0.0, 0.5, 0.5, 0.0]},
+    "ico-alone-tiny-plus.json": {"scheme": "ico-alone", "n": 1, "initial": [5e-321, 0.5, 0.5, 0.0]},
+}
+# config files that are not JSON, written as they are
+_RAW_CONFIGS = {"malformed.json": '{"scheme": "hbac", "n": '}
+
+
+def _write_configs(directory: Path) -> None:
+    """Every config file above and ``_PINNED_CONFIGS`` in ``directory``, as the byte gate has them."""
+    for name, config in (_PINNED_CONFIGS | _CONFIGS | _REFUSED_CONFIGS).items():
+        (directory / name).write_text(json.dumps(config))
+    for name, text in _RAW_CONFIGS.items():
+        (directory / name).write_text(text)
 _SCHEME_ARGS = (
     ("--scheme", "hbac", "--eps", "0.5"),
     ("--scheme", "hbac-ico", "--eps", "0.5"),
@@ -874,12 +1155,21 @@ def _quantity_groups(command, csv_text, json_text):
     return [(rows, doc["summary"])]
 
 
+class TestRefusedConfigs:
+    @pytest.mark.parametrize("name", [*_REFUSED_CONFIGS, *_RAW_CONFIGS])
+    def test_run_refuses_in_one_line(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        _write_configs(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--config", name, "--desired-success", "0.9")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestQuantityNames:
     @pytest.mark.parametrize("argv", _QUANTITY_COMMANDS, ids=" ".join)
     def test_json_field_is_the_csv_quantity_renamed(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        for name, config in _ZERO_PLUS_CONFIGS.items():
-            (tmp_path / name).write_text(json.dumps(config))
+        _write_configs(tmp_path)
         code, csv_text, _ = run_cli(capsys, *argv)
         json_code, json_text, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == json_code == 0

@@ -2,187 +2,117 @@
 
     python3 tools/byte_gate.py PARENT_SRC CHANGE_SRC
 
-``PARENT_SRC`` and ``CHANGE_SRC`` are the ``src`` directories of two
-checkouts.  Every command of ``matrix()`` runs as a fresh
-``python3 -m ico_hbac.cli`` process from each tree, the trees in alternating
-order (the parent first on even commands), once writing to stdout and once
-with ``--output``.  For each command the gate compares the exit code, the
-SHA-256 of stdout, the ``--output`` bytes and the last line of stderr.  It
-prints every command whose results differ, then a count, and exits 1 if any
-differs.  The commands run in a temporary directory holding the pinned
-configs of ``tests/test_cli.py``, which also gives the pinned commands, and
-the gate's own ``_CONFIGS``, ``_REFUSED_CONFIGS`` and ``_RAW_CONFIGS``.
+The arguments are the ``src`` directories of two checkouts.  Each gets a fork
+server, which imports ``ico_hbac.cli`` once and forks one child per command of
+``matrix()``, one at a time, once to stdout and once with ``--output``.  The gate
+prints each command whose ``_tuple`` differs, then a count, and exits 1 if any
+differs.  ``_outcome`` gives the tuple from fresh ``python3 -m ico_hbac.cli``
+processes: the reference the fork server is held to.  Both run in one fixed
+environment and one temporary directory (JSON echoes the ``--output`` path), which
+holds the configs of ``tests/test_cli.py``.
 """
-
-from __future__ import annotations
 
 import functools
 import hashlib
 import json
-import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_SCHEME_SIZES = range(1, 7)
-_SEEDS = (1, 2, 3)
-_COMMANDS = ("fixed-point", "table1", "run", "sample", "validate")
-
-
-def _scheme_variants(n: int):
-    """The scheme arguments ``sample`` and ``run`` take at ``n``: every scheme, and its pairs and ``k``."""
-    yield "--scheme", "hbac", "--eps", "0.5"
-    yield "--scheme", "hbac-ico", "--eps", "0.5"
-    yield "--scheme", "ico-alone"
-    yield "--scheme", "ico-alone", "--eps", "0.3", "--pair", "ideal"
-    yield "--scheme", "ico-tree-sort", "--eps", "0.5"
-    yield "--scheme", "hbac-kico", "--k", "1", "--eps", "0.5", "--repump-rounds", "1"
-    yield "--scheme", "hbac-kico", "--k", str(n), "--eps", "0.5"
-
-
-# explicit initial vectors for the schemes the pinned configs leave out, written
-# next to them: a reduced register for the k-switch, a full one for the others
-_CONFIGS = {
-    "hbac-kico-initial.json": {
-        "scheme": "hbac-kico", "n": 2, "k": 1, "epsilon": 0.5, "repump_rounds": 1,
-        "initial": [0.1, 0.2, 0.3, 0.4],
-    },
-    "ico-tree-sort-initial.json": {
-        "scheme": "ico-tree-sort", "n": 2, "epsilon": 0.5,
-        "initial": [0.3, 0.05, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
-    },
-    "ico-alone-ideal-initial.json": {
-        "scheme": "ico-alone", "n": 2, "pair": "ideal",
-        "initial": [0.05, 0.3, 0.1, 0.1, 0.1, 0.1, 0.05, 0.2],
-    },
-    # a plus probability of zero from the first attempt: ``sample`` still heralds
-    # (the chain re-pumps) but its analytic expected-trials is infinite
-    "hbac-ico-zero-plus.json": {"scheme": "hbac-ico", "n": 2, "epsilon": 0.5, "initial": [0, 0.5, 0.5, 0]},
+# A run-spec key's axis points are its choices, its minimum with the value below it,
+# and its edges here: both sides of each SchemeConfig range bound, and None for the key
+# left out.  A flag that takes no value (``--nondemolition``) has the point True.
+_EDGES = {
+    "scheme": (None,),
+    "n": (None, "0", "1", "4", "25"),  # the accepted 24: see matrix()
+    "k": (None, "0", "1", "3", "4"),  # [1, n] at the k-switch base's n = 3
+    "epsilon": (None, "0", "1e-300", "709.7", "709.8"),  # 709.8 overflows the partition constant
+    "seed": ("-1", "0", str(2**64 - 1), str(2**64)),
+    "desired_success": (None, "0", "1e-300", "0.999999", "1"),
+    "nondemolition": (True,),
+    "repump_rounds": ("-1", "0", "10000", "10001"),
+    "max_attempts": ("0", "1"),
+    "output": ("missing-directory/out.csv",),
 }
-# run specs that ``run`` refuses, one check each
-_REFUSED_CONFIGS = {
-    "not-an-object.json": [1, 2],
-    "unknown-key.json": {"scheme": "hbac", "n": 2, "epsilon": 0.5, "colour": 1},
-    "bool-n.json": {"scheme": "hbac", "n": True, "epsilon": 0.5},
-    "string-n.json": {"scheme": "hbac", "n": "2", "epsilon": 0.5},
-    "text-initial-entry.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.5, "x"]},
-    "other-pair.json": {"scheme": "ico-alone", "n": 2, "pair": "other"},
-    "no-scheme.json": {"n": 2, "epsilon": 0.5},
-    "short-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.5, 0.2, 0.3]},
-    "zero-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.0, 0.0]},
-    "negative-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [0.6, -0.1]},
-    "nan-initial.json": {"scheme": "hbac-ico", "n": 1, "epsilon": 0.5, "initial": [math.nan, 0.5]},
-    # ico-alone's plus weight is entries 0 and -1 of the full register: zero, then subnormal
-    "ico-alone-zero-plus.json": {"scheme": "ico-alone", "n": 1, "initial": [0.0, 0.5, 0.5, 0.0]},
-    "ico-alone-tiny-plus.json": {"scheme": "ico-alone", "n": 1, "initial": [5e-321, 0.5, 0.5, 0.0]},
+# the accepted commands each point is set in, one key at a time, in each format: one
+# per scheme for run and sample; a key the command has no flag for is not varied
+_SCHEME_BASES = [
+    *(
+        {"n": "2", "scheme": scheme, "epsilon": "0.5"}
+        for scheme in ("hbac", "hbac-ico", "ico-alone", "ico-tree-sort")
+    ),
+    {"n": "3", "scheme": "hbac-kico", "k": "3", "epsilon": "0.5"},  # k = n: a chain not stuck at 0
+]
+_BASES = {
+    "fixed-point": ({"n": "3", "epsilon": "0.5"},),
+    "table1": ({"n": "3", "epsilon": "0.5", "k": "1"},),
+    "run": [{**base, "format": "csv", "desired_success": "0.9"} for base in _SCHEME_BASES],
+    "sample": [{**base, "format": "csv", "trials": "20", "seed": "1"} for base in _SCHEME_BASES],
+    "validate": ({"nmax": "1"},),
 }
-# config files that are not JSON, written as they are
-_RAW_CONFIGS = {"malformed.json": '{"scheme": "hbac", "n": '}
-
-
-def _scheme_facts():
-    """Commands over every scheme fact: initial states, re-pump rounds, nondemolition, usage errors."""
-    draw = ("--trials", "20", "--seed", "1")
-    switched = (
-        ("--scheme", "hbac-kico", "--n", "3", "--k", "2", "--eps", "0.5", "--repump-rounds", "1"),
-        ("--scheme", "ico-tree-sort", "--n", "3", "--eps", "0.5"),
-        ("--scheme", "ico-alone", "--n", "3", "--eps", "0.5", "--pair", "ideal"),
-    )
-    for fmt in ("csv", "json"):
-        for variant in switched:
-            for selector in ("uniform", "thermal", "fixed-point"):
-                size = (*variant, "--initial", selector, "--format", fmt)
-                yield ("sample", *size, *draw)
-                yield ("run", *size)
-        for name in _CONFIGS:
-            yield ("sample", "--config", name, *draw, "--format", fmt)
-            yield ("run", "--config", name, "--format", fmt)
-        for n in _SCHEME_SIZES:
-            yield ("run", "--scheme", "ico-tree-sort", "--n", str(n), "--nondemolition", "--format", fmt)
-            yield ("table1", "--n", str(n), "--eps", "0.5", "--nondemolition", "--format", fmt)
-    for n in range(1, 5):
-        for k in range(1, n + 1):
-            for rounds in range(3):
-                kico = ("--scheme", "hbac-kico", "--n", str(n), "--k", str(k), "--eps", "0.5")
-                yield ("sample", *kico, "--repump-rounds", str(rounds), *draw)
-    for command in ("sample", "run"):
-        yield (command, "--scheme", "hbac", "--n", "2", "--eps", "0.5", "--initial", "uniform")
-        yield (command, "--scheme", "hbac-kico", "--n", "2", "--eps", "0.5")
-        for scheme in ("hbac", "hbac-ico", "ico-alone", "ico-tree-sort"):
-            yield (command, "--scheme", scheme, "--n", "2", "--eps", "0.5", "--k", "1")
-
-
-def _usage_errors():
-    """Commands that exit 2 with one line on stderr, or 4 for an output in a missing directory."""
-    for name in (*_REFUSED_CONFIGS, *_RAW_CONFIGS):
-        yield ("run", "--config", name, "--desired-success", "0.9")
-    hbac = ("--scheme", "hbac", "--eps", "0.5")
-    kico = ("--scheme", "hbac-kico", "--k", "1", "--eps", "0.5")
-    yield ("run", *hbac)  # no --n
-    yield ("sample", *hbac, "--n", "2", "--trials", "0")
-    yield ("run", "--scheme", "hbac-kico", "--n", "3", "--k", "4", "--eps", "0.5")
-    yield ("run", "--scheme", "hbac-ico", "--n", "2")
-    yield ("run", "--scheme", "hbac-ico", "--n", "2", "--eps", "0.5", "--desired-success", "1.5")
-    for rounds in ("-1", "10001"):
-        yield ("run", *kico, "--n", "2", "--repump-rounds", rounds)
-    yield ("sample", *hbac, "--n", "2", "--max-attempts", "0")
-    yield ("sample", *hbac, "--n", "2", "--seed", str(2**64))
-    yield ("run", "--scheme", "ico-alone", "--n", "2", "--initial", "thermal")
-    # exhausts the attempt budget on a plus probability that is never zero
-    yield ("sample", "--scheme", "hbac-ico", "--n", "3", "--eps", "0.5", "--trials", "200",
-           "--seed", "3", "--max-attempts", "5")
-    yield ("run", *hbac, "--n", "25")
-    yield ("fixed-point", "--n", "0", "--eps", "0.5")
-    yield from (("table1", "--n", "3", "--eps", eps) for eps in ("0", "-1", "nan"))
-    for flag, value in (("--nmax", "0"), ("--nmax", "7"), ("--trials", "0"), ("--seed", "-1")):
-        yield ("validate", flag, value)
-    yield ("sample", *hbac, "--n", "2", "--trials", str(2**59))  # numpy's named MemoryError
-    yield ("run", *hbac, "--n", "2", "--output", "missing-directory/out.csv")
-    # argparse's own errors: a missing required flag, a bad choice, a bad type
-    yield ("fixed-point", "--n", "3")
-    yield ("table1", "--eps", "0.5")
-    yield ("table1", "--n", "3", "--eps", "0.5", "--format", "xml")
-    yield ("table1", "--n", "3", "--eps", "0.5", "--k", "x")
-    yield ("fixed-point", "--n", "3", "--eps", "x")
-    yield ("validate", "--trials", "x")
 
 
 @functools.cache
 def _test_cli():
-    """``tests/test_cli.py``, which holds ``_PINNED_STDOUT`` and the ``_PINNED_CONFIGS`` they read."""
+    """``tests/test_cli.py``: the pinned commands, the configs, and the ``cli`` it imports."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     import test_cli
 
     return test_cli
 
 
-def _workload_commands():
-    sys.path.insert(0, str(ROOT))
-    from bench import workloads
+def _points(name: str) -> tuple:
+    """The axis points of run-spec key ``name``: its choices, its minimum and below, its edges."""
+    key = _test_cli().cli._RUNSPEC[name]
+    below = () if key.minimum is None else (str(key.minimum), str(key.minimum - 1))
+    return (*(key.choices or ()), *below, *_EDGES.get(name, ()))
 
-    for name in workloads.SIZES:
-        for seed in _SEEDS:
-            yield from (command.argv for command in workloads.build(name, seed).commands)
+
+def _argv(command: str, spec: dict) -> tuple[str, ...]:
+    argv = [command]
+    for name, value in spec.items():
+        if value is not None:
+            argv.append("--eps" if name == "epsilon" else "--" + name.replace("_", "-"))
+            argv += () if value is True else (value,)
+    return tuple(argv)
+
+
+def _generated():
+    """Every base of ``_BASES`` with one flag set to each of its points, in each format."""
+    cli = _test_cli().cli
+    runspec = cli._RUNSPEC
+    (subcommands,) = cli.build_parser()._subparsers._group_actions
+    for command, parser in subcommands.choices.items():
+        names = [action.dest for action in parser._actions if action.dest in runspec]
+        formats = runspec["format"].choices if "format" in names else (None,)
+        for base in _BASES[command]:
+            for name in names:
+                for point in _points(name):
+                    yield from (_argv(command, {**base, "format": f, name: point}) for f in formats)
 
 
 def matrix() -> list[tuple[str, ...]]:
     """Every command the gate runs, once each, in order."""
-    commands = [tuple(argv.split()) for argv, _digest in _test_cli()._PINNED_STDOUT]
-    commands += _workload_commands()
-    for n in _SCHEME_SIZES:
-        for fmt in ("csv", "json"):
-            for variant in _scheme_variants(n):
-                size = ("--n", str(n), *variant, "--format", fmt)
-                commands.append(("sample", *size, "--trials", "20", "--seed", "1"))
-                commands.append(("run", *size, "--desired-success", "0.9"))
-            commands.append(("fixed-point", "--n", str(n), "--eps", "0.5", "--format", fmt))
-            commands.append(("table1", "--n", str(n), "--eps", "0.5", "--k", "1", "--format", fmt))
-    for nmax in _SCHEME_SIZES:
-        commands += [("validate", "--nmax", str(nmax), "--seed", str(seed)) for seed in _SEEDS]
+    tests = _test_cli()
+    commands = [tuple(argv.split()) for argv, _digest in tests._PINNED_STDOUT]
+    sys.path.insert(0, str(ROOT))
+    from bench import workloads
+
+    for name, seed in ((name, seed) for name in workloads.SIZES for seed in (1, 2, 3)):
+        commands += [command.argv for command in workloads.build(name, seed).commands]
+    commands += _generated()
+    # validate's --nmax, which no run-spec key declares, in [1, 6] and past both ends
+    for nmax in range(1, 7):
+        commands += [("validate", "--nmax", str(nmax), "--seed", str(seed)) for seed in (1, 2, 3)]
+    commands += [("validate", "--nmax", "0"), ("validate", "--nmax", "7")]
+    # the largest n accepted, where a command's cost does not grow with n
+    commands.append(("table1", "--n", "24", "--eps", "0.5"))
     # several chain rows per float-kernel call, each swapped for its text once rendered:
     # the heralded chain in JSON, the bath-free retry's one shared row, a re-pumped k-switch chain
     wide = ("--n", "10", "--trials", "20", "--seed", "1")
@@ -197,56 +127,125 @@ def matrix() -> list[tuple[str, ...]]:
     wide_draw = ("--trials", "20000", "--seed", "1")
     commands.append(("sample", "--scheme", "ico-tree-sort", "--n", "4", "--eps", "0.5", *wide_draw))
     commands.append((*kico, "--n", "3", *wide_draw))
-    # the largest --eps accepted and the first two rejected
-    commands += [("table1", "--n", "3", "--eps", eps) for eps in ("709.7", "709.8", "710")]
-    # the help texts, and validate at its default seed and trials
-    commands += [("--help",), *((command, "--help") for command in _COMMANDS), ("validate",)]
-    # an infinite expected-trials, written as null in JSON
-    commands += [("run", "--config", "ico-alone-zero-plus.json", "--format", fmt) for fmt in ("csv", "json")]
-    commands += _scheme_facts()
-    commands += _usage_errors()
+    # run arrays that numpy cannot allocate, cannot size and cannot index
+    hbac = ("sample", "--scheme", "hbac", "--eps", "0.5", "--n", "2", "--trials")
+    commands += [(*hbac, str(trials)) for trials in (2**59, 2**63 - 1, 10**20)]
+    # the largest --eps accepted, the first two rejected, and three more outside the range
+    commands += [("table1", "--n", "3", "--eps", eps) for eps in ("709.7", "709.8", "710", "0", "-1", "nan")]
+    # the help texts, and validate at its default nmax, seed and trials
+    commands += [("--help",), *((command, "--help") for command in _BASES), ("validate",)]
+    # explicit initial vectors, an infinite expected-trials (null in JSON), and refused configs
+    for fmt in ("csv", "json"):
+        for name in tests._CONFIGS:
+            commands.append(("sample", "--config", name, "--trials", "20", "--seed", "1", "--format", fmt))
+            commands.append(("run", "--config", name, "--format", fmt))
+        commands.append(("run", "--config", "ico-alone-zero-plus.json", "--format", fmt))
+    refused = (*tests._REFUSED_CONFIGS, *tests._RAW_CONFIGS)
+    commands += [("run", "--config", name, "--desired-success", "0.9") for name in refused]
+    # a selector that needs the epsilon a bath-free scheme may leave out
+    commands.append(("run", "--scheme", "ico-alone", "--n", "2", "--initial", "thermal"))
+    # argparse's own errors: a choice it does not offer, and values of the wrong type
+    table1 = ("table1", "--n", "3", "--eps", "0.5")
+    commands += [(*table1, "--format", "xml"), (*table1, "--k", "x"), ("validate", "--trials", "x")]
+    commands.append(("fixed-point", "--n", "3", "--eps", "x"))
     return list(dict.fromkeys(commands))
 
 
+_TIMEOUT = 600  # seconds a command may run, in either runner
+
+
+def _env(src: str) -> dict:
+    """A command's whole environment: nothing else is inherited, ``PYTHONUNBUFFERED`` included."""
+    kept = {name: os.environ[name] for name in ("PATH", "HOME") if name in os.environ}
+    threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    return {**kept, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", **threads}
+
+
 def _outcome(src: str, argv: tuple[str, ...], workdir: Path) -> tuple:
-    """Exit code, stdout SHA-256 and last stderr line of ``argv``, then the same with ``--output``."""
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    """``_tuple`` of ``argv`` run as fresh ``python3 -m ico_hbac.cli`` processes."""
+
+    def run(args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ico_hbac.cli", *args], cwd=workdir, env=_env(src),
+            stdin=subprocess.DEVNULL, capture_output=True, timeout=_TIMEOUT,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    return _tuple(run, argv, workdir)
+
+
+def _tuple(run, argv, workdir: Path) -> tuple:
+    """Exit code, stdout SHA-256, last stderr line of ``run(argv)``; the same with ``--output``."""
     output = workdir / "output.bin"
     results = []
     for extra in ((), ("--output", str(output))):
         output.unlink(missing_ok=True)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ico_hbac.cli", *argv, *extra],
-            cwd=workdir, env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=600,
-        )
-        lines = proc.stderr.decode(errors="replace").splitlines()
-        results += [proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), lines[-1] if lines else ""]
-    written = hashlib.sha256(output.read_bytes()).hexdigest() if output.exists() else None
-    return (*results, written)
+        code, stdout, stderr = run([*argv, *extra])
+        lines = stderr.decode(errors="replace").splitlines()
+        results += [code, hashlib.sha256(stdout).hexdigest(), lines[-1] if lines else ""]
+    return (*results, hashlib.sha256(output.read_bytes()).hexdigest() if output.exists() else None)
+
+
+def _serve() -> None:
+    """The fork server: a JSON list of commands in, the ``_tuple`` of each out, as JSON."""
+    from ico_hbac import cli, jsontext, oracle, sampling  # noqa: F401  imported once, before any fork
+
+    captured = tempfile.TemporaryFile(), tempfile.TemporaryFile()
+
+    def run(args):
+        for handle in captured:
+            handle.seek(0)
+            handle.truncate()
+        pid = os.fork()
+        if pid == 0:  # the child runs cli.main as python3 -m ico_hbac.cli does, then ends
+            code = 1
+            try:
+                os.dup2(os.open(os.devnull, os.O_RDONLY), 0)
+                for fd, handle in enumerate(captured, start=1):
+                    os.dup2(handle.fileno(), fd)
+                signal.alarm(_TIMEOUT)
+                try:
+                    code = cli.main(args)
+                except SystemExit as exc:
+                    code = exc.code or 0
+                except BaseException:
+                    traceback.print_exc()
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        for handle in captured:
+            handle.seek(0)
+        return code, *(handle.read() for handle in captured)
+
+    json.dump([_tuple(run, argv, Path.cwd()) for argv in json.load(sys.stdin)], sys.stdout)
+
+
+def _forked(src: str, commands: list, workdir) -> list[tuple]:
+    """``_outcome`` of every command, one at a time, from one fork server of tree ``src``."""
+    serve = f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+    serve += "import byte_gate; byte_gate._serve()"
+    server = subprocess.run(
+        [sys.executable, "-c", serve], cwd=workdir, env=_env(src), input=json.dumps(commands),
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return [tuple(result) for result in json.loads(server.stdout)]
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/byte_gate.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
-    trees = [str(Path(tree).resolve()) for tree in argv]
     commands = matrix()
-    differ = 0
-    with tempfile.TemporaryDirectory() as directory:
-        workdir = Path(directory)
-        for name, config in (_test_cli()._PINNED_CONFIGS | _CONFIGS | _REFUSED_CONFIGS).items():
-            (workdir / name).write_text(json.dumps(config))
-        for name, text in _RAW_CONFIGS.items():
-            (workdir / name).write_text(text)
-        for index, command in enumerate(commands):
-            order = trees if index % 2 == 0 else trees[::-1]
-            results = {tree: _outcome(tree, command, workdir) for tree in order}
-            parent, change = (results[tree] for tree in trees)
-            if parent != change:
-                differ += 1
-                print(" ".join(command))
-                print(f"  parent: {parent}\n  change: {change}")
-    print(f"{len(commands)} commands, {differ} differ")
+    with tempfile.TemporaryDirectory() as workdir:
+        _test_cli()._write_configs(Path(workdir))
+        parent, change = (_forked(str(Path(tree).resolve()), commands, workdir) for tree in argv)
+    differ = [(command, old, new) for command, old, new in zip(commands, parent, change) if old != new]
+    for command, old, new in differ:
+        print(" ".join(command))
+        print(f"  parent: {old}\n  change: {new}")
+    print(f"{len(commands)} commands, {len(differ)} differ")
     return 1 if differ else 0
 
 
